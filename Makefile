@@ -136,6 +136,7 @@ fuzz:
 	$(GO) test -fuzz FuzzProfileSpecValidate -fuzztime $(FUZZTIME) -run '^$$' ./internal/dehin
 	$(GO) test -fuzz FuzzGenerateSmall -fuzztime $(FUZZTIME) -run '^$$' ./internal/tqq
 	$(GO) test -fuzz FuzzAdjRowCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
+	$(GO) test -fuzz FuzzOpenCSRFile -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem

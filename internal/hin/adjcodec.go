@@ -17,7 +17,7 @@ import (
 //
 // Destinations are sorted strictly ascending, so with prev = -1 every
 // delta is >= 1 (the first delta is to[0]+1) and a zero delta always
-// signals corruption. Strengths are in [1, 1<<31-1] by Builder/CSRWriter
+// signals corruption. Strengths are in [1, 1<<31-1] by Builder
 // validation. The strict decoder (decodeAdjRow) validates everything and
 // returns errors; the trusting decoder (decodeAdjRowFast) is the hot-path
 // form used only on rows the loader has already strict-decoded once.

@@ -1,7 +1,5 @@
 package hin
 
-import "sort"
-
 // EdgeBuf is a reusable decode buffer for adjacency rows. Backends that
 // store adjacency in compressed form decode into it; backends with native
 // in-memory rows ignore it and return zero-copy views. Callers own the
@@ -38,8 +36,6 @@ type GraphBackend interface {
 	// the extended slice (the interface-friendly form of Graph.Attrs).
 	AppendAttrs(dst []int64, v EntityID) []int64
 	Set(name string, v EntityID) []int32
-	// SetNames returns the names of the graph's set columns, ascending.
-	SetNames() []string
 
 	OutDegree(lt LinkTypeID, v EntityID) int
 	InDegree(lt LinkTypeID, v EntityID) int
@@ -58,16 +54,6 @@ var _ GraphBackend = (*Graph)(nil)
 // AppendAttrs appends all scalar attributes of v to dst.
 func (g *Graph) AppendAttrs(dst []int64, v EntityID) []int64 {
 	return append(dst, g.Attrs(v)...)
-}
-
-// SetNames returns the names of the graph's set columns, ascending.
-func (g *Graph) SetNames() []string {
-	names := make([]string, 0, len(g.sets))
-	for name := range g.sets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // OutEdgesBuf returns v's out-row via lt. The in-memory backend ignores

@@ -1,8 +1,8 @@
 package hin
 
 import (
+	"bytes"
 	"encoding/binary"
-	"sort"
 )
 
 // csrAdj is the compact adjacency of one link type in one direction: the
@@ -25,9 +25,9 @@ func (c *csrAdj) row(v EntityID) []byte {
 
 // CSRGraph is the compact GraphBackend: flat columns, varint/delta
 // compressed adjacency, and dictionary-interned scalar attributes. Every
-// variable-length column is a raw byte slice, so a CSRGraph either owns
-// heap copies (FromGraph) or aliases an mmap'd CSR file (OpenCSRFile)
-// with no per-entity unpacking at load time.
+// variable-length column is a raw byte slice aliasing a CSR file image,
+// either encoded on the heap (FromGraph) or mmap'd (OpenCSRFile), with no
+// per-entity unpacking at load time.
 //
 // Layout per entity v:
 //
@@ -131,16 +131,6 @@ func (g *CSRGraph) Set(name string, v EntityID) []int32 {
 	return col.data[col.off[v]:col.off[v+1]]
 }
 
-// SetNames returns the names of the graph's set columns, ascending.
-func (g *CSRGraph) SetNames() []string {
-	names := make([]string, 0, len(g.sets))
-	for name := range g.sets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // OutDegree returns the number of out-edges of v via link type lt.
 //
 //hin:hot
@@ -232,74 +222,27 @@ func appendU64(dst []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, v)
 }
 
-// FromGraph converts an in-memory Graph to its compact form. The result
-// shares g's (immutable) set columns; everything else is re-encoded. Use
-// this for in-process backend comparisons and for workbench runs with
-// -backend=csr; for datasets too large to build in memory first, stream
-// through a CSRWriter instead.
+// FromGraph converts an in-memory Graph to its compact form: it encodes g
+// exactly as WriteCSRFile does and decodes the bytes in memory with the
+// loader OpenCSRFile uses, so every CSRGraph comes out of one validating
+// decoder.
 func FromGraph(g *Graph) *CSRGraph {
-	n := g.NumEntities()
-	out := &CSRGraph{
-		schema: g.schema,
-		n:      n,
-		etype:  make([]byte, n),
-		sets:   g.sets,
+	var buf bytes.Buffer
+	hdr, err := encodeCSR(&buf, g)
+	if err != nil {
+		panic(err) // writes to a bytes.Buffer cannot fail
 	}
-	labelOff := make([]byte, 0, (n+1)*8)
-	var labelBlob []byte
-	labelOff = appendU64(labelOff, 0)
-	for v := 0; v < n; v++ {
-		out.etype[v] = byte(g.etype[v])
-		labelBlob = append(labelBlob, g.label[v]...)
-		labelOff = appendU64(labelOff, uint64(len(labelBlob)))
+	data := buf.Bytes()
+	copy(data, hdr[:])
+	c, err := parseCSRFile(data, 0)
+	if err != nil {
+		panic(err) // the loader accepts every encoded Graph
 	}
-	out.labelOff, out.labelBlob = labelOff, labelBlob
-
-	intern := newAttrInterner()
-	attrOff := make([]byte, 0, (n+1)*8)
-	attrOff = appendU64(attrOff, 0)
-	codes := 0
-	var attrCodes []byte
-	for v := 0; v < n; v++ {
-		for _, a := range g.Attrs(EntityID(v)) {
-			attrCodes = binary.LittleEndian.AppendUint32(attrCodes, intern.code(a))
-			codes++
-		}
-		attrOff = appendU64(attrOff, uint64(codes))
-	}
-	out.attrDict, out.attrOff, out.attrCodes = intern.dict, attrOff, attrCodes
-
-	L := g.schema.NumLinkTypes()
-	out.fwd = make([]csrAdj, L)
-	out.rev = make([]csrAdj, L)
-	for lt := 0; lt < L; lt++ {
-		weighted := g.schema.LinkType(LinkTypeID(lt)).Weighted
-		out.fwd[lt] = encodeCSRAdj(&g.fwd[lt], n, weighted)
-		out.rev[lt] = encodeCSRAdj(&g.rev[lt], n, weighted)
-	}
-	return out
-}
-
-func encodeCSRAdj(src *csr, n int, weighted bool) csrAdj {
-	var dat []byte
-	rowOff := make([]byte, 0, (n+1)*8)
-	rowOff = appendU64(rowOff, 0)
-	for v := 0; v < n; v++ {
-		tos, ws := src.row(EntityID(v))
-		dat = appendAdjRow(dat, tos, ws, weighted)
-		rowOff = appendU64(rowOff, uint64(len(dat)))
-	}
-	return csrAdj{
-		rowOff:   rowOff,
-		dat:      dat,
-		count:    int64(len(src.to)),
-		weighted: weighted,
-	}
+	return c
 }
 
 // attrInterner assigns dense codes to attribute values in first-occurrence
-// order, so FromGraph and CSRWriter produce identical dictionaries for the
-// same entity stream.
+// order, so the dictionary section is a pure function of the graph.
 type attrInterner struct {
 	dict   []int64
 	code32 map[int64]uint32

@@ -1,12 +1,14 @@
 package hin
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,7 +18,7 @@ import (
 
 // randomRichGraph builds a labeled, attributed, set-carrying graph with
 // duplicate edges (exercising merge) from a seeded RNG.
-func randomRichGraph(t *testing.T, seed uint64) *Graph {
+func randomRichGraph(t testing.TB, seed uint64) *Graph {
 	t.Helper()
 	s := userSchema(t)
 	rng := randx.New(seed)
@@ -56,7 +58,7 @@ func randomRichGraph(t *testing.T, seed uint64) *Graph {
 
 // assertBackendsEqual checks every GraphBackend accessor agrees between
 // the two backends.
-func assertBackendsEqual(t *testing.T, want, got GraphBackend) {
+func assertBackendsEqual(t *testing.T, want *Graph, got *CSRGraph) {
 	t.Helper()
 	if want.Schema().String() != got.Schema().String() {
 		t.Fatalf("schema mismatch:\n%s\nvs\n%s", want.Schema(), got.Schema())
@@ -69,8 +71,13 @@ func assertBackendsEqual(t *testing.T, want, got GraphBackend) {
 		t.Fatalf("NumEdgesTotal = %d, want %d", g, w)
 	}
 	names := want.SetNames()
-	if gn := got.SetNames(); fmt.Sprint(gn) != fmt.Sprint(names) {
-		t.Fatalf("SetNames = %v, want %v", gn, names)
+	var gn []string
+	for name := range got.sets {
+		gn = append(gn, name)
+	}
+	sort.Strings(gn)
+	if fmt.Sprint(gn) != fmt.Sprint(names) {
+		t.Fatalf("set columns = %v, want %v", gn, names)
 	}
 	var wAttrs, gAttrs []int64
 	for v := 0; v < n; v++ {
@@ -180,23 +187,6 @@ func TestCSRFileRoundTrip(t *testing.T) {
 	}
 }
 
-// The CSR backend persisted and reloaded must round-trip too (exercises
-// writing *from* a CSRGraph, where labels decode from the packed blob).
-func TestCSRFileRoundTripFromCSR(t *testing.T) {
-	g := randomRichGraph(t, 11)
-	c := FromGraph(g)
-	path := filepath.Join(t.TempDir(), "g.hincsr")
-	if err := WriteCSRFile(path, c); err != nil {
-		t.Fatal(err)
-	}
-	cf, err := OpenCSRFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cf.Close()
-	assertBackendsEqual(t, g, cf.Graph())
-}
-
 func TestEmptyGraphCSRFile(t *testing.T) {
 	s := userSchema(t)
 	g, err := NewBuilder(s).Build()
@@ -215,89 +205,51 @@ func TestEmptyGraphCSRFile(t *testing.T) {
 	assertBackendsEqual(t, g, cf.Graph())
 }
 
-// replayToCSRWriter feeds the exact entity/edge stream of g into a
-// CSRWriter, using the same per-entity attr/set/edge order WriteCSRFile
-// observes.
-func replayToCSRWriter(t *testing.T, g *Graph, path string) {
+// csrImage returns the bytes WriteCSRFile persists for g.
+func csrImage(t testing.TB, g *Graph) []byte {
 	t.Helper()
-	w, err := NewCSRWriter(g.Schema(), path)
+	path := filepath.Join(t.TempDir(), "image.hincsr")
+	if err := WriteCSRFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.NumEntities()
-	for v := 0; v < n; v++ {
-		w.AddEntity(g.EntityType(EntityID(v)), g.Label(EntityID(v)), g.Attrs(EntityID(v))...)
-		for _, name := range g.SetNames() {
-			if s := g.Set(name, EntityID(v)); len(s) > 0 {
-				w.SetSet(name, EntityID(v), s)
-			}
-		}
-	}
-	for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {
-		for v := 0; v < n; v++ {
-			tos, ws := g.OutEdges(LinkTypeID(lt), EntityID(v))
-			for i, to := range tos {
-				if err := w.AddEdge(LinkTypeID(lt), EntityID(v), to, ws[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := w.Finalize(); err != nil {
+	return data
+}
+
+// TestWriteCSRFilePinned pins the encoder's output: a changed digest is a
+// format change, which needs a new csrVersion.
+func TestWriteCSRFilePinned(t *testing.T) {
+	empty, err := NewBuilder(userSchema(t)).Build()
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want string
+	}{
+		{"rich seed 21", randomRichGraph(t, 21), "daf28624562d9d283582b8202fa76fd59f7761cf177a00ac01d401c4f75b6992"},
+		{"empty", empty, "1db39ee05d42482c6d2a5d20185d433ca404dc5c024d4a9d0b151041f85d0e0f"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(csrImage(t, c.g))); got != c.want {
+			t.Errorf("%s: sha256 %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
-func TestCSRWriterByteIdenticalToWriteCSRFile(t *testing.T) {
-	g := randomRichGraph(t, 21)
-	dir := t.TempDir()
-	direct := filepath.Join(dir, "direct.hincsr")
-	streamed := filepath.Join(dir, "streamed.hincsr")
-	if err := WriteCSRFile(direct, g); err != nil {
-		t.Fatal(err)
-	}
-	replayToCSRWriter(t, g, streamed)
-	a, err := os.ReadFile(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("streamed CSR file differs from direct write: %d vs %d bytes", len(b), len(a))
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 2 {
-		t.Fatalf("temp files left behind: %v", ents)
-	}
-}
-
-func TestCSRWriterMergesDuplicates(t *testing.T) {
-	s := userSchema(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "dup.hincsr")
-	w, err := NewCSRWriter(s, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		w.AddEntity(0, "", 1980, 0)
-	}
-	follow, mention := s.MustLinkTypeID("follow"), s.MustLinkTypeID("mention")
-	for i := 0; i < 4; i++ {
-		if err := w.AddEdge(follow, 0, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AddEdge(mention, 0, 2, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finalize(); err != nil {
+// TestWriteCSRFileUnderLiveMapping rewrites the path of an open CSRFile
+// with a smaller graph, as tqqgen -graph-out followed by a daemon reload
+// does. The old mapping must keep reading the old graph; truncating the
+// file in place would fault or hand the trusting decoder garbage.
+// Panic-on-fault turns a fault into a test failure instead of a crash.
+func TestWriteCSRFileUnderLiveMapping(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	oldG, newG := wideRichGraph(t, 4), randomRichGraph(t, 21)
+	path := filepath.Join(t.TempDir(), "live.hincsr")
+	if err := WriteCSRFile(path, oldG); err != nil {
 		t.Fatal(err)
 	}
 	cf, err := OpenCSRFile(path)
@@ -305,83 +257,67 @@ func TestCSRWriterMergesDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	g := cf.Graph()
-	if g.NumEdges(follow) != 1 || g.NumEdges(mention) != 1 {
-		t.Fatalf("edge counts after merge: %d %d", g.NumEdges(follow), g.NumEdges(mention))
-	}
-	if w, ok := g.FindEdge(follow, 0, 1); !ok || w != 1 {
-		t.Fatalf("follow edge = (%d,%v), want collapsed strength 1", w, ok)
-	}
-	if w, ok := g.FindEdge(mention, 0, 2); !ok || w != 12 {
-		t.Fatalf("mention edge = (%d,%v), want summed strength 12", w, ok)
-	}
-}
-
-func TestCSRWriterStrengthOverflow(t *testing.T) {
-	s := userSchema(t)
-	path := filepath.Join(t.TempDir(), "ovf.hincsr")
-	w, err := NewCSRWriter(s, path)
-	if err != nil {
+	if err := WriteCSRFile(path, newG); err != nil {
 		t.Fatal(err)
 	}
-	w.AddEntity(0, "", 1980, 0)
-	w.AddEntity(0, "", 1981, 1)
-	mention := s.MustLinkTypeID("mention")
-	for i := 0; i < 2; i++ {
-		if err := w.AddEdge(mention, 0, 1, maxInt32); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err = w.Finalize()
-	if err == nil || !strings.Contains(err.Error(), "overflows int32") {
-		t.Fatalf("Finalize = %v, want overflow error", err)
-	}
-	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
-		t.Fatalf("failed Finalize left output file behind (stat err %v)", serr)
-	}
-}
-
-func TestCSRWriterValidationMirrorsBuilder(t *testing.T) {
-	s := userSchema(t)
-	path := filepath.Join(t.TempDir(), "val.hincsr")
-	w, err := NewCSRWriter(s, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.removeTemp()
-	w.AddEntity(0, "", 1980, 0)
-	w.AddEntity(0, "", 1981, 1)
-	follow, mention := s.MustLinkTypeID("follow"), s.MustLinkTypeID("mention")
-	cases := []struct {
-		name string
-		err  error
-	}{
-		{"unknown lt", w.AddEdge(99, 0, 1, 1)},
-		{"src range", w.AddEdge(follow, -1, 1, 1)},
-		{"dst range", w.AddEdge(follow, 0, 9, 1)},
-		{"self loop", w.AddEdge(follow, 0, 0, 1)},
-		{"nonpositive", w.AddEdge(mention, 0, 1, 0)},
-		{"unweighted w", w.AddEdge(follow, 0, 1, 2)},
-	}
-	for _, c := range cases {
-		if c.err == nil {
-			t.Fatalf("%s: expected error", c.name)
-		}
-	}
-	for _, fn := range []func(){
-		func() { w.AddEntity(9, "") },
-		func() { w.AddEntity(0, "", 1980) },
-		func() { w.SetSet("tags", 99, []int32{1}) },
-		func() { w.SetSet("nope", 0, []int32{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("reading the old mapping after a rewrite: %v", r)
+			}
 		}()
+		assertBackendsEqual(t, oldG, cf.Graph())
+	}()
+	cf2, err := OpenCSRFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf2.Close()
+	assertBackendsEqual(t, newG, cf2.Graph())
+}
+
+// TestWriteCSRFileModeAndCleanup checks the written file gets the mode
+// os.Create gives, and that a write which cannot land leaves no temp file.
+func TestWriteCSRFileModeAndCleanup(t *testing.T) {
+	g := randomRichGraph(t, 3)
+	dir := t.TempDir()
+	ref, err := os.Create(filepath.Join(dir, "ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	path := filepath.Join(dir, "g.hincsr")
+	if err := WriteCSRFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.Stat(ref.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Fatalf("mode %v, want os.Create's %v", got.Mode(), want.Mode())
+	}
+	// The rename over a directory fails after the body is written.
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCSRFile(filepath.Join(dir, "sub"), g); err == nil {
+		t.Fatal("WriteCSRFile over a directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if fmt.Sprint(names) != "[g.hincsr ref sub]" {
+		t.Fatalf("directory holds %v, want [g.hincsr ref sub]", names)
 	}
 }
 
@@ -395,14 +331,61 @@ func corruptCSR(t *testing.T, src string, repair bool, mutate func([]byte) []byt
 	}
 	data = mutate(append([]byte(nil), data...))
 	if repair {
-		binary.LittleEndian.PutUint64(data[16:24], uint64(len(data)))
-		binary.LittleEndian.PutUint32(data[12:16], crc32.Checksum(data[csrHeaderSize:], castagnoli))
+		restampCSR(data)
 	}
 	dst := filepath.Join(t.TempDir(), "corrupt.hincsr")
 	if err := os.WriteFile(dst, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dst
+}
+
+// restampCSR rewrites the header's size and checksum to match the body of
+// a mutated CSR image, so the loader gets past them to the sections.
+func restampCSR(d []byte) {
+	binary.LittleEndian.PutUint64(d[16:24], uint64(len(d)))
+	binary.LittleEndian.PutUint32(d[12:16], crc32.Checksum(d[csrHeaderSize:], castagnoli))
+}
+
+// csrSectionSpan returns the payload bounds of the i-th section of a CSR
+// image: 1 is the meta section, 8 the set columns.
+func csrSectionSpan(t testing.TB, d []byte, i int) (lo, hi int) {
+	t.Helper()
+	cur := &sectionCursor{data: d, pos: csrHeaderSize}
+	for k := 0; k <= i; k++ {
+		p, err := cur.next("section")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi = cur.pos-len(p), cur.pos
+	}
+	return lo, hi
+}
+
+// overflowSetValues adds 2^62 to the final offset and the value count of
+// the image's first set column. Four times the count then wraps to the
+// real byte length, which once passed the truncation check and panicked
+// in makeslice.
+func overflowSetValues(t testing.TB, d []byte) []byte {
+	lo, _ := csrSectionSpan(t, d, 1)
+	n := int(binary.LittleEndian.Uint64(d[lo:]))
+	lo, _ = csrSectionSpan(t, d, 8)
+	offs := lo + 8 + int(binary.LittleEndian.Uint64(d[lo:]))
+	for _, p := range []int{offs + n*8, offs + (n+1)*8} {
+		binary.LittleEndian.PutUint64(d[p:], binary.LittleEndian.Uint64(d[p:])+1<<62)
+	}
+	return d
+}
+
+// overflowSetCount empties the image's set section and claims 2^63 set
+// columns, a count that turned negative as an int and so once loaded.
+func overflowSetCount(t testing.TB, d []byte) []byte {
+	lo, hi := csrSectionSpan(t, d, 8)
+	binary.LittleEndian.PutUint64(d[lo-8:], 0)
+	d = append(d[:lo], d[hi:]...)
+	lo, _ = csrSectionSpan(t, d, 1)
+	binary.LittleEndian.PutUint64(d[lo+16:], 1<<63)
+	return d
 }
 
 func TestOpenCSRFileFailureModes(t *testing.T) {
@@ -436,6 +419,12 @@ func TestOpenCSRFileFailureModes(t *testing.T) {
 		{"adjacency corruption", true, "", func(d []byte) []byte {
 			d[len(d)-9] ^= 0x55
 			return d
+		}},
+		{"set value count overflow", true, "values truncated", func(d []byte) []byte {
+			return overflowSetValues(t, d)
+		}},
+		{"set count overflow", true, "sets do not fit", func(d []byte) []byte {
+			return overflowSetCount(t, d)
 		}},
 	}
 	for _, c := range cases {

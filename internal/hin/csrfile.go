@@ -1,12 +1,14 @@
 package hin
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"sync/atomic"
 
@@ -50,142 +52,6 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// sectionFile writes the section stream with placeholder lengths patched
-// in after the payload sizes are known, so adjacency sections can stream
-// without buffering. Errors are sticky: the first failure is returned by
-// finish and every later write is a no-op.
-type sectionFile struct {
-	f        *os.File
-	w        *writerCounter
-	patches  []lenPatch
-	curLen   int64 // file offset of the open section's length field
-	curStart int64
-	err      error
-}
-
-type lenPatch struct{ off, val int64 }
-
-type writerCounter struct {
-	buf []byte
-	f   *os.File
-	pos int64
-}
-
-func (w *writerCounter) write(p []byte) error {
-	w.pos += int64(len(p))
-	for len(p) > 0 {
-		free := cap(w.buf) - len(w.buf)
-		if free == 0 {
-			if err := w.flush(); err != nil {
-				return err
-			}
-			free = cap(w.buf)
-		}
-		k := min(free, len(p))
-		w.buf = append(w.buf, p[:k]...)
-		p = p[k:]
-	}
-	return nil
-}
-
-func (w *writerCounter) flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	_, err := w.f.Write(w.buf)
-	w.buf = w.buf[:0]
-	return err
-}
-
-func newSectionFile(path string) (*sectionFile, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	sf := &sectionFile{
-		f:      f,
-		w:      &writerCounter{buf: make([]byte, 0, 1<<20), f: f},
-		curLen: -1,
-	}
-	sf.write(make([]byte, csrHeaderSize)) // patched by finish
-	return sf, nil
-}
-
-func (sf *sectionFile) write(p []byte) {
-	if sf.err != nil {
-		return
-	}
-	sf.err = sf.w.write(p)
-}
-
-func (sf *sectionFile) begin() {
-	sf.curLen = sf.w.pos
-	sf.write(make([]byte, 8))
-	sf.curStart = sf.w.pos
-}
-
-func (sf *sectionFile) end() {
-	sf.patches = append(sf.patches, lenPatch{sf.curLen, sf.w.pos - sf.curStart})
-	sf.curLen = -1
-}
-
-func (sf *sectionFile) writeSection(payload []byte) {
-	sf.begin()
-	sf.write(payload)
-	sf.end()
-}
-
-// finish patches the section lengths, computes the body checksum in one
-// sequential re-read, writes the header, and closes the file.
-func (sf *sectionFile) finish() error {
-	if sf.err == nil {
-		sf.err = sf.w.flush()
-	}
-	if sf.err != nil {
-		sf.f.Close()
-		return sf.err
-	}
-	var le [8]byte
-	for _, p := range sf.patches {
-		binary.LittleEndian.PutUint64(le[:], uint64(p.val))
-		if _, err := sf.f.WriteAt(le[:], p.off); err != nil {
-			sf.f.Close()
-			return err
-		}
-	}
-	if _, err := sf.f.Seek(csrHeaderSize, io.SeekStart); err != nil {
-		sf.f.Close()
-		return err
-	}
-	crc := uint32(0)
-	chunk := make([]byte, 1<<20)
-	for {
-		k, err := sf.f.Read(chunk)
-		crc = crc32.Update(crc, castagnoli, chunk[:k])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sf.f.Close()
-			return err
-		}
-	}
-	var hdr [csrHeaderSize]byte
-	copy(hdr[0:8], csrMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], csrVersion)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc)
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(sf.w.pos))
-	if _, err := sf.f.WriteAt(hdr[:], 0); err != nil {
-		sf.f.Close()
-		return err
-	}
-	if err := sf.f.Sync(); err != nil {
-		sf.f.Close()
-		return err
-	}
-	return sf.f.Close()
-}
-
 type schemaJSON struct {
 	EntityTypes []EntityType
 	LinkTypes   []LinkType
@@ -205,216 +71,175 @@ func marshalSchema(s *Schema) ([]byte, error) {
 	return json.Marshal(sj)
 }
 
-// WriteCSRFile persists any backend as a version-1 CSR file. It streams
-// the adjacency sections row by row through one reused decode buffer;
-// only the O(n) offset columns are materialized in memory.
-func WriteCSRFile(path string, g GraphBackend) error {
-	return WriteCSRFileOpt(path, g, CSRFileOptions{Workers: 1})
-}
-
-// WriteCSRFileOpt is WriteCSRFile with the adjacency encoding - the
-// dominant cost - sharded across workers. Each shard encodes its row
-// range into a private buffer with its own edge cursor; buffers are then
-// written in shard order, so the file is byte-identical to the serial
-// writer at any worker count. The parallel path trades the serial
-// writer's O(1) adjacency buffering for holding one direction's encoded
-// bytes in memory; Workers <= 1 keeps the streaming behavior.
-func WriteCSRFileOpt(path string, g GraphBackend, opts CSRFileOptions) (err error) {
-	sf, err := newSectionFile(path)
+// WriteCSRFile persists g as a version-1 CSR file. The bytes go to a new
+// file in path's directory, which is synced and then renamed over path:
+// a failed write leaves any old file untouched, and a CSRFile that still
+// maps the old file keeps reading the old graph.
+func WriteCSRFile(path string, g *Graph) (err error) {
+	f, err := createTempBeside(path)
 	if err != nil {
 		return err
 	}
 	defer func() {
 		if err != nil {
-			sf.f.Close()
-			os.Remove(path)
+			f.Close()
+			os.Remove(f.Name())
 		}
 	}()
-
-	s := g.Schema()
-	sj, err := marshalSchema(s)
+	w := bufio.NewWriterSize(f, 1<<16)
+	hdr, err := encodeCSR(w, g)
 	if err != nil {
 		return err
 	}
-	sf.writeSection(sj)
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(hdr[:], 0); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
+}
 
-	n := g.NumEntities()
-	L := s.NumLinkTypes()
+// createTempBeside creates a new, empty file in path's directory with the
+// mode os.Create gives (0666 before umask); os.CreateTemp's 0600 would
+// lock out a daemon that serves the file as another user. Names already
+// taken, by a concurrent write or a crashed one, are skipped.
+func createTempBeside(path string) (*os.File, error) {
+	for i := 0; ; i++ {
+		name := fmt.Sprintf("%s.%d-%d.tmp", path, os.Getpid(), i)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
+}
+
+// csrEncoder writes the section stream, folding every byte into the body
+// checksum as it goes. Errors are sticky: after the first failure every
+// write is a no-op and encodeCSR returns that error.
+type csrEncoder struct {
+	w    io.Writer
+	crc  uint32
+	size uint64
+	err  error
+}
+
+func (e *csrEncoder) write(p []byte) {
+	if e.err != nil {
+		return
+	}
+	e.crc = crc32.Update(e.crc, castagnoli, p)
+	e.size += uint64(len(p))
+	_, e.err = e.w.Write(p)
+}
+
+func (e *csrEncoder) section(payload []byte) {
+	e.write(appendU64(nil, uint64(len(payload))))
+	e.write(payload)
+}
+
+// encodeCSR writes g's CSR file image to w: a zeroed header, then the
+// sections. It returns the header, which the caller stores over the zeroed
+// one. Each payload is built whole before it is written, so its length
+// goes out ahead of it; the largest held at once is one adjacency
+// direction of one link type.
+func encodeCSR(w io.Writer, g *Graph) (hdr [csrHeaderSize]byte, err error) {
+	if _, err := w.Write(hdr[:]); err != nil {
+		return hdr, err
+	}
+	e := &csrEncoder{w: w, size: csrHeaderSize}
+	sj, err := marshalSchema(g.schema)
+	if err != nil {
+		return hdr, err
+	}
+	e.section(sj)
+
+	n := g.n
 	setNames := g.SetNames()
-	meta := make([]byte, 0, 24)
-	meta = appendU64(meta, uint64(n))
-	meta = appendU64(meta, uint64(L))
-	meta = appendU64(meta, uint64(len(setNames)))
-	sf.writeSection(meta)
+	buf := appendU64(nil, uint64(n))
+	buf = appendU64(buf, uint64(g.schema.NumLinkTypes()))
+	buf = appendU64(buf, uint64(len(setNames)))
+	e.section(buf)
 
-	// etype.
-	sf.begin()
-	chunk := make([]byte, 0, 1<<16)
-	for v := 0; v < n; v++ {
-		chunk = append(chunk, byte(g.EntityType(EntityID(v))))
-		if len(chunk) == cap(chunk) {
-			sf.write(chunk)
-			chunk = chunk[:0]
-		}
+	buf = buf[:0]
+	for _, t := range g.etype {
+		buf = append(buf, byte(t))
 	}
-	sf.write(chunk)
-	sf.end()
-
-	// labelOff (offset pre-pass), then labelBlob.
-	sf.begin()
+	e.section(buf)
+	buf = appendU64(buf[:0], 0)
 	var off uint64
-	chunk = chunk[:0]
-	chunk = appendU64(chunk, 0)
-	for v := 0; v < n; v++ {
-		off += uint64(len(g.Label(EntityID(v))))
-		chunk = appendU64(chunk, off)
-		if len(chunk)+8 > cap(chunk) {
-			sf.write(chunk)
-			chunk = chunk[:0]
-		}
+	for _, l := range g.label {
+		off += uint64(len(l))
+		buf = appendU64(buf, off)
 	}
-	sf.write(chunk)
-	sf.end()
-	sf.begin()
-	chunk = chunk[:0]
-	for v := 0; v < n; v++ {
-		l := g.Label(EntityID(v))
-		if len(chunk)+len(l) > cap(chunk) {
-			sf.write(chunk)
-			chunk = chunk[:0]
-		}
-		if len(l) >= cap(chunk) {
-			sf.write([]byte(l))
-			continue
-		}
-		chunk = append(chunk, l...)
+	e.section(buf)
+	buf = buf[:0]
+	for _, l := range g.label {
+		buf = append(buf, l...)
 	}
-	sf.write(chunk)
-	sf.end()
+	e.section(buf)
 
-	// Attribute columns: one interning pass buffers the codes (the dict
-	// section precedes them and is only complete after the pass).
+	// The dictionary precedes the codes but is complete only after them.
 	intern := newAttrInterner()
-	attrOff := make([]byte, 0, (n+1)*8)
-	attrOff = appendU64(attrOff, 0)
-	var attrCodes []byte
-	var attrScratch []int64
-	codes := 0
-	for v := 0; v < n; v++ {
-		attrScratch = g.AppendAttrs(attrScratch[:0], EntityID(v))
-		for _, a := range attrScratch {
-			attrCodes = binary.LittleEndian.AppendUint32(attrCodes, intern.code(a))
-			codes++
-		}
-		attrOff = appendU64(attrOff, uint64(codes))
+	codes := make([]byte, 0, 4*len(g.attrData))
+	for _, a := range g.attrData {
+		codes = binary.LittleEndian.AppendUint32(codes, intern.code(a))
 	}
-	dict := make([]byte, 0, len(intern.dict)*8)
+	buf = buf[:0]
 	for _, a := range intern.dict {
-		dict = appendU64(dict, uint64(a))
+		buf = appendU64(buf, uint64(a))
 	}
-	sf.writeSection(dict)
-	sf.writeSection(attrOff)
-	sf.writeSection(attrCodes)
+	e.section(buf)
+	buf = buf[:0]
+	for _, o := range g.attrOff {
+		buf = appendU64(buf, uint64(o))
+	}
+	e.section(buf)
+	e.section(codes)
 
-	// Sets: one composite section, names ascending.
-	sf.begin()
+	buf = buf[:0]
 	for _, name := range setNames {
-		chunk = chunk[:0]
-		chunk = appendU64(chunk, uint64(len(name)))
-		chunk = append(chunk, name...)
-		sf.write(chunk)
-		var total uint64
-		chunk = chunk[:0]
-		chunk = appendU64(chunk, 0)
-		for v := 0; v < n; v++ {
-			total += uint64(len(g.Set(name, EntityID(v))))
-			chunk = appendU64(chunk, total)
-			if len(chunk)+8 > cap(chunk) {
-				sf.write(chunk)
-				chunk = chunk[:0]
-			}
+		col := g.sets[name]
+		buf = appendU64(buf, uint64(len(name)))
+		buf = append(buf, name...)
+		for _, o := range col.off {
+			buf = appendU64(buf, uint64(o))
 		}
-		chunk = appendU64(chunk, total)
-		sf.write(chunk)
-		chunk = chunk[:0]
-		for v := 0; v < n; v++ {
-			for _, x := range g.Set(name, EntityID(v)) {
-				chunk = binary.LittleEndian.AppendUint32(chunk, uint32(x))
-				if len(chunk)+4 > cap(chunk) {
-					sf.write(chunk)
-					chunk = chunk[:0]
-				}
-			}
+		buf = appendU64(buf, uint64(len(col.data)))
+		for _, x := range col.data {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
 		}
-		sf.write(chunk)
 	}
-	sf.end()
+	e.section(buf)
 
-	// Adjacency: per link type, fwd then rev. The serial path streams
-	// dat row by row while the rowOff column accumulates in memory; the
-	// parallel path encodes fixed-width row shards concurrently and
-	// concatenates them in shard order.
-	shards := par.Shards(n, csrAdjShardRows)
-	pool := par.Workers(opts.Workers, shards)
-	ebuf := &EdgeBuf{}
 	rowOff := make([]byte, 0, (n+1)*8)
-	enc := make([]byte, 0, 4096)
-	for lt := 0; lt < L; lt++ {
-		weighted := s.LinkType(LinkTypeID(lt)).Weighted
-		for dir := 0; dir < 2; dir++ {
-			rowOff = rowOff[:0]
-			rowOff = appendU64(rowOff, 0)
-			var total uint64
-			sf.begin()
-			if pool <= 1 {
-				for v := 0; v < n; v++ {
-					var tos []EntityID
-					var ws []int32
-					if dir == 0 {
-						tos, ws = g.OutEdgesBuf(ebuf, LinkTypeID(lt), EntityID(v))
-					} else {
-						tos, ws = g.InEdgesBuf(ebuf, LinkTypeID(lt), EntityID(v))
-					}
-					enc = appendAdjRow(enc[:0], tos, ws, weighted)
-					total += uint64(len(enc))
-					sf.write(enc)
-					rowOff = appendU64(rowOff, total)
-				}
-			} else {
-				encs := make([][]byte, shards)
-				ends := make([][]uint64, shards)
-				bufs := make([]EdgeBuf, pool)
-				par.Run(opts.Workers, shards, func(wk, sh int) {
-					lo, hi := par.Bounds(sh, n, csrAdjShardRows)
-					buf := make([]byte, 0, 4096)
-					rowEnds := make([]uint64, 0, hi-lo)
-					for v := lo; v < hi; v++ {
-						var tos []EntityID
-						var ws []int32
-						if dir == 0 {
-							tos, ws = g.OutEdgesBuf(&bufs[wk], LinkTypeID(lt), EntityID(v))
-						} else {
-							tos, ws = g.InEdgesBuf(&bufs[wk], LinkTypeID(lt), EntityID(v))
-						}
-						buf = appendAdjRow(buf, tos, ws, weighted)
-						rowEnds = append(rowEnds, uint64(len(buf)))
-					}
-					encs[sh], ends[sh] = buf, rowEnds
-				})
-				for sh := range encs {
-					sf.write(encs[sh])
-					for _, e := range ends[sh] {
-						rowOff = appendU64(rowOff, total+e)
-					}
-					total += uint64(len(encs[sh]))
-					encs[sh] = nil
-				}
+	for lt := range g.fwd {
+		weighted := g.schema.LinkType(LinkTypeID(lt)).Weighted
+		for _, c := range [2]*csr{&g.fwd[lt], &g.rev[lt]} {
+			buf, rowOff = buf[:0], appendU64(rowOff[:0], 0)
+			for v := 0; v < n; v++ {
+				tos, ws := c.row(EntityID(v))
+				buf = appendAdjRow(buf, tos, ws, weighted)
+				rowOff = appendU64(rowOff, uint64(len(buf)))
 			}
-			sf.end()
-			sf.writeSection(rowOff)
+			e.section(buf)
+			e.section(rowOff)
 		}
 	}
-	return sf.finish()
+	if e.err != nil {
+		return hdr, e.err
+	}
+	copy(hdr[0:8], csrMagic)
+	binary.LittleEndian.PutUint32(hdr[8:12], csrVersion)
+	binary.LittleEndian.PutUint32(hdr[12:16], e.crc)
+	binary.LittleEndian.PutUint64(hdr[16:24], e.size)
+	return hdr, nil
 }
 
 // CSRFile is an opened on-disk CSR graph: the decoded CSRGraph plus the
@@ -733,7 +558,7 @@ func parseCSRFile(data []byte, workers int) (*CSRGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if g.sets, err = parseSetColumns(setsPayload, schema, g.etype, n, int(setCount)); err != nil {
+	if g.sets, err = parseSetColumns(setsPayload, schema, g.etype, n, setCount); err != nil {
 		return nil, err
 	}
 
@@ -848,7 +673,11 @@ func checkOffsets(name string, raw []byte, n int, end uint64) error {
 	return nil
 }
 
-func parseSetColumns(payload []byte, schema *Schema, etype []byte, n, count int) (map[string]*setCol, error) {
+func parseSetColumns(payload []byte, schema *Schema, etype []byte, n int, count uint64) (map[string]*setCol, error) {
+	// Each column takes at least a name length, n+1 offsets and a count.
+	if count > uint64(len(payload)/(8*(n+3))) {
+		return nil, fmt.Errorf("sets section: %d sets do not fit in %d bytes", count, len(payload))
+	}
 	sets := make(map[string]*setCol, count)
 	pos := 0
 	u64 := func() (uint64, error) {
@@ -860,7 +689,7 @@ func parseSetColumns(payload []byte, schema *Schema, etype []byte, n, count int)
 		return v, nil
 	}
 	prevName := ""
-	for i := 0; i < count; i++ {
+	for i := uint64(0); i < count; i++ {
 		nameLen, err := u64()
 		if err != nil {
 			return nil, err
@@ -909,7 +738,7 @@ func parseSetColumns(payload []byte, schema *Schema, etype []byte, n, count int)
 		if col.off[n] != int64(valCount) {
 			return nil, fmt.Errorf("sets section: set %q final offset %d, want %d values", name, col.off[n], valCount)
 		}
-		if valCount*4 > uint64(len(payload)-pos) {
+		if valCount > uint64(len(payload)-pos)/4 {
 			return nil, fmt.Errorf("sets section: set %q values truncated", name)
 		}
 		col.data = make([]int32, valCount)

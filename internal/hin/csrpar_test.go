@@ -1,13 +1,10 @@
 package hin
 
-// Tests for the parallel CSR I/O paths: the CRC-32C combine underlying
-// chunked checksumming, worker-count determinism of OpenCSRFileOpt (both
-// the graph and the error a corrupt file reports), and byte-identity of
-// the parallel writers.
+// Tests for the parallel CSR load path: the CRC-32C combine underlying
+// chunked checksumming, and worker-count determinism of OpenCSRFileOpt
+// (both the graph and the error a corrupt file reports).
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -66,8 +63,8 @@ func TestCSRChecksumMatchesSerial(t *testing.T) {
 }
 
 // wideRichGraph builds a graph with more entities than one adjacency
-// validation shard (csrAdjShardRows), so the parallel open and write
-// paths really fan out.
+// validation shard (csrAdjShardRows), so the parallel open path really
+// fans out.
 func wideRichGraph(t *testing.T, seed uint64) *Graph {
 	t.Helper()
 	s := userSchema(t)
@@ -170,8 +167,7 @@ func TestOpenCSRFileOptErrorsMatchSerial(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			mutated := c.mutate(append([]byte(nil), data...))
 			if c.repair {
-				binary.LittleEndian.PutUint64(mutated[16:24], uint64(len(mutated)))
-				binary.LittleEndian.PutUint32(mutated[12:16], crc32.Checksum(mutated[csrHeaderSize:], castagnoli))
+				restampCSR(mutated)
 			}
 			path := filepath.Join(t.TempDir(), "corrupt.hincsr")
 			if err := os.WriteFile(path, mutated, 0o644); err != nil {
@@ -192,89 +188,5 @@ func TestOpenCSRFileOptErrorsMatchSerial(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestWriteCSRFileOptByteIdentical(t *testing.T) {
-	g := wideRichGraph(t, 17)
-	dir := t.TempDir()
-	serial := filepath.Join(dir, "serial.hincsr")
-	if err := WriteCSRFile(serial, g); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 0} {
-		path := filepath.Join(dir, fmt.Sprintf("par%d.hincsr", workers))
-		if err := WriteCSRFileOpt(path, g, CSRFileOptions{Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: parallel write differs from serial (%d vs %d bytes)", workers, len(got), len(want))
-		}
-	}
-}
-
-func TestCSRWriterParallelByteIdentical(t *testing.T) {
-	g := randomRichGraph(t, 29)
-	dir := t.TempDir()
-	serial := filepath.Join(dir, "serial.hincsr")
-	replayToCSRWriter(t, g, serial)
-	want, err := os.ReadFile(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shrink the bucket cap so even this small graph routes through
-	// several buckets, exercising the concurrent sort/encode path.
-	oldCap := bucketTargetBytes
-	bucketTargetBytes = 1 << 10
-	defer func() { bucketTargetBytes = oldCap }()
-	par := filepath.Join(dir, "par.hincsr")
-	w, err := NewCSRWriter(g.Schema(), par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Workers = 4
-	n := g.NumEntities()
-	for v := 0; v < n; v++ {
-		w.AddEntity(g.EntityType(EntityID(v)), g.Label(EntityID(v)), g.Attrs(EntityID(v))...)
-		for _, name := range g.SetNames() {
-			if s := g.Set(name, EntityID(v)); len(s) > 0 {
-				w.SetSet(name, EntityID(v), s)
-			}
-		}
-	}
-	for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {
-		for v := 0; v < n; v++ {
-			tos, ws := g.OutEdges(LinkTypeID(lt), EntityID(v))
-			for i, to := range tos {
-				if err := w.AddEdge(LinkTypeID(lt), EntityID(v), to, ws[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := w.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("parallel Finalize differs from serial (%d vs %d bytes)", len(got), len(want))
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 2 {
-		t.Fatalf("temp files left behind: %v", ents)
 	}
 }

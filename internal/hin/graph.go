@@ -103,6 +103,16 @@ func (g *Graph) Set(name string, v EntityID) []int32 {
 	return col.data[col.off[v]:col.off[v+1]]
 }
 
+// SetNames returns the names of the graph's set columns, ascending.
+func (g *Graph) SetNames() []string {
+	names := make([]string, 0, len(g.sets))
+	for name := range g.sets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // OutDegree returns the number of out-edges of v via link type lt.
 func (g *Graph) OutDegree(lt LinkTypeID, v EntityID) int {
 	c := &g.fwd[lt]
@@ -221,11 +231,4 @@ func (g *Graph) Induced(vs []EntityID) (*Graph, []EntityID, error) {
 	}
 	orig := append([]EntityID(nil), vs...)
 	return sub, orig, nil
-}
-
-// setColView exists for tests; it returns whether the graph carries the
-// named set column at all (even if every entity's set is empty).
-func (g *Graph) hasSetCol(name string) bool {
-	_, ok := g.sets[name]
-	return ok
 }

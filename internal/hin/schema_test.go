@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func userSchema(t *testing.T) *Schema {
+func userSchema(t testing.TB) *Schema {
 	t.Helper()
 	s, err := NewSchema(
 		[]EntityType{{Name: "User", Attrs: []string{"yob", "gender"}, SetAttrs: []string{"tags"}}},

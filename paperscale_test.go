@@ -15,7 +15,7 @@
 // being absent from uninstrumented runs.
 //
 // TestPaperscaleSmoke is the permanently-on miniature: the same
-// generate -> stream -> persist -> load -> attack -> risk pipeline at
+// generate -> persist -> load -> attack -> risk pipeline at
 // 3000 users, asserting backend equivalence at every step. `make verify`
 // runs it unless SKIP_PAPERSCALE=1.
 package bench
@@ -143,8 +143,8 @@ func BenchmarkPaperscaleGenerate(b *testing.B) {
 	b.ReportMetric(rssMB(), "rss_mb")
 }
 
-// BenchmarkPaperscalePersist streams the in-memory graph into the
-// on-disk CSR format (varint adjacency, interned attributes, checksummed
+// BenchmarkPaperscalePersist writes the in-memory graph in the on-disk
+// CSR format (varint adjacency, interned attributes, checksummed
 // sections).
 func BenchmarkPaperscalePersist(b *testing.B) {
 	paperscaleGate(b)
@@ -267,9 +267,9 @@ func BenchmarkPaperscaleRisk(b *testing.B) {
 }
 
 // TestPaperscaleSmoke is the scaled-down always-on pipeline: generate,
-// stream through the bounded-RSS CSRWriter, persist, reload, attack, and
-// measure risk - asserting at each step that the compact backend agrees
-// with the in-memory one. `make verify` runs it unless SKIP_PAPERSCALE=1.
+// persist, reload, attack, and measure risk - asserting at each step that
+// the compact backend agrees with the in-memory one. `make verify` runs
+// it unless SKIP_PAPERSCALE=1.
 func TestPaperscaleSmoke(t *testing.T) {
 	cfg := tqq.DefaultConfig(3000, 21)
 	cfg.Communities = []tqq.CommunitySpec{{Size: 200, Density: 0.01}}
@@ -279,33 +279,8 @@ func TestPaperscaleSmoke(t *testing.T) {
 	}
 	g := ds.Graph
 
-	// Stream every entity and edge through the spill-file builder, exactly
-	// as an out-of-core ingest would.
 	path := filepath.Join(t.TempDir(), "smoke.hincsr")
-	w, err := hin.NewCSRWriter(g.Schema(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumEntities(); v++ {
-		id := hin.EntityID(v)
-		w.AddEntity(g.EntityType(id), g.Label(id), g.Attrs(id)...)
-		for _, name := range g.SetNames() {
-			if s := g.Set(name, id); len(s) > 0 {
-				w.SetSet(name, id, s)
-			}
-		}
-	}
-	for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {
-		for v := 0; v < g.NumEntities(); v++ {
-			tos, ws := g.OutEdges(hin.LinkTypeID(lt), hin.EntityID(v))
-			for i, to := range tos {
-				if err := w.AddEdge(hin.LinkTypeID(lt), hin.EntityID(v), to, ws[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := w.Finalize(); err != nil {
+	if err := hin.WriteCSRFile(path, g); err != nil {
 		t.Fatal(err)
 	}
 
