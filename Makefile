@@ -43,17 +43,19 @@ test:
 	$(GO) test ./...
 
 # lint runs hinlint, the repository's custom analyzer suite (see LINT.md):
-# the syntactic checks (determinism, nilsafe, hotpath, logdiscipline) plus
+# the syntactic checks (determinism, nilsafe, logdiscipline), hotpath (the
+# compiler's go build -gcflags=-m escapes inside //hin:hot functions), and
 # the flow-sensitive CFG analyzers (pairing, shardsafety, goleak, errdrop)
 # over every package. Must run from the module root - package loading
 # resolves imports through the go command.
 lint:
 	$(GO) run ./cmd/hinlint ./...
 
-# lint-mut runs the lint suite's mutation tests: copies of the real serve
-# and risk packages with the canonical regressions re-introduced (an
-# unpaired acquire, a hollowed-out release, an out-of-shard write) must
-# each produce a file:line diagnostic, and the unmutated copies must lint
+# lint-mut runs the lint suite's mutation tests: copies of the real serve,
+# risk and dehin packages with the canonical regressions re-introduced (an
+# unpaired acquire, a hollowed-out release, an out-of-shard write, and a
+# Sprintf, a boxed value or a per-query make in deanonymizeCore) must each
+# produce a file:line diagnostic, and the unmutated copies must lint
 # clean. This is the proof that the gate still has teeth.
 lint-mut:
 	$(GO) test -run TestMutation -count=1 ./internal/lint

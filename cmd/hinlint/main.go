@@ -3,7 +3,8 @@
 // finding. It is the mechanical form of the invariants the attack
 // pipeline's evaluation rests on: determinism of the result-producing
 // packages, nil-safety of the instrumentation layer, the zero-allocation
-// contract of the //hin:hot query path, and obs.Logger log discipline.
+// contract of the //hin:hot query path (checked against the compiler's
+// escape analysis, go build -gcflags=-m), and obs.Logger log discipline.
 // See LINT.md for the check catalogue and the //hin:allow / //hin:hot
 // directives.
 //
@@ -20,7 +21,8 @@
 // with paths relative to the working directory, so output is stable for CI
 // annotation tooling. Exit status is 0 when clean, 1 on findings, 2 on
 // load or usage errors. Run from inside the module: package loading
-// resolves imports through the go command.
+// resolves imports through the go command, and hotpath builds each
+// package holding a //hin:hot function with it.
 package main
 
 import (

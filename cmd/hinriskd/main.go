@@ -109,9 +109,6 @@ func main() {
 	if err != nil {
 		fatalf("listen: %v", err)
 	}
-	// The bound address goes to stdout - it is the command's one machine-
-	// readable output, parsed by hinload -launch and serve-smoke.
-	fmt.Printf("listening http://%s\n", ln.Addr())
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
@@ -144,20 +141,40 @@ func main() {
 	srv := &http.Server{Handler: mux}
 	term := make(chan os.Signal, 1)
 	signal.Notify(term, syscall.SIGINT, syscall.SIGTERM)
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-term
-		// Graceful: stop accepting, let in-flight requests finish.
-		if err := srv.Shutdown(context.Background()); err != nil {
-			logger.Error("shutdown", "err", err)
+		// Graceful: stop accepting, let in-flight requests finish, and
+		// cut off whatever is still open after shutdownDrainTimeout.
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownDrainTimeout)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			logger.Error("shutdown drain timed out; closing open connections", "err", err, "timeout", shutdownDrainTimeout)
+			if err := srv.Close(); err != nil {
+				logger.Error("close connections", "err", err)
+			}
 		}
 	}()
+	// The bound address goes to stdout - it is the command's one machine-
+	// readable output, parsed by hinload -launch and serve-smoke. It is
+	// printed once every signal handler is installed, so a SIGTERM sent
+	// right after it still drains.
+	fmt.Printf("listening http://%s\n", ln.Addr())
+	// Serve returns as soon as Shutdown starts; the snapshot may close
+	// only once the in-flight requests have drained.
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fatalf("serve: %v", err)
 	}
+	<-drained
 	if err := s.Close(); err != nil {
 		fatalf("close: %v", err)
 	}
 }
+
+// shutdownDrainTimeout bounds how long SIGTERM/SIGINT waits for
+// in-flight requests before closing their connections.
+const shutdownDrainTimeout = 5 * time.Second
 
 // intList parses a comma-separated list of non-negative integers; the
 // empty string is the empty list.

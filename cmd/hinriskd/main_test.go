@@ -7,12 +7,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -220,6 +222,83 @@ func TestAPIConformanceGolden(t *testing.T) {
 	}
 	if normalized != string(want) {
 		t.Fatalf("transcript differs from %s\ngot:\n%s", golden, diffHint(normalized, string(want)))
+	}
+}
+
+// TestSIGTERMDrainsInFlight sends SIGTERM while a /v1/dehin request is
+// half uploaded: the daemon must stop accepting new connections, finish
+// the in-flight request with a 200, and then exit 0. The request asks
+// for 100-continue, so the interim response proves the handler is
+// already reading the body when the signal arrives.
+func TestSIGTERMDrainsInFlight(t *testing.T) {
+	graphPath, _ := writeFixtureGraph(t)
+	body, err := os.ReadFile(filepath.Join("testdata", "dehin_happy.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, stop := startDaemon(t, "-graph", graphPath, "-addr", "127.0.0.1:0")
+	// terminate sends SIGTERM once, without waiting; the deferred wait
+	// also stops the daemon when the test fails before the signal.
+	stopped := make(chan struct{})
+	terminate := sync.OnceFunc(func() {
+		go func() {
+			defer close(stopped)
+			stop() // SIGTERM, then wait for exit status 0
+		}()
+	})
+	defer func() {
+		terminate()
+		<-stopped
+	}()
+	addr := strings.TrimPrefix(base, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := fmt.Sprintf("POST /v1/dehin HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n"+
+		"Content-Length: %d\r\nExpect: 100-continue\r\nConnection: close\r\n\r\n", addr, len(body))
+	if _, err := io.WriteString(conn, head); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusContinue {
+		t.Fatalf("want 100 Continue before the body, got %v, %v", resp, err)
+	}
+	half := len(body) / 2
+	if _, err := conn.Write(body[:half]); err != nil {
+		t.Fatal(err)
+	}
+
+	terminate()
+	// A refused dial proves Shutdown has closed the listener.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("daemon kept accepting connections after SIGTERM")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	if _, err := conn.Write(body[half:]); err != nil {
+		t.Fatalf("sending the rest of the body after SIGTERM: %v", err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("in-flight request cut off by SIGTERM: %v", err)
+	}
+	respBody, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !json.Valid(respBody) {
+		t.Fatalf("in-flight request = %d %q, want 200 with a JSON body", resp.StatusCode, respBody)
 	}
 }
 

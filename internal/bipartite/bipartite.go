@@ -43,14 +43,16 @@ const inf = int32(1<<31 - 1)
 //hin:hot
 func (m *Matcher) Match(g Graph) int {
 	m.g = g
-	m.matchL = resetMatch(m.matchL, g.NLeft)
+	m.matchL = resetMatch(m.matchL, g.NLeft) //hin:allow hotpath -- pooled growth: resetMatch (inlined) reallocates only past the high-water mark
 	m.matchR = resetMatch(m.matchR, g.NRight)
 	if cap(m.dist) < g.NLeft {
+		//hin:allow hotpath -- pooled growth: reallocates only past the high-water mark
 		m.dist = make([]int32, g.NLeft)
 	} else {
 		m.dist = m.dist[:g.NLeft]
 	}
 	if cap(m.queue) < g.NLeft {
+		//hin:allow hotpath -- pooled growth: reallocates only past the high-water mark
 		m.queue = make([]int32, 0, g.NLeft)
 	}
 

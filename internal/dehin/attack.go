@@ -481,6 +481,7 @@ func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int,
 		}
 		f.closeRow()
 	}
+	//hin:allow hotpath -- pooled growth: graph (inlined) reallocates f.rows only past the frame's high-water mark
 	g := f.graph(len(ans))
 	s.stats.matcherRuns++
 	if need == len(tns) {

@@ -86,6 +86,7 @@ func (f *adjFrame) closeRow() {
 func (f *adjFrame) graph(nRight int) bipartite.Graph {
 	n := len(f.off) - 1
 	if cap(f.rows) < n {
+		//hin:allow hotpath -- pooled growth: reallocates only past the frame's high-water mark
 		f.rows = make([][]int32, n)
 	} else {
 		f.rows = f.rows[:n]

@@ -113,6 +113,7 @@ func (a *Attack) computeNeeds(s *queryScratch, target hin.GraphBackend, tv hin.E
 		sz = 2 * L
 	}
 	if cap(s.needs) < sz {
+		//hin:allow hotpath -- pooled growth: reallocates only past the scratch's high-water mark
 		s.needs = make([]int32, sz)
 	} else {
 		s.needs = s.needs[:sz]

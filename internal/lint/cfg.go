@@ -8,9 +8,9 @@ import (
 // This file is the suite's control-flow layer: a per-function CFG of
 // basic blocks over go/ast, feeding the dataflow framework in
 // dataflow.go. PR 5's analyzers were single-statement pattern checks;
-// the lifecycle analyzers (pairing, goleak) and the flow-aware hotpath
-// need "on every path out of the function" and "reachable from here"
-// questions answered, which only a CFG can.
+// the lifecycle analyzers (pairing, goleak) need "on every path out of
+// the function" and "reachable from here" questions answered, which
+// only a CFG can.
 //
 // The builder covers the full statement grammar the repository uses:
 // if/else chains, for and range loops (with break/continue, labeled or
@@ -424,37 +424,6 @@ func reachableFrom(start *Block) map[*Block]bool {
 		}
 	}
 	return seen
-}
-
-// loopBlocks returns the blocks that sit on a cycle — the flow-aware
-// notion of "inside a loop" (a for body that unconditionally breaks is
-// not in a loop; a goto-formed loop is).
-func (c *CFG) loopBlocks() map[*Block]bool {
-	// A block is on a cycle iff it can reach itself. Successor sets are
-	// small, so the quadratic formulation is fine at function scale.
-	in := make(map[*Block]bool)
-	live := reachableFrom(c.Entry)
-	for b := range live {
-		if len(b.Succs) == 0 {
-			continue
-		}
-		seen := map[*Block]bool{}
-		work := append([]*Block(nil), b.Succs...)
-		for len(work) > 0 {
-			n := work[len(work)-1]
-			work = work[:len(work)-1]
-			if n == b {
-				in[b] = true
-				break
-			}
-			if seen[n] {
-				continue
-			}
-			seen[n] = true
-			work = append(work, n.Succs...)
-		}
-	}
-	return in
 }
 
 // funcScopes yields every function body in the file set of a package:

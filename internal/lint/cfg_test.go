@@ -48,6 +48,28 @@ func blockOf(t *testing.T, c *CFG, name string) *Block {
 	return nil
 }
 
+// onCycle reports whether b can reach itself through at least one edge.
+// The search starts from b's successors, because reachableFrom always
+// includes its start block.
+func onCycle(b *Block) bool {
+	for _, s := range b.Succs {
+		if reachableFrom(s)[b] {
+			return true
+		}
+	}
+	return false
+}
+
+// requireAcyclic fails if any block of the graph is on a cycle.
+func requireAcyclic(t *testing.T, c *CFG, what string) {
+	t.Helper()
+	for _, b := range c.Blocks {
+		if onCycle(b) {
+			t.Errorf("%s: block %d is on a cycle", what, b.Index)
+		}
+	}
+}
+
 func TestCFGStraightLine(t *testing.T) {
 	c := buildCFG(parseBody(t, "a()\nb()"), nil)
 	live := reachableFrom(c.Entry)
@@ -57,9 +79,7 @@ func TestCFGStraightLine(t *testing.T) {
 	if live[c.Panic] {
 		t.Error("panic sink must be unreachable without panic-shaped calls")
 	}
-	if len(c.loopBlocks()) != 0 {
-		t.Error("straight-line code has no loop blocks")
-	}
+	requireAcyclic(t, c, "straight-line code")
 	if blockOf(t, c, "a") != blockOf(t, c, "b") {
 		t.Error("consecutive statements belong to one basic block")
 	}
@@ -105,20 +125,15 @@ func TestCFGEarlyReturn(t *testing.T) {
 
 func TestCFGForLoop(t *testing.T) {
 	c := buildCFG(parseBody(t, "for i := 0; i < n; i++ {\na()\n}\nm()"), nil)
-	loops := c.loopBlocks()
-	if !loops[blockOf(t, c, "a")] {
+	// The body must be able to come back around to itself via the post.
+	if !onCycle(blockOf(t, c, "a")) {
 		t.Error("the loop body must be on a cycle")
 	}
-	if loops[blockOf(t, c, "m")] {
+	if onCycle(blockOf(t, c, "m")) {
 		t.Error("code after the loop is not on a cycle")
 	}
 	if !reachableFrom(c.Entry)[c.Exit] {
 		t.Error("a conditioned loop must reach exit")
-	}
-	// The body must be able to come back around to itself via the post.
-	ba := blockOf(t, c, "a")
-	if !reachableFrom(ba)[ba] {
-		t.Error("loop body must re-reach itself")
 	}
 }
 
@@ -127,7 +142,7 @@ func TestCFGForever(t *testing.T) {
 	if reachableFrom(c.Entry)[c.Exit] {
 		t.Error("for{} without break must not reach exit")
 	}
-	if !c.loopBlocks()[blockOf(t, c, "a")] {
+	if !onCycle(blockOf(t, c, "a")) {
 		t.Error("for{} body is on a cycle")
 	}
 
@@ -135,16 +150,16 @@ func TestCFGForever(t *testing.T) {
 	if !reachableFrom(c.Entry)[blockOf(t, c, "m")] {
 		t.Error("break must make the loop exit reachable")
 	}
-	if !c.loopBlocks()[blockOf(t, c, "a")] {
+	if !onCycle(blockOf(t, c, "a")) {
 		t.Error("the non-breaking path still forms a cycle")
 	}
 }
 
 func TestCFGBreakIsNotALoop(t *testing.T) {
-	// A "loop" whose body unconditionally breaks never iterates: the
-	// flow-aware loop notion hotpath relies on must not include it.
+	// A "loop" whose body unconditionally breaks never iterates: it has
+	// no back edge, so its body is not on a cycle.
 	c := buildCFG(parseBody(t, "for {\na()\nbreak\n}\nm()"), nil)
-	if c.loopBlocks()[blockOf(t, c, "a")] {
+	if onCycle(blockOf(t, c, "a")) {
 		t.Error("a body that always breaks is not on a cycle")
 	}
 	if !reachableFrom(c.Entry)[blockOf(t, c, "m")] {
@@ -154,7 +169,7 @@ func TestCFGBreakIsNotALoop(t *testing.T) {
 
 func TestCFGRange(t *testing.T) {
 	c := buildCFG(parseBody(t, "for _, v := range xs {\na()\n}\nm()"), nil)
-	if !c.loopBlocks()[blockOf(t, c, "a")] {
+	if !onCycle(blockOf(t, c, "a")) {
 		t.Error("range body must be on a cycle")
 	}
 	if !reachableFrom(c.Entry)[blockOf(t, c, "m")] {
@@ -188,9 +203,7 @@ func TestCFGSwitch(t *testing.T) {
 	if reachableFrom(blockOf(t, c, "a"))[blockOf(t, c, "b")] {
 		t.Error("case bodies without fallthrough must not chain")
 	}
-	if len(c.loopBlocks()) != 0 {
-		t.Error("a switch is not a loop")
-	}
+	requireAcyclic(t, c, "a switch")
 }
 
 func TestCFGSelect(t *testing.T) {
@@ -221,7 +234,7 @@ func TestCFGDefer(t *testing.T) {
 
 func TestCFGGotoLoop(t *testing.T) {
 	c := buildCFG(parseBody(t, "i := 0\nagain:\na()\ni++\nif i < n {\ngoto again\n}\nm()"), nil)
-	if !c.loopBlocks()[blockOf(t, c, "a")] {
+	if !onCycle(blockOf(t, c, "a")) {
 		t.Error("a goto-formed loop is a cycle")
 	}
 	if !reachableFrom(c.Entry)[blockOf(t, c, "m")] {
@@ -234,7 +247,7 @@ func TestCFGLabeledBreak(t *testing.T) {
 	if !reachableFrom(c.Entry)[blockOf(t, c, "m")] {
 		t.Error("break outer must reach past both loops")
 	}
-	if !c.loopBlocks()[blockOf(t, c, "a")] {
+	if !onCycle(blockOf(t, c, "a")) {
 		t.Error("the inner body is still on a cycle")
 	}
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -75,144 +74,6 @@ func exitFact[F any](fns flowFuncs[F], in map[*Block]F, b *Block) F {
 		fns.transfer(out, s)
 	}
 	return out
-}
-
-// --- reaching definitions -------------------------------------------------
-//
-// A small concrete instance of the framework used by the flow-aware
-// hotpath append check: for each variable, which assignments can reach a
-// given statement. Definitions are the RHS expression (nil for zero-value
-// var declarations); a definition site inside a loop reaches itself.
-
-// defSite is one assignment to a variable: the defining expression and
-// its position (for dedup). rhs is nil for zero-valued declarations.
-type defSite struct {
-	rhs ast.Expr
-	pos token.Pos
-}
-
-// reachFact maps each variable to the set of definitions reaching a
-// program point.
-type reachFact map[*types.Var]map[defSite]bool
-
-// reachingDefs runs reaching-definitions over the CFG and returns, for
-// every statement in every block, the fact holding just before the
-// statement executes. info resolves identifiers.
-func reachingDefs(c *CFG, info *types.Info) map[ast.Stmt]reachFact {
-	fns := flowFuncs[reachFact]{
-		bottom: func() reachFact { return reachFact{} },
-		clone: func(f reachFact) reachFact {
-			out := make(reachFact, len(f))
-			for v, defs := range f {
-				nd := make(map[defSite]bool, len(defs))
-				for d := range defs {
-					nd[d] = true
-				}
-				out[v] = nd
-			}
-			return out
-		},
-		join: func(dst, src reachFact) bool {
-			changed := false
-			for v, defs := range src {
-				dd := dst[v]
-				if dd == nil {
-					dd = make(map[defSite]bool, len(defs))
-					dst[v] = dd
-				}
-				for d := range defs {
-					if !dd[d] {
-						dd[d] = true
-						changed = true
-					}
-				}
-			}
-			return changed
-		},
-		transfer: func(fact reachFact, s ast.Stmt) {
-			applyDefs(fact, s, info)
-		},
-	}
-	in := forward(c, fns, reachFact{})
-
-	at := make(map[ast.Stmt]reachFact)
-	for _, b := range c.Blocks {
-		fact := fns.clone(in[b])
-		for _, s := range b.Stmts {
-			at[s] = fns.clone(fact)
-			fns.transfer(fact, s)
-		}
-	}
-	return at
-}
-
-// applyDefs updates the reaching fact for one statement's definitions.
-// Assignments kill previous definitions of the variable (strong update:
-// the LHS is a plain identifier); `x = append(x, ...)` is treated as
-// preserving x's origins rather than redefining them, matching the
-// hotpath idiom.
-func applyDefs(fact reachFact, s ast.Stmt, info *types.Info) {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range s.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			v := identVar(info, id)
-			if v == nil {
-				continue
-			}
-			var rhs ast.Expr
-			if len(s.Rhs) == len(s.Lhs) {
-				rhs = s.Rhs[i]
-			} else if len(s.Rhs) == 1 {
-				rhs = s.Rhs[0]
-			}
-			if selfAppend(rhs, id.Name) {
-				continue // preserves, not redefines
-			}
-			fact[v] = map[defSite]bool{{rhs: rhs, pos: id.Pos()}: true}
-		}
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				v := identVar(info, name)
-				if v == nil {
-					continue
-				}
-				var rhs ast.Expr
-				if i < len(vs.Values) {
-					rhs = vs.Values[i]
-				}
-				fact[v] = map[defSite]bool{{rhs: rhs, pos: name.Pos()}: true}
-			}
-		}
-	case *ast.RangeStmt:
-		for _, e := range []ast.Expr{s.Key, s.Value} {
-			id, ok := e.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if v := identVar(info, id); v != nil {
-				fact[v] = map[defSite]bool{{rhs: s.X, pos: id.Pos()}: true}
-			}
-		}
-	case *ast.IncDecStmt:
-		if id, ok := s.X.(*ast.Ident); ok {
-			if v := identVar(info, id); v != nil {
-				fact[v] = map[defSite]bool{{rhs: s.X, pos: s.Pos()}: true}
-			}
-		}
-	}
 }
 
 // identVar resolves an identifier to the variable it defines or uses.

@@ -1,36 +1,38 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 )
 
-// HotPath guards the zero-allocation query engine: any function annotated
-// with //hin:hot in its doc comment (the DeHIN query path, the memo-table
-// probes, the Hopcroft-Karp matcher) is checked against the allocation
-// patterns that would silently break the 0 allocs/op benchmarks:
+// HotPath guards the zero-allocation query engine: every heap allocation
+// the compiler's escape analysis reports inside a function annotated with
+// //hin:hot in its doc comment (the DeHIN query path, the memo-table
+// probes, the Hopcroft-Karp matcher) is a finding. The check does not
+// guess from syntax; it builds the package with `go build -gcflags=-m`
+// and keeps the "escapes to heap" and "moved to heap:" lines that fall
+// inside an annotated declaration.
 //
-//   - fmt.Sprintf and friends (always allocate);
-//   - string concatenation inside loops;
-//   - closures that capture loop variables (each capture escapes);
-//   - boxing a package-local concrete value into an interface;
-//   - append on slices allocated inside the function. Appending into a
-//     caller-supplied buffer (a parameter), a struct field (the pooled
-//     scratch pattern), a slice derived from one (e.g. s.buf[:0]), or a
-//     value whose name or type marks it as pooled ("scratch", "cursor",
-//     "edgebuf" - see pooledTokens) is the approved idiom and stays legal.
-//
-// The annotation is deliberately opt-in: the checks are strict heuristics,
-// meant for the handful of functions whose per-operation allocation count
-// is load-bearing, with //hin:allow for the rare justified exception.
+// The compiler reports an inlined callee's allocation at the outermost
+// call site, so an allocation inlined into a hot function counts against
+// that function, and an //hin:allow at the callee does not cover it. A
+// callee that is not inlined is checked only if it is //hin:hot itself.
+// -m does not report slice growth inside append or allocations inside
+// callees that are not inlined; the steady-state allocation tests cover
+// those (see LINT.md).
 const checkHotPath = "hotpath"
 
 var HotPath = &Analyzer{
 	Name: checkHotPath,
-	Doc:  "//hin:hot functions may not allocate: no Sprintf, loop string concat, loop-var captures, interface boxing, or appends to function-local slices",
+	Doc:  "//hin:hot functions may not heap-allocate: reports each `go build -gcflags=-m` escape (escapes to heap, moved to heap) inside them",
 	Run:  runHotPath,
 }
 
@@ -49,537 +51,66 @@ func hotAnnotated(fn *ast.FuncDecl) bool {
 	return false
 }
 
-func runHotPath(p *Package, cfg *Config) []Diagnostic {
-	var out []Diagnostic
+// hotDecl is one //hin:hot declaration as a line range of its file.
+type hotDecl struct {
+	name     string
+	file     string // the path the package was loaded from
+	from, to int
+}
+
+// escapeRe matches one -m line: file, line, column, compiler message.
+var escapeRe = regexp.MustCompile(`^([^:]+\.go):(\d+):(\d+): (.*)$`)
+
+func runHotPath(p *Package, _ *Config) []Diagnostic {
+	var hot []hotDecl
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !hotAnnotated(fn) {
 				continue
 			}
-			w := &hotWalker{p: p, fn: fn, seen: make(map[token.Pos]bool)}
-			w.collectLocals()
-			w.buildFlow()
-			w.walkBody()
-			w.checkGotoLoops()
-			out = append(out, w.out...)
+			from, to := p.Fset.Position(fn.Pos()), p.Fset.Position(fn.End())
+			hot = append(hot, hotDecl{fn.Name.Name, from.Filename, from.Line, to.Line})
 		}
 	}
-	return out
-}
-
-// hotWalker carries one hot function's analysis state.
-type hotWalker struct {
-	p    *Package
-	fn   *ast.FuncDecl
-	out  []Diagnostic
-	seen map[token.Pos]bool // dedupes findings reachable from nested loops
-
-	// params holds the function's parameter, receiver, and named-result
-	// objects: appending into these is the caller-buffer idiom.
-	params map[types.Object]bool
-	// inits maps each local variable to every expression assigned to it
-	// (nil entry for a zero-valued var declaration). Fallback for
-	// positions outside the CFG (statements inside nested func literals).
-	inits map[types.Object][]ast.Expr
-
-	// Flow state (see cfg.go / dataflow.go): the function's CFG, the
-	// blocks that sit on a cycle, and per-statement reaching
-	// definitions for the flow-aware append classification.
-	cfg      *CFG
-	loops    map[*Block]bool
-	reach    map[ast.Stmt]reachFact
-	inBlocks []ast.Stmt // every statement placed in a block, for lookup
-	// loopExtents are the source ranges of lexical for/range statements,
-	// used to find cycle blocks that belong to no for/range (goto loops).
-	loopExtents [][2]token.Pos
-}
-
-// buildFlow constructs the function's CFG, cycle set, and reaching
-// definitions.
-func (w *hotWalker) buildFlow() {
-	w.cfg = buildCFG(w.fn.Body, w.p.Info)
-	w.loops = w.cfg.loopBlocks()
-	w.reach = reachingDefs(w.cfg, w.p.Info)
-	for _, b := range w.cfg.Blocks {
-		w.inBlocks = append(w.inBlocks, b.Stmts...)
-	}
-	ast.Inspect(w.fn.Body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			w.loopExtents = append(w.loopExtents, [2]token.Pos{n.Pos(), n.End()})
-		case *ast.FuncLit:
-			return false
-		}
-		return true
-	})
-}
-
-// loopIterates reports whether a lexical loop can actually run more
-// than once: some CFG block on a cycle holds a statement inside the
-// loop's extent. A loop whose body unconditionally breaks or returns
-// has no back edge and is exempt from the per-iteration checks.
-func (w *hotWalker) loopIterates(n ast.Node) bool {
-	for b := range w.loops {
-		for _, s := range b.Stmts {
-			if s.Pos() >= n.Pos() && s.End() <= n.End() {
-				return true
-			}
-		}
-		if b.Cond != nil && b.Cond.Pos() >= n.Pos() && b.Cond.End() <= n.End() {
-			return true
-		}
-	}
-	return false
-}
-
-// checkGotoLoops applies the per-iteration string-concat check to cycle
-// blocks that belong to no for/range statement — loops formed by goto,
-// invisible to the lexical walk.
-func (w *hotWalker) checkGotoLoops() {
-	inExtent := func(pos token.Pos) bool {
-		for _, ext := range w.loopExtents {
-			if pos >= ext[0] && pos < ext[1] {
-				return true
-			}
-		}
-		return false
-	}
-	for b := range w.loops {
-		for _, s := range b.Stmts {
-			if inExtent(s.Pos()) {
-				continue
-			}
-			shallowInspect(s, func(n ast.Node) bool {
-				if be, ok := n.(*ast.BinaryExpr); ok {
-					w.checkConcat(be)
-				}
-				return true
-			})
-		}
-	}
-}
-
-// enclosingStmt finds the innermost block-placed statement covering a
-// position, for reaching-definition lookups. Nil when the position is
-// outside the CFG (inside a nested func literal).
-func (w *hotWalker) enclosingStmt(pos token.Pos) ast.Stmt {
-	var best ast.Stmt
-	for _, s := range w.inBlocks {
-		if pos < s.Pos() || pos >= s.End() {
-			continue
-		}
-		if best == nil || (s.Pos() >= best.Pos() && s.End() <= best.End()) {
-			best = s
-		}
-	}
-	return best
-}
-
-func (w *hotWalker) report(n ast.Node, format string, args ...any) {
-	if w.seen[n.Pos()] {
-		return
-	}
-	w.seen[n.Pos()] = true
-	w.out = append(w.out, Diagnostic{
-		Pos:     w.p.Fset.Position(n.Pos()),
-		Check:   checkHotPath,
-		Message: fmt.Sprintf(format, args...) + fmt.Sprintf(" (in //hin:hot %s)", w.fn.Name.Name),
-	})
-}
-
-// collectLocals indexes the function's parameters and every assignment to
-// its local variables, for the append-target classification.
-func (w *hotWalker) collectLocals() {
-	w.params = make(map[types.Object]bool)
-	w.inits = make(map[types.Object][]ast.Expr)
-	addField := func(f *ast.Field) {
-		for _, name := range f.Names {
-			if obj := w.p.Info.Defs[name]; obj != nil {
-				w.params[obj] = true
-			}
-		}
-	}
-	if w.fn.Recv != nil {
-		for _, f := range w.fn.Recv.List {
-			addField(f)
-		}
-	}
-	for _, f := range w.fn.Type.Params.List {
-		addField(f)
-	}
-	if w.fn.Type.Results != nil {
-		for _, f := range w.fn.Type.Results.List {
-			addField(f)
-		}
-	}
-	ast.Inspect(w.fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := w.p.Info.Defs[id]
-				if obj == nil {
-					obj = w.p.Info.Uses[id]
-				}
-				if obj == nil {
-					continue
-				}
-				var rhs ast.Expr
-				if len(n.Rhs) == len(n.Lhs) {
-					rhs = n.Rhs[i]
-				} else if len(n.Rhs) == 1 {
-					rhs = n.Rhs[0] // multi-value call: derived, not a fresh literal
-				}
-				if selfAppend(rhs, id.Name) {
-					continue // x = append(x, ...) says nothing about x's origin
-				}
-				w.inits[obj] = append(w.inits[obj], rhs)
-			}
-		case *ast.ValueSpec:
-			for i, name := range n.Names {
-				obj := w.p.Info.Defs[name]
-				if obj == nil {
-					continue
-				}
-				var rhs ast.Expr
-				if i < len(n.Values) {
-					rhs = n.Values[i]
-				}
-				w.inits[obj] = append(w.inits[obj], rhs)
-			}
-		}
-		return true
-	})
-}
-
-// selfAppend recognizes `x = append(x, ...)`.
-func selfAppend(rhs ast.Expr, name string) bool {
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return false
-	}
-	if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
-		return false
-	}
-	id, ok := call.Args[0].(*ast.Ident)
-	return ok && id.Name == name
-}
-
-func (w *hotWalker) walkBody() {
-	ast.Inspect(w.fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			w.checkCall(n)
-		case *ast.AssignStmt:
-			if len(n.Rhs) == len(n.Lhs) {
-				for i, lhs := range n.Lhs {
-					if t := lhsType(w.p, lhs); t != nil {
-						w.checkBoxing(n.Rhs[i], t)
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, name := range n.Names {
-				if i >= len(n.Values) {
-					break
-				}
-				if obj := w.p.Info.Defs[name]; obj != nil {
-					w.checkBoxing(n.Values[i], obj.Type())
-				}
-			}
-		case *ast.ForStmt:
-			if w.loopIterates(n) {
-				w.checkLoop(n.Body, loopVarObjs(w.p, n.Init))
-			}
-		case *ast.RangeStmt:
-			if w.loopIterates(n) {
-				w.checkLoop(n.Body, rangeVarObjs(w.p, n))
-			}
-		}
-		return true
-	})
-}
-
-// checkCall flags Sprintf-family calls, interface boxing of call
-// arguments, and appends to function-local slices.
-func (w *hotWalker) checkCall(call *ast.CallExpr) {
-	if fn := pkgFunc(w.p.Info, call.Fun); fn != nil && fn.Pkg().Path() == "fmt" {
-		switch fn.Name() {
-		case "Sprintf", "Sprint", "Sprintln", "Errorf", "Appendf":
-			w.report(call, "fmt.%s allocates on every call", fn.Name())
-			return
-		}
-	}
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if b, ok := w.p.Info.Uses[id].(*types.Builtin); ok {
-			if b.Name() == "append" && len(call.Args) > 0 {
-				w.checkAppend(call)
-			}
-			return
-		}
-	}
-	// Explicit conversion to an interface type.
-	if tv, ok := w.p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		w.checkBoxing(call.Args[0], tv.Type)
-		return
-	}
-	// Concrete package-local values passed to interface parameters.
-	tv, ok := w.p.Info.Types[call.Fun]
-	if !ok {
-		return
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= sig.Params().Len()-1:
-			if call.Ellipsis.IsValid() {
-				continue
-			}
-			pt = sig.Params().At(sig.Params().Len() - 1).Type().(*types.Slice).Elem()
-		case i < sig.Params().Len():
-			pt = sig.Params().At(i).Type()
-		default:
-			continue
-		}
-		w.checkBoxing(arg, pt)
-	}
-}
-
-// checkBoxing flags converting a concrete value of a package-local named
-// type (the scratch structures) into an interface, which escapes it to the
-// heap.
-func (w *hotWalker) checkBoxing(arg ast.Expr, dst types.Type) {
-	if dst == nil || !types.IsInterface(dst) {
-		return
-	}
-	at, ok := w.p.Info.Types[arg]
-	if !ok || at.Type == nil || types.IsInterface(at.Type) {
-		return
-	}
-	t := at.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() != w.p.Pkg {
-		return
-	}
-	w.report(arg, "converting %s to %s boxes the scratch value onto the heap", at.Type, dst)
-}
-
-// checkAppend classifies the append destination. Legal destinations reuse
-// memory owned elsewhere: struct fields (pooled scratch), parameters and
-// named results (caller buffers), package-level slices, and locals derived
-// from any expression that is not a fresh allocation. A local whose every
-// origin is a zero var declaration, make, or a composite literal grows
-// memory this call owns - exactly the per-query allocation the hot path
-// must not make.
-func (w *hotWalker) checkAppend(call *ast.CallExpr) {
-	root := call.Args[0]
-	for {
-		switch e := ast.Unparen(root).(type) {
-		case *ast.IndexExpr:
-			root = e.X
-		case *ast.SliceExpr:
-			root = e.X
-		case *ast.StarExpr:
-			root = e.X
-		default:
-			goto rooted
-		}
-	}
-rooted:
-	id, ok := ast.Unparen(root).(*ast.Ident)
-	if !ok {
-		return // selector (field) or other reuse pattern
-	}
-	obj := w.p.Info.Uses[id]
-	if obj == nil {
-		obj = w.p.Info.Defs[id]
-	}
-	v, ok := obj.(*types.Var)
-	if !ok || w.params[v] || v.Parent() == w.p.Pkg.Scope() {
-		return
-	}
-	if pooledToken(v.Name()) || pooledToken(typeName(v.Type())) {
-		return
-	}
-	// Flow-aware classification: the append allocates only if every
-	// definition of the slice that can actually reach this statement is
-	// a fresh allocation. Falls back to the flow-insensitive union when
-	// the call sits outside the CFG (nested func literal).
-	if s := w.enclosingStmt(call.Pos()); s != nil {
-		if fact, ok := w.reach[s]; ok {
-			if defs := fact[v]; len(defs) > 0 {
-				for d := range defs {
-					if !allocatingInit(d.rhs) {
-						return // a reaching origin reuses existing memory
-					}
-				}
-				w.report(call, "append grows function-local slice %q allocated per call; append into a caller buffer or pooled scratch", v.Name())
-				return
-			}
-		}
-	}
-	inits, known := w.inits[v]
-	if !known {
-		return // declared outside the function (captured); assume owned there
-	}
-	for _, init := range inits {
-		if !allocatingInit(init) {
-			return // at least one origin reuses existing memory
-		}
-	}
-	w.report(call, "append grows function-local slice %q allocated per call; append into a caller buffer or pooled scratch", v.Name())
-}
-
-// pooledTokens are the name/type substrings that mark a slice as pooled,
-// amortized memory: "scratch" (the query engine's per-goroutine frames),
-// "cursor" and "edgebuf" (the compact backend's adjacency decode buffers,
-// hin.EdgeBuf). Appending into these grows a high-water-mark buffer that
-// outlives the call, not a per-call allocation.
-var pooledTokens = [...]string{"scratch", "cursor", "edgebuf"}
-
-func pooledToken(s string) bool {
-	s = strings.ToLower(s)
-	for _, tok := range pooledTokens {
-		if strings.Contains(s, tok) {
-			return true
-		}
-	}
-	return false
-}
-
-// allocatingInit reports whether the initializer conjures fresh memory: a
-// zero var declaration (nil slice), make, new, or a composite literal.
-func allocatingInit(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case nil:
-		return true
-	case *ast.CompositeLit:
-		return true
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok && (id.Name == "make" || id.Name == "new") {
-			return true
-		}
-		return false
-	case *ast.Ident:
-		return e.Name == "nil"
-	default:
-		return false
-	}
-}
-
-func typeName(t types.Type) string {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
-// lhsType resolves an assignment destination's type (identifiers live in
-// Defs/Uses rather than the Types map).
-func lhsType(p *Package, lhs ast.Expr) types.Type {
-	if id, ok := lhs.(*ast.Ident); ok {
-		if obj := p.Info.Defs[id]; obj != nil {
-			return obj.Type()
-		}
-		if obj := p.Info.Uses[id]; obj != nil {
-			return obj.Type()
-		}
+	if len(hot) == 0 {
 		return nil
 	}
-	if tv, ok := p.Info.Types[lhs]; ok {
-		return tv.Type
-	}
-	return nil
-}
 
-// loopVarObjs collects objects defined by a for statement's init clause.
-func loopVarObjs(p *Package, init ast.Stmt) map[types.Object]bool {
-	vars := make(map[types.Object]bool)
-	if assign, ok := init.(*ast.AssignStmt); ok && assign.Tok == token.DEFINE {
-		for _, lhs := range assign.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok {
-				if obj := p.Info.Defs[id]; obj != nil {
-					vars[obj] = true
-				}
+	cmd := exec.Command("go", "build", "-gcflags=-m", "-o", os.DevNull, ".")
+	cmd.Dir = filepath.Dir(hot[0].file)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return []Diagnostic{{
+			Pos:     token.Position{Filename: hot[0].file, Line: hot[0].from, Column: 1},
+			Check:   checkHotPath,
+			Message: fmt.Sprintf("go build -gcflags=-m failed, so no //hin:hot body in the package is checked: %v\n%s", err, bytes.TrimSpace(out)),
+		}}
+	}
+	var diags []Diagnostic
+	for _, line := range strings.Split(string(out), "\n") {
+		m := escapeRe.FindStringSubmatch(line)
+		if m == nil || !strings.HasSuffix(m[4], "escapes to heap") && !strings.HasPrefix(m[4], "moved to heap:") {
+			continue
+		}
+		ln, errLn := strconv.Atoi(m[2])
+		col, errCol := strconv.Atoi(m[3])
+		if errLn != nil || errCol != nil {
+			continue
+		}
+		// Matched by base name: the build cache replays -m output with
+		// paths relative to wherever the build that filled it ran, and
+		// one package is one directory, so base names are unique.
+		for _, h := range hot {
+			if filepath.Base(h.file) == filepath.Base(m[1]) && ln >= h.from && ln <= h.to {
+				diags = append(diags, Diagnostic{
+					Pos:     token.Position{Filename: h.file, Line: ln, Column: col},
+					Check:   checkHotPath,
+					Message: fmt.Sprintf("%s (in //hin:hot %s)", m[4], h.name),
+				})
+				break
 			}
 		}
 	}
-	return vars
-}
-
-// rangeVarObjs collects a range statement's key/value objects.
-func rangeVarObjs(p *Package, rs *ast.RangeStmt) map[types.Object]bool {
-	vars := make(map[types.Object]bool)
-	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		if id, ok := e.(*ast.Ident); ok {
-			if obj := p.Info.Defs[id]; obj != nil {
-				vars[obj] = true
-			}
-		}
-	}
-	return vars
-}
-
-// checkConcat flags a non-constant string concatenation (per-iteration
-// allocation when it sits in a loop — callers establish that context).
-func (w *hotWalker) checkConcat(n *ast.BinaryExpr) {
-	if n.Op != token.ADD {
-		return
-	}
-	tv, ok := w.p.Info.Types[n]
-	if !ok || tv.Value != nil { // constant concatenation folds at compile time
-		return
-	}
-	if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-		w.report(n, "string concatenation in a loop allocates per iteration")
-	}
-}
-
-// checkLoop flags string concatenation and loop-variable-capturing
-// closures inside one loop body.
-func (w *hotWalker) checkLoop(body *ast.BlockStmt, loopVars map[types.Object]bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BinaryExpr:
-			w.checkConcat(n)
-		case *ast.FuncLit:
-			for obj := range loopVars {
-				if capturesObj(w.p, n, obj) {
-					w.report(n, "closure captures loop variable %q, forcing a per-iteration heap allocation", obj.Name())
-					break
-				}
-			}
-		}
-		return true
-	})
-}
-
-// capturesObj reports whether the closure body references the object.
-func capturesObj(p *Package, fl *ast.FuncLit, obj types.Object) bool {
-	found := false
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && p.Info.Uses[id] == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	return diags
 }

@@ -12,15 +12,17 @@
 //     against a nil receiver before touching receiver state, because the
 //     whole layer is compiled out by passing nil handles (see nilsafe.go).
 //   - hotpath: functions annotated //hin:hot - the DeHIN query path and the
-//     Hopcroft-Karp matcher - may not re-introduce the per-query
-//     allocations PR 1 removed (see hotpath.go).
+//     Hopcroft-Karp matcher - may not heap-allocate: every escape the
+//     compiler's `go build -gcflags=-m` report places inside one is a
+//     finding (see hotpath.go).
 //   - logdiscipline: ad-hoc stderr printing and the standard log package
 //     are forbidden outside internal/obs; commands go through the nil-safe
 //     obs.Logger (see logdiscipline.go).
 //
 // The suite is written purely against the standard library (go/parser,
-// go/ast, go/types with the source-mode go/importer) so the module stays
-// dependency-free. Findings are suppressed inline with
+// go/ast, go/types with the source-mode go/importer) and the go command,
+// whose compiler hotpath consults, so the module stays dependency-free.
+// Findings are suppressed inline with
 //
 //	//hin:allow <check> -- <reason>
 //
@@ -67,8 +69,9 @@ type Analyzer struct {
 }
 
 // Analyzers returns the full suite in its canonical order: the PR 5
-// syntactic checks first, then the flow-sensitive lifecycle checks
-// built on the CFG/dataflow layer (cfg.go, dataflow.go).
+// checks first (syntactic, plus the compiler-backed hotpath), then the
+// flow-sensitive lifecycle checks built on the CFG/dataflow layer
+// (cfg.go, dataflow.go).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism, NilSafe, HotPath, LogDiscipline,
@@ -204,10 +207,16 @@ type allowKey struct {
 const directivePrefix = "//hin:"
 
 // scanDirectives indexes //hin:allow directives and validates directive
-// syntax. It runs once at package construction.
+// syntax and placement. It runs once at package construction.
 func (p *Package) scanDirectives() {
 	p.allows = make(map[allowKey]bool)
 	for _, f := range p.Files {
+		funcDocs := make(map[*ast.CommentGroup]bool)
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Doc != nil {
+				funcDocs[fn.Doc] = true
+			}
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := c.Text
@@ -219,8 +228,16 @@ func (p *Package) scanDirectives() {
 				verb, arg, _ := strings.Cut(rest, " ")
 				switch verb {
 				case "hot":
-					// Valid bare or with a trailing "-- reason"; nothing to index
-					// here - hotpath.go reads it off function doc comments.
+					// Valid bare or with a trailing "-- reason"; hotpath.go reads
+					// it off function doc comments, so anywhere else it would
+					// switch the check off without a word.
+					if !funcDocs[cg] {
+						p.malformed = append(p.malformed, Diagnostic{
+							Pos:     pos,
+							Check:   "directive",
+							Message: "//hin:hot outside a function's doc comment annotates nothing",
+						})
+					}
 				case "allow":
 					check, reason, found := strings.Cut(arg, "--")
 					check = strings.TrimSpace(check)

@@ -9,11 +9,12 @@ import (
 )
 
 // The mutation tests are the lint gate's proof of strength: they copy
-// real packages, re-introduce the exact regressions the flow-sensitive
-// analyzers exist to stop — an unpaired acquire in a serve handler, a
-// release endpoint that forgot its inner Unpin, an out-of-shard write in
-// risk's sweep — and assert the default-config suite reports them with a
-// file:line diagnostic. The copies live under testdata (invisible to go
+// real packages, re-introduce the exact regressions the analyzers exist
+// to stop — an unpaired acquire in a serve handler, a release endpoint
+// that forgot its inner Unpin, an out-of-shard write in risk's sweep, and
+// a Sprintf, a boxed value or a per-query slice in the DeHIN query core —
+// and assert the default-config suite reports them with a file:line
+// diagnostic. The copies live under testdata (invisible to go
 // list, inside the module so the source importer resolves their real
 // imports) with import paths whose suffixes match the default specs.
 
@@ -97,6 +98,7 @@ func TestMutationControl(t *testing.T) {
 	for _, c := range []struct{ pkgRel, importPath string }{
 		{"internal/serve", "mut/internal/serve"},
 		{"internal/risk", "mut/internal/risk"},
+		{"internal/dehin", "mut/internal/dehin"},
 	} {
 		if diags := lintMutant(t, c.pkgRel, c.importPath, nil); len(diags) != 0 {
 			t.Errorf("control copy of %s must lint clean, got %v", c.pkgRel, diags)
@@ -150,4 +152,33 @@ func TestMutationOutOfShardWrite(t *testing.T) {
 			"initShard(g, attrs, sig, lo, hi)\n\t\tsig[hi] = 0\n")
 	})
 	requireFinding(t, diags, "shardsafety", "sweep.go", `writes captured "sig" outside its owned shard`)
+}
+
+// TestMutationHotPath injects one allocation per mutant into dehin's
+// deanonymizeCore, the //hin:hot query core: the compiler's escape
+// report must surface each as a hotpath finding in attack.go.
+func TestMutationHotPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("package copies re-type-check the module; skipped with -short")
+	}
+	const anchor = "\ts.stats.pruned += pruned\n"
+	for _, c := range []struct {
+		name, inject, decl, want string
+	}{
+		{"sprintf", "\thotSink = fmt.Sprintf(\"%d\", tv)\n", "\nvar hotSink string\n", "tv escapes to heap"},
+		{"boxing", "\thotAny = a.cfg.MaxDistance\n", "\nvar hotAny any\n", "a.cfg.MaxDistance escapes to heap"},
+		{"local-slice", "\ttmp := make([]hin.EntityID, len(dst)+1)\n\tdst = append(dst, tmp...)\n", "",
+			"make([]hin.EntityID, len(dst) + 1) escapes to heap"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			diags := lintMutant(t, "internal/dehin", "mut/internal/dehin", func(name string, src []byte) []byte {
+				if name != "attack.go" {
+					return src
+				}
+				src = replaceOnce(t, src, anchor, c.inject+anchor)
+				return append(src, c.decl...)
+			})
+			requireFinding(t, diags, "hotpath", "attack.go", c.want+" (in //hin:hot deanonymizeCore)")
+		})
+	}
 }

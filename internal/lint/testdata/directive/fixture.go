@@ -24,3 +24,22 @@ func Verb() int {
 	//hin:frobnicate want "unknown directive"
 	return 2
 }
+
+//hin:hot want "outside a function's doc comment"
+
+// Detached is cut off from the //hin:hot above by a blank line, so the
+// annotation reaches no function.
+func Detached() int {
+	return 3
+}
+
+// InBody carries its //hin:hot inside the body.
+func InBody() int {
+	//hin:hot want "outside a function's doc comment"
+	return 4
+}
+
+// OnType annotates a type, which the hotpath check never reads.
+//
+//hin:hot want "outside a function's doc comment"
+type OnType struct{}
