@@ -64,7 +64,10 @@ lint-mut:
 # mutex-copy and loop-capture analyzers so they stay on even if the default
 # set changes, then hinlint), the race-detector run over the packages with
 # real concurrency (the sharded generator, the parallel workbench/registry,
-# the obs metrics registry, and the span tracer), the paperscale smoke
+# the obs metrics registry, the span tracer, and the hinriskd daemon
+# tests), the benchmark module's vet and tests (perfbench/ is its own
+# module, so `go build ./...` at the root never compiles it; its replace
+# directive builds it against this checkout offline), the paperscale smoke
 # (the miniature generate->persist->load->attack->risk pipeline; skip with
 # SKIP_PAPERSCALE=1), the hinriskd end-to-end smoke (a real daemon under a
 # short hinload burst, p99 gated against BENCH_7.json; skip with
@@ -74,8 +77,9 @@ verify:
 	$(GO) vet ./...
 	$(GO) vet -copylocks -loopclosure ./...
 	$(MAKE) lint
-	$(GO) test -race ./internal/experiments ./internal/tqq ./internal/obs ./internal/obs/trace
+	$(GO) test -race ./internal/experiments ./internal/tqq ./internal/obs ./internal/obs/trace ./cmd/hinriskd
 	$(MAKE) race-par
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 ifeq ($(strip $(SKIP_PAPERSCALE)),)
 	$(GO) test -run TestPaperscaleSmoke -count=1 .
 endif
@@ -95,7 +99,7 @@ endif
 race-par:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/par
 	GOMAXPROCS=2 $(GO) test -race -count=1 \
-		-run 'Worker|Parallel|Sweep|Combine|Checksum|Reload' \
+		-run 'Worker|Parallel|Sweep|Combine|Checksum|Reload|Concurrent' \
 		./internal/risk ./internal/hin ./internal/dehin ./internal/serve
 
 # serve-smoke is the end-to-end service gate: build the real binaries,

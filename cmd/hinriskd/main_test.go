@@ -48,13 +48,32 @@ const (
 	fixtureSeed  = 11
 )
 
+// syncBuffer collects a child process's output. os/exec copies into it
+// from its own goroutine while the test polls it, so both sides lock.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // startDaemon launches hinriskd as a real subprocess on a free port and
 // returns its base URL plus a shutdown func that SIGTERMs and waits.
 func startDaemon(t *testing.T, args ...string) (string, func()) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "HINRISKD_RUN_MAIN=1")
-	var stderr bytes.Buffer
+	var stderr syncBuffer
 	cmd.Stderr = &stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -433,7 +452,7 @@ func TestObservabilityFlags(t *testing.T) {
 		"-graph", graphPath, "-addr", "127.0.0.1:0",
 		"-flight", "8", "-flight-slow", "1ns", "-runtime-metrics", "100ms")
 	cmd.Env = append(os.Environ(), "HINRISKD_RUN_MAIN=1")
-	var stderr bytes.Buffer
+	var stderr syncBuffer
 	cmd.Stderr = &stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

@@ -16,11 +16,10 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/hinpriv/dehin/internal/hin"
+	"github.com/hinpriv/dehin/internal/par"
 )
 
 // ProfileOnly returns, for each target entity, the auxiliary entities whose
@@ -87,42 +86,28 @@ func ProfileOnlyGrowing(target, aux *hin.Graph, exactAttrs, growAttrs []int) ([]
 		}
 	}
 	out := make([][]hin.EntityID, target.NumEntities())
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	next := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tv := range next {
-				for av := 0; av < aux.NumEntities(); av++ {
-					ok := true
-					for _, ai := range exactAttrs {
-						if target.Attr(hin.EntityID(tv), ai) != aux.Attr(hin.EntityID(av), ai) {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						for _, ai := range growAttrs {
-							if aux.Attr(hin.EntityID(av), ai) < target.Attr(hin.EntityID(tv), ai) {
-								ok = false
-								break
-							}
-						}
-					}
-					if ok {
-						out[tv] = append(out[tv], hin.EntityID(av))
+	par.Run(0, target.NumEntities(), func(_, tv int) {
+		for av := 0; av < aux.NumEntities(); av++ {
+			ok := true
+			for _, ai := range exactAttrs {
+				if target.Attr(hin.EntityID(tv), ai) != aux.Attr(hin.EntityID(av), ai) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				for _, ai := range growAttrs {
+					if aux.Attr(hin.EntityID(av), ai) < target.Attr(hin.EntityID(tv), ai) {
+						ok = false
+						break
 					}
 				}
 			}
-		}()
-	}
-	for tv := 0; tv < target.NumEntities(); tv++ {
-		next <- tv
-	}
-	close(next)
-	wg.Wait()
+			if ok {
+				out[tv] = append(out[tv], hin.EntityID(av))
+			}
+		}
+	})
 	return out, nil
 }
 

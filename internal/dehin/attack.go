@@ -3,14 +3,15 @@ package dehin
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"github.com/hinpriv/dehin/internal/bipartite"
 	"github.com/hinpriv/dehin/internal/hin"
 	"github.com/hinpriv/dehin/internal/obs"
 	"github.com/hinpriv/dehin/internal/obs/trace"
+	"github.com/hinpriv/dehin/internal/par"
 )
 
 // Config parameterizes the DeHIN attack.
@@ -153,7 +154,7 @@ func NewAttack(aux hin.GraphBackend, cfg Config) (*Attack, error) {
 	// matchers so the pruned engine provably matches reference semantics.
 	if cfg.MaxDistance > 0 && !cfg.RemoveMajorityStrength &&
 		cfg.EntityMatch == nil && cfg.LinkMatch == nil {
-		a.deg = buildDegSignature(aux, cfg.LinkTypes, cfg.UseInEdges)
+		a.deg = buildDegSignature(aux, cfg.LinkTypes, cfg.UseInEdges, cfg.Parallelism)
 	}
 	return a, nil
 }
@@ -214,7 +215,7 @@ func (a *Attack) Deanonymize(target hin.GraphBackend, tv hin.EntityID) []hin.Ent
 // pooled and the result lands in the caller's buffer.
 func (a *Attack) DeanonymizeAppend(dst []hin.EntityID, target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
 	s := a.getScratch()
-	dst = a.deanonymize(s, dst, target, tv)
+	dst = a.deanonymize(s, dst, target, tv, trace.Span{})
 	a.putScratch(s)
 	return dst
 }
@@ -228,7 +229,7 @@ func (a *Attack) DeanonymizeAppend(dst []hin.EntityID, target hin.GraphBackend, 
 // single-query paths stay untraced and allocation-free.
 func (a *Attack) DeanonymizeSpan(target hin.GraphBackend, tv hin.EntityID, qs trace.Span) []hin.EntityID {
 	s := a.getScratch()
-	dst := a.deanonymizeTraced(s, nil, target, tv, qs)
+	dst := a.deanonymize(s, nil, target, tv, qs)
 	a.putScratch(s)
 	return dst
 }
@@ -269,26 +270,11 @@ func (a *Attack) emCached(s *queryScratch, target hin.GraphBackend, tb, ab hin.E
 
 // deanonymize is the per-query entry point: the uninstrumented core plus,
 // when a metrics registry is attached, one batched flush of the query's
-// scratch-local event tally. The disabled path costs exactly this one
-// predictable branch (the zero Span inside the core adds only dead
-// single-branch no-ops).
-func (a *Attack) deanonymize(s *queryScratch, dst []hin.EntityID, target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
-	if a.met == nil {
-		return a.deanonymizeCore(s, dst, target, tv, trace.Span{})
-	}
-	s.stats = queryStats{}
-	dst = a.deanonymizeCore(s, dst, target, tv, trace.Span{})
-	a.met.flush(&s.stats)
-	return dst
-}
-
-// deanonymizeTraced is deanonymize carrying a live query span, used only
-// for the queries Run samples. An inactive span falls through to the
-// untraced path so callers need not branch.
-func (a *Attack) deanonymizeTraced(s *queryScratch, dst []hin.EntityID, target hin.GraphBackend, tv hin.EntityID, qs trace.Span) []hin.EntityID {
-	if !qs.Active() {
-		return a.deanonymize(s, dst, target, tv)
-	}
+// scratch-local event tally. qs, when active, is the query span whose
+// stage children record where the query's time went; the zero Span (the
+// untraced paths) makes every trace call a predictable no-op branch, so
+// the disabled path costs exactly the one metrics branch here.
+func (a *Attack) deanonymize(s *queryScratch, dst []hin.EntityID, target hin.GraphBackend, tv hin.EntityID, qs trace.Span) []hin.EntityID {
 	if a.met == nil {
 		return a.deanonymizeCore(s, dst, target, tv, qs)
 	}
@@ -298,10 +284,8 @@ func (a *Attack) deanonymizeTraced(s *queryScratch, dst []hin.EntityID, target h
 	return dst
 }
 
-// deanonymizeCore runs Algorithm 1 for one target. qs, when active, is the
-// sampled query span whose stage children record where the query's time
-// went; the zero Span (the usual case) makes every trace call a
-// predictable no-op branch.
+// deanonymizeCore runs Algorithm 1 for one target, recording its stages
+// under qs (see deanonymize).
 //
 //hin:hot
 func (a *Attack) deanonymizeCore(s *queryScratch, dst []hin.EntityID, target hin.GraphBackend, tv hin.EntityID, qs trace.Span) []hin.EntityID {
@@ -420,43 +404,55 @@ func (a *Attack) linkMatchUncached(s *queryScratch, target hin.GraphBackend, n i
 	return true
 }
 
-// directionMatch checks one link type in one direction, building the
-// bipartite compatibility graph into the scratch frame of this recursion
-// depth (deeper linkMatch calls use deeper frames, so the build never
-// clobbers an in-progress one).
+// directionMatch decides one link type in one direction: can the quota of
+// tv's neighbors find distinct compatible neighbors of av?
 //
 //hin:hot
-func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int, tv, av hin.EntityID, lt hin.LinkTypeID, inEdges bool) bool {
+func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int, tv, av hin.EntityID, lt hin.LinkTypeID, in bool) bool {
+	g, need, ok := a.neighborGraph(s, target, n, tv, av, lt, in, true)
+	if !ok || need <= 0 {
+		return ok
+	}
+	s.stats.matcherRuns++
+	if need == g.NLeft {
+		return s.matcher.HasPerfectLeftMatching(g)
+	}
+	return s.matcher.Match(g) >= need
+}
+
+// neighborGraph builds, into the adjacency frame of recursion depth n, the
+// bipartite compatibility graph Algorithm 2 matches for one (target entity
+// tv, candidate av, link type lt, direction): left vertex i is tv's i-th
+// neighbor, right vertex j is av's j-th, and an edge means the link
+// strengths are compatible, the entity matcher accepts the pair and, for
+// n > 1, their neighborhoods match to depth n-1. The recursion uses frames
+// 1..n-1, so it never clobbers this build. need is how many left vertices
+// a matching must cover under NeighborTolerance.
+//
+// With verdict set the build serves a yes/no decision and gives up as soon
+// as the quota is out of reach - against av's degree before its row is
+// decoded, and on the running count of empty rows - returning ok false and
+// no graph. It also skips the build when the quota is already met. Without
+// verdict the whole graph is built for callers that read a matching's size
+// or assignment.
+//
+//hin:hot
+func (a *Attack) neighborGraph(s *queryScratch, target hin.GraphBackend, n int, tv, av hin.EntityID, lt hin.LinkTypeID, in, verdict bool) (g bipartite.Graph, need int, ok bool) {
 	// The frame is claimed before any row decode: its pooled tbuf/abuf
 	// cursors hold the decoded rows for this depth, and deeper recursion
 	// uses deeper frames, so the rows below stay valid across the loop.
 	f := s.frame(n)
-	var tns []hin.EntityID
-	var tws []int32
-	if inEdges {
-		tns, tws = target.InEdgesBuf(&f.tbuf, lt, tv)
-	} else {
-		tns, tws = target.OutEdgesBuf(&f.tbuf, lt, tv)
+	tns, tws := edges(target, &f.tbuf, lt, tv, in)
+	need = a.quota(len(tns))
+	if len(tns) == 0 || verdict && need <= 0 {
+		return bipartite.Graph{}, need, true
 	}
-	need := a.quota(len(tns))
-	if need <= 0 || len(tns) == 0 {
-		return true
+	if verdict && need > degree(a.aux, lt, av, in) {
+		// Even a maximum matching cannot reach the quota; checked
+		// against the degree so the auxiliary row is never decoded.
+		return bipartite.Graph{}, need, false
 	}
-	var ans []hin.EntityID
-	var aws []int32
-	if inEdges {
-		if need > a.aux.InDegree(lt, av) {
-			// Even a maximum matching cannot reach the quota; checked
-			// against the degree so the auxiliary row is never decoded.
-			return false
-		}
-		ans, aws = a.aux.InEdgesBuf(&f.abuf, lt, av)
-	} else {
-		if need > a.aux.OutDegree(lt, av) {
-			return false
-		}
-		ans, aws = a.aux.OutEdgesBuf(&f.abuf, lt, av)
-	}
+	ans, aws := edges(a.aux, &f.abuf, lt, av, in)
 	f.reset()
 	empties := 0
 	for i, tb := range tns {
@@ -473,21 +469,34 @@ func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int,
 			}
 			f.dat = append(f.dat, int32(j))
 		}
-		if len(f.dat) == row {
+		if verdict && len(f.dat) == row {
 			empties++
 			if len(tns)-empties < need {
-				return false
+				return bipartite.Graph{}, need, false
 			}
 		}
 		f.closeRow()
 	}
 	//hin:allow hotpath -- pooled growth: graph (inlined) reallocates f.rows only past the frame's high-water mark
-	g := f.graph(len(ans))
-	s.stats.matcherRuns++
-	if need == len(tns) {
-		return s.matcher.HasPerfectLeftMatching(g)
+	return f.graph(len(ans)), need, true
+}
+
+// edges returns v's neighbors via lt in one direction (in-neighbors when
+// in is set) with their link strengths, decoding into buf if the backend
+// needs to.
+func edges(g hin.GraphBackend, buf *hin.EdgeBuf, lt hin.LinkTypeID, v hin.EntityID, in bool) ([]hin.EntityID, []int32) {
+	if in {
+		return g.InEdgesBuf(buf, lt, v)
 	}
-	return s.matcher.Match(g) >= need
+	return g.OutEdgesBuf(buf, lt, v)
+}
+
+// degree is len(edges(g, _, lt, v, in)) without decoding the row.
+func degree(g hin.GraphBackend, lt hin.LinkTypeID, v hin.EntityID, in bool) int {
+	if in {
+		return g.InDegree(lt, v)
+	}
+	return g.OutDegree(lt, v)
 }
 
 // RemoveMajorityStrengthEdges returns a copy of g without, per link type,
@@ -563,11 +572,11 @@ type Result struct {
 // is used only for scoring. PrepareTarget preprocessing is applied
 // automatically.
 //
-// Work is distributed by chunked work stealing over targets ordered by
-// descending utilized degree: expensive hub entities are handed out first
-// and a worker stuck on one cannot strand queued work behind it, so the
-// tail of a Run stays balanced. A zero-entity target yields zero metrics
-// (not NaN) and no error.
+// Work is distributed by chunked work stealing (a par.Sweep) over targets
+// ordered by descending utilized degree: expensive hub entities are handed
+// out first and a worker stuck on one cannot strand queued work behind it,
+// so the tail of a Run stays balanced. A zero-entity target yields zero
+// metrics (not NaN) and no error.
 func (a *Attack) Run(target hin.GraphBackend, truth []hin.EntityID) (Result, error) {
 	if len(truth) != target.NumEntities() {
 		return Result{}, fmt.Errorf("dehin: truth size %d != %d targets", len(truth), target.NumEntities())
@@ -586,13 +595,7 @@ func (a *Attack) Run(target hin.GraphBackend, truth []hin.EntityID) (Result, err
 	if n == 0 {
 		return out, nil
 	}
-	workers := a.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := par.Workers(a.cfg.Parallelism, n)
 
 	// Tracing: one lane per worker so sampled query spans land on stable
 	// timeline rows; a shared counter samples every querySampleEvery-th
@@ -601,60 +604,53 @@ func (a *Attack) Run(target hin.GraphBackend, truth []hin.EntityID) (Result, err
 	root.Attr("targets", int64(n))
 	root.Attr("workers", int64(workers))
 	defer root.End()
-	var lanes []trace.Track
-	if a.cfg.Trace != nil {
-		lanes = make([]trace.Track, workers)
-		for i := range lanes {
-			lanes[i] = a.cfg.Trace.NewTrack()
-		}
-	}
+	lanes := par.Lanes(a.cfg.Trace, workers, n)
 	var qSeen, qSampled atomic.Int64
 
 	order := a.runOrder(prepared)
-	// Small chunks amortize the atomic fetch without re-creating the
-	// convoy a static partition (or one target per channel send) causes
-	// when a single hub query dominates.
+	// Per-worker query scratch and result buffer. A worker takes its
+	// scratch from the pool on its own goroutine: sync.Pool caches per P,
+	// and taking them all on this goroutine instead measured ~8% more
+	// peak RSS over the experiment suite.
+	scratch := make([]*queryScratch, workers)
+	bufs := make([][]hin.EntityID, workers)
+	// Small chunks amortize the pool's atomic claim without re-creating
+	// the convoy a static partition (or one target per claim) causes when
+	// a single hub query dominates.
 	chunk := max(1, min(64, n/(workers*8)))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := a.getScratch()
-			defer a.putScratch(s)
-			var buf []hin.EntityID
-			for {
-				start := int(next.Add(int64(chunk))) - chunk
-				if start >= n {
-					return
-				}
-				for _, tv32 := range order[start:min(start+chunk, n)] {
-					tv := hin.EntityID(tv32)
-					var sp trace.Span
-					if lanes != nil {
-						if k := qSeen.Add(1); (k-1)%querySampleEvery == 0 &&
-							qSampled.Add(1) <= querySampleCap {
-							sp = root.ChildOn(lanes[w], "query")
-							sp.Attr("target", int64(tv))
-						}
-					}
-					buf = a.deanonymizeTraced(s, buf[:0], prepared, tv, sp)
-					if sp.Active() {
-						sp.Attr("candidates", int64(len(buf)))
-						sp.End()
-					}
-					o := TargetOutcome{Candidates: len(buf)}
-					if len(buf) == 1 {
-						o.Unique = true
-						o.Correct = buf[0] == truth[tv]
-					}
-					out.PerTarget[tv] = o
+	par.Sweep(workers, n, chunk, func(w, lo, hi int) {
+		if scratch[w] == nil {
+			scratch[w] = a.getScratch()
+		}
+		for _, tv32 := range order[lo:hi] {
+			tv := hin.EntityID(tv32)
+			var sp trace.Span
+			if lanes != nil {
+				if k := qSeen.Add(1); (k-1)%querySampleEvery == 0 &&
+					qSampled.Add(1) <= querySampleCap {
+					sp = root.ChildOn(lanes[w], "query")
+					sp.Attr("target", int64(tv))
 				}
 			}
-		}(w)
+			found := a.deanonymize(scratch[w], bufs[w][:0], prepared, tv, sp)
+			bufs[w] = found
+			if sp.Active() {
+				sp.Attr("candidates", int64(len(found)))
+				sp.End()
+			}
+			o := TargetOutcome{Candidates: len(found)}
+			if len(found) == 1 {
+				o.Unique = true
+				o.Correct = found[0] == truth[tv]
+			}
+			out.PerTarget[tv] = o
+		}
+	})
+	for _, s := range scratch {
+		if s != nil { // a worker that claimed no chunk took none
+			a.putScratch(s)
+		}
 	}
-	wg.Wait()
 
 	auxN := float64(a.aux.NumEntities())
 	correct, reduction := 0, 0.0

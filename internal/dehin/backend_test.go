@@ -6,6 +6,7 @@ import (
 
 	"github.com/hinpriv/dehin/internal/anonymize"
 	"github.com/hinpriv/dehin/internal/hin"
+	"github.com/hinpriv/dehin/internal/obs/trace"
 	"github.com/hinpriv/dehin/internal/randx"
 	"github.com/hinpriv/dehin/internal/tqq"
 )
@@ -40,11 +41,11 @@ func TestDeanonymizeSteadyStateZeroAllocCSR(t *testing.T) {
 		var dst []hin.EntityID
 		n := target.NumEntities()
 		for tv := 0; tv < n; tv++ { // warm every buffer past its high-water mark
-			dst = a.deanonymize(s, dst[:0], target, hin.EntityID(tv))
+			dst = a.deanonymize(s, dst[:0], target, hin.EntityID(tv), trace.Span{})
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			for tv := 0; tv < 25; tv++ {
-				dst = a.deanonymize(s, dst[:0], target, hin.EntityID(tv))
+				dst = a.deanonymize(s, dst[:0], target, hin.EntityID(tv), trace.Span{})
 			}
 		})
 		if allocs != 0 {

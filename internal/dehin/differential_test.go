@@ -8,6 +8,7 @@ import (
 	"github.com/hinpriv/dehin/internal/anonymize"
 	"github.com/hinpriv/dehin/internal/bipartite"
 	"github.com/hinpriv/dehin/internal/hin"
+	"github.com/hinpriv/dehin/internal/obs/trace"
 	"github.com/hinpriv/dehin/internal/randx"
 	"github.com/hinpriv/dehin/internal/tqq"
 )
@@ -115,7 +116,7 @@ func refDirectionMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.Ent
 
 // TestDifferentialEngineMatchesSeed sweeps every engine-relevant flag
 // combination over randomized anonymized communities and asserts the
-// query engine (degree pruning + scratch reuse + packed index) returns
+// query engine (degree pruning + scratch reuse + candidate index) returns
 // candidate sets identical to the seed reference implementation.
 func TestDifferentialEngineMatchesSeed(t *testing.T) {
 	for _, seed := range []uint64{17, 91} {
@@ -278,11 +279,11 @@ func TestDeanonymizeSteadyStateZeroAlloc(t *testing.T) {
 		var dst []hin.EntityID
 		n := tgt.Graph.NumEntities()
 		for tv := 0; tv < n; tv++ { // warm every buffer past its high-water mark
-			dst = a.deanonymize(s, dst[:0], tgt.Graph, hin.EntityID(tv))
+			dst = a.deanonymize(s, dst[:0], tgt.Graph, hin.EntityID(tv), trace.Span{})
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			for tv := 0; tv < 25; tv++ {
-				dst = a.deanonymize(s, dst[:0], tgt.Graph, hin.EntityID(tv))
+				dst = a.deanonymize(s, dst[:0], tgt.Graph, hin.EntityID(tv), trace.Span{})
 			}
 		})
 		if allocs != 0 {

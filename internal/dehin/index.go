@@ -2,7 +2,6 @@ package dehin
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/hinpriv/dehin/internal/hin"
@@ -16,40 +15,32 @@ import (
 // (yob, gender) index ordered by tweet count - it turns Algorithm 1's scan
 // over millions of auxiliary users into a few hundred comparisons.
 //
-// With at most two exact attributes whose values all fit in int32 (the
-// t.qq case: yob and gender), the bucket key is the two values packed into
-// one uint64, so a lookup is a single integer map probe with no per-call
-// string allocation. Wider or overflowing tuples fall back to the byte-
-// string encoding.
+// The bucket key is a 64-bit mix of the tuple (exactKey), so a lookup is
+// one integer map probe with no allocation for any number of attributes
+// and any int64 values. Distinct tuples may share a key; a bucket then
+// holds both, which is safe because profileCandidates re-checks every
+// entry with the entity matcher, and Config.UseIndex requires that
+// matcher to imply equality on the exact attributes.
 type profileIndex struct {
 	aux     hin.GraphBackend
 	spec    ProfileSpec
 	primary int // attr index used for ordering, -1 if none
-
-	packed   bool
-	bucketsP map[uint64][]hin.EntityID // packed-key buckets (packed == true)
-	buckets  map[string][]hin.EntityID // string-key buckets (packed == false)
+	buckets map[uint64][]hin.EntityID
 }
 
-// indexShardRows is how many auxiliary entities one index-build task
-// buckets; boundaries depend only on the entity count, never the worker
-// count.
-const indexShardRows = 1 << 14
+// shardRows is how many auxiliary entities one build task of the index
+// or the degree signature covers; boundaries depend only on the entity
+// count, never the worker count.
+const shardRows = 1 << 14
 
+// buildProfileIndex buckets the auxiliary graph on a pool of workers
+// (0 = GOMAXPROCS). The index is identical at any count: each shard
+// buckets a fixed entity range into a private map (recording keys in
+// first-occurrence order, so no merge step ranges over a map), and shards
+// merge in shard order - every bucket lists its entities ascending,
+// exactly as a serial scan appends them, which also makes the subsequent
+// unstable per-bucket sort deterministic.
 func buildProfileIndex(aux hin.GraphBackend, spec ProfileSpec, workers int) (*profileIndex, error) {
-	return buildProfileIndexOpt(aux, spec, false, workers)
-}
-
-// buildProfileIndexOpt exists so tests and benchmarks can force the
-// string-key fallback on a spec the packed path would normally take.
-//
-// workers sizes the build pool (0 = GOMAXPROCS). The index is identical
-// at any count: each shard buckets a fixed entity range into a private
-// map (recording keys in first-occurrence order, so no merge step ranges
-// over a map), and shards merge in shard order - every bucket lists its
-// entities ascending, exactly as the serial scan appended them, which
-// also makes the subsequent unstable per-bucket sort deterministic.
-func buildProfileIndexOpt(aux hin.GraphBackend, spec ProfileSpec, forceString bool, workers int) (*profileIndex, error) {
 	if err := validateProfileSpec(aux.Schema(), spec); err != nil {
 		return nil, err
 	}
@@ -57,114 +48,48 @@ func buildProfileIndexOpt(aux hin.GraphBackend, spec ProfileSpec, forceString bo
 		aux:     aux,
 		spec:    spec,
 		primary: -1,
+		buckets: make(map[uint64][]hin.EntityID),
 	}
 	if len(spec.GrowAttrs) > 0 {
 		idx.primary = spec.GrowAttrs[0]
 	}
 	n := aux.NumEntities()
-	shards := par.Shards(n, indexShardRows)
-	var keysP []uint64
-	var keysS []string
-	if !forceString && len(spec.ExactAttrs) <= 2 {
-		type packedShard struct {
-			keys     []uint64
-			m        map[uint64][]hin.EntityID
-			overflow bool
-		}
-		ps := make([]packedShard, shards)
-		par.Run(workers, shards, func(_, s int) {
-			lo, hi := par.Bounds(s, n, indexShardRows)
-			m := make(map[uint64][]hin.EntityID)
-			var keys []uint64
-			for v := lo; v < hi; v++ {
-				key, ok := packedProfileKey(aux, hin.EntityID(v), spec.ExactAttrs)
-				if !ok { // an attribute value outside int32: fall back wholesale
-					ps[s].overflow = true
-					return
-				}
-				b, seen := m[key]
-				if !seen {
-					keys = append(keys, key)
-				}
-				m[key] = append(b, hin.EntityID(v))
-			}
-			ps[s].keys, ps[s].m = keys, m
-		})
-		idx.packed = true
-		for s := range ps {
-			if ps[s].overflow {
-				idx.packed = false
-				break
-			}
-		}
-		if idx.packed {
-			idx.bucketsP = make(map[uint64][]hin.EntityID)
-			for s := range ps {
-				for _, k := range ps[s].keys {
-					b, seen := idx.bucketsP[k]
-					if !seen {
-						keysP = append(keysP, k)
-					}
-					idx.bucketsP[k] = append(b, ps[s].m[k]...)
-				}
-			}
-		}
+	type shard struct {
+		keys []uint64
+		m    map[uint64][]hin.EntityID
 	}
-	if !idx.packed {
-		type stringShard struct {
-			keys []string
-			m    map[string][]hin.EntityID
-			err  error
-		}
-		ss := make([]stringShard, shards)
-		var fe par.FirstErr
-		par.Run(workers, shards, func(_, s int) {
-			lo, hi := par.Bounds(s, n, indexShardRows)
-			m := make(map[string][]hin.EntityID)
-			var keys []string
-			for v := lo; v < hi; v++ {
-				key, err := profileKey(aux, hin.EntityID(v), spec.ExactAttrs)
-				if err != nil {
-					fe.Set(s, err)
-					return
-				}
-				b, seen := m[key]
-				if !seen {
-					keys = append(keys, key)
-				}
-				m[key] = append(b, hin.EntityID(v))
+	shards := make([]shard, par.Shards(n, shardRows))
+	par.Run(workers, len(shards), func(_, s int) {
+		lo, hi := par.Bounds(s, n, shardRows)
+		m := make(map[uint64][]hin.EntityID)
+		var keys []uint64
+		for v := lo; v < hi; v++ {
+			key := exactKey(aux, hin.EntityID(v), spec.ExactAttrs)
+			b, seen := m[key]
+			if !seen {
+				keys = append(keys, key)
 			}
-			ss[s].keys, ss[s].m = keys, m
-		})
-		if err := fe.Err(); err != nil {
-			return nil, err
+			m[key] = append(b, hin.EntityID(v))
 		}
-		idx.buckets = make(map[string][]hin.EntityID)
-		for s := range ss {
-			for _, k := range ss[s].keys {
-				b, seen := idx.buckets[k]
-				if !seen {
-					keysS = append(keysS, k)
-				}
-				idx.buckets[k] = append(b, ss[s].m[k]...)
+		shards[s].keys, shards[s].m = keys, m
+	})
+	var keys []uint64
+	for _, sh := range shards {
+		for _, k := range sh.keys {
+			b, seen := idx.buckets[k]
+			if !seen {
+				keys = append(keys, k)
 			}
+			idx.buckets[k] = append(b, sh.m[k]...)
 		}
 	}
 	if idx.primary >= 0 {
-		sortBucket := func(b []hin.EntityID) {
-			sort.Slice(b, func(i, j int) bool {
-				return aux.Attr(b[i], idx.primary) > aux.Attr(b[j], idx.primary)
+		par.Run(workers, len(keys), func(_, i int) {
+			b := idx.buckets[keys[i]]
+			sort.Slice(b, func(x, y int) bool {
+				return aux.Attr(b[x], idx.primary) > aux.Attr(b[y], idx.primary)
 			})
-		}
-		if idx.packed {
-			par.Run(workers, len(keysP), func(_, i int) {
-				sortBucket(idx.bucketsP[keysP[i]])
-			})
-		} else {
-			par.Run(workers, len(keysS), func(_, i int) {
-				sortBucket(idx.buckets[keysS[i]])
-			})
-		}
+		})
 	}
 	return idx, nil
 }
@@ -192,63 +117,27 @@ func validateProfileSpec(s *hin.Schema, spec ProfileSpec) error {
 	return check("grow", spec.GrowAttrs)
 }
 
-// packedProfileKey encodes up to two exact-match attribute values of v in
-// one uint64 (each truncation-checked into 32 bits). The second result is
-// false when a value does not fit - the caller falls back to string keys
-// (index build) or reports no bucket (lookup: if every auxiliary value
-// fits and the target's does not, no auxiliary entity can equal it).
-func packedProfileKey(g hin.GraphBackend, v hin.EntityID, exact []int) (uint64, bool) {
+// exactKey folds the exact-match attribute tuple of v into 64 bits, one
+// SplitMix64 finalizer round per attribute so that both the values and
+// their order reach every key bit. An empty ExactAttrs list maps every
+// entity to one bucket.
+func exactKey(g hin.GraphBackend, v hin.EntityID, exact []int) uint64 {
 	var key uint64
 	for _, ai := range exact {
-		x := g.Attr(v, ai)
-		if x < math.MinInt32 || x > math.MaxInt32 {
-			return 0, false
-		}
-		key = key<<32 | uint64(uint32(int32(x)))
+		key ^= uint64(g.Attr(v, ai))
+		key += 0x9e3779b97f4a7c15
+		key = (key ^ key>>30) * 0xbf58476d1ce4e5b9
+		key = (key ^ key>>27) * 0x94d049bb133111eb
+		key ^= key >> 31
 	}
-	return key, true
+	return key
 }
 
-// profileKey encodes the exact-match attribute tuple of v as a byte
-// string. An empty ExactAttrs list maps every entity to one bucket.
-func profileKey(g hin.GraphBackend, v hin.EntityID, exact []int) (string, error) {
-	var b []byte
-	for _, ai := range exact {
-		if ai < 0 || ai >= g.NumAttrs(v) {
-			return "", fmt.Errorf("dehin: profile attr %d out of range for entity %d", ai, v)
-		}
-		x := g.Attr(v, ai)
-		for i := 0; i < 8; i++ {
-			b = append(b, byte(x))
-			x >>= 8
-		}
-	}
-	return string(b), nil
-}
-
-// lookup returns the auxiliary entities whose exact attributes equal the
-// target's and whose primary growable attribute is >= the target's. The
-// caller still applies the full entity matcher to each.
+// lookup returns the auxiliary entities whose exact-attribute tuple
+// shares the target's key and whose primary growable attribute is >= the
+// target's. The caller still applies the full entity matcher to each.
 func (idx *profileIndex) lookup(target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
-	var bucket []hin.EntityID
-	if idx.packed {
-		key, ok := packedProfileKey(target, tv, idx.spec.ExactAttrs)
-		if !ok {
-			// Every auxiliary value fit in 32 bits (or the index would have
-			// fallen back to strings), so an overflowing target value
-			// matches no auxiliary entity.
-			return nil
-		}
-		bucket = idx.bucketsP[key]
-	} else {
-		key, err := profileKey(target, tv, idx.spec.ExactAttrs)
-		if err != nil {
-			// Unreachable for targets conforming to the schema the spec was
-			// validated against at build time.
-			return nil
-		}
-		bucket = idx.buckets[key]
-	}
+	bucket := idx.buckets[exactKey(target, tv, idx.spec.ExactAttrs)]
 	if idx.primary < 0 {
 		return bucket
 	}

@@ -25,59 +25,99 @@ func buildIndexFixture(tb testing.TB, users int) (*tqq.Dataset, *tqq.Target) {
 	return d, tgt
 }
 
-// TestPackedAndStringIndexAgree verifies the packed-uint64 key path and the
-// byte-string fallback produce identical buckets and lookups over the same
-// graph and spec.
-func TestPackedAndStringIndexAgree(t *testing.T) {
-	d, tgt := buildIndexFixture(t, 600)
-	spec := TQQProfile()
-	packed, err := buildProfileIndexOpt(d.Graph, spec, false, 1)
+// profileOnly returns the distance-0 candidate sets of every target
+// entity, with and without the candidate index.
+func profileOnly(t *testing.T, aux, target *hin.Graph, spec ProfileSpec) (indexed, scanned [][]hin.EntityID) {
+	t.Helper()
+	withIdx, err := NewAttack(aux, Config{Profile: spec, UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	str, err := buildProfileIndexOpt(d.Graph, spec, true, 1)
+	scan, err := NewAttack(aux, Config{Profile: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !packed.packed {
-		t.Fatal("two-attribute int32-range spec did not take the packed path")
+	for tv := 0; tv < target.NumEntities(); tv++ {
+		indexed = append(indexed, withIdx.Deanonymize(target, hin.EntityID(tv)))
+		scanned = append(scanned, scan.Deanonymize(target, hin.EntityID(tv)))
 	}
-	if str.packed {
-		t.Fatal("forceString index still packed")
-	}
-	n := tgt.Graph.NumEntities()
-	for tv := 0; tv < n; tv++ {
-		p := packed.lookup(tgt.Graph, hin.EntityID(tv))
-		s := str.lookup(tgt.Graph, hin.EntityID(tv))
-		if len(p) != len(s) {
-			t.Fatalf("target %d: packed %d candidates, string %d", tv, len(p), len(s))
-		}
-		for i := range p {
-			if p[i] != s[i] {
-				t.Fatalf("target %d: packed[%d]=%d, string[%d]=%d", tv, i, p[i], i, s[i])
-			}
-		}
-	}
+	return indexed, scanned
 }
 
-// TestPackedIndexOverflowFallsBack pins the wholesale fallback: one
-// auxiliary attribute value outside int32 must push the entire index onto
-// string keys, with lookups still correct.
-func TestPackedIndexOverflowFallsBack(t *testing.T) {
+// TestIndexOverflowingAuxValue pins exact-attribute values outside int32
+// on the auxiliary side: they key like any other int64, and an indexed
+// attack finds exactly the candidates a full scan finds.
+func TestIndexOverflowingAuxValue(t *testing.T) {
 	s := tqq.TargetSchema()
 	b := hin.NewBuilder(s)
-	b.AddEntity(0, "huge", int64(1)<<40, 1, 100, 2)
+	huge := b.AddEntity(0, "huge", int64(1)<<40, 1, 100, 2)
 	small := b.AddEntity(0, "small", 1980, 1, 100, 2)
 	aux, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := buildProfileIndex(aux, TQQProfile(), 1)
+	tb := hin.NewBuilder(s)
+	tb.AddEntity(0, "t-small", 1980, 1, 50, 1)
+	tb.AddEntity(0, "t-huge", int64(1)<<40, 1, 50, 1)
+	target, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.packed {
-		t.Fatal("index stayed packed despite a 2^40 attribute value")
+	indexed, scanned := profileOnly(t, aux, target, TQQProfile())
+	want := [][]hin.EntityID{{small}, {huge}}
+	for tv := range want {
+		if !slices.Equal(indexed[tv], want[tv]) || !slices.Equal(scanned[tv], want[tv]) {
+			t.Fatalf("target %d: index %v, scan %v, want %v", tv, indexed[tv], scanned[tv], want[tv])
+		}
+	}
+}
+
+// TestIndexOverflowingTargetValue pins the other direction: every
+// auxiliary value fits in int32 and a target's does not, so no auxiliary
+// entity can match it.
+func TestIndexOverflowingTargetValue(t *testing.T) {
+	aux := buildAux(t)
+	tb := hin.NewBuilder(tqq.TargetSchema())
+	tb.AddEntity(0, "t", int64(1)<<40, 1, 50, 1)
+	target, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed, scanned := profileOnly(t, aux, target, TQQProfile())
+	if len(indexed[0]) != 0 || len(scanned[0]) != 0 {
+		t.Fatalf("overflowing target value matched: index %v, scan %v", indexed[0], scanned[0])
+	}
+}
+
+// TestIndexKeyCollisionFiltered builds two auxiliary entities whose
+// (yob, gender) tuples differ but share one bucket key, and checks that
+// the lookup returns both while the attack keeps only the real match:
+// profileCandidates re-checks every bucket entry with the entity matcher.
+func TestIndexKeyCollisionFiltered(t *testing.T) {
+	s := tqq.TargetSchema()
+	// The key after the first attribute is one finalizer round of yob;
+	// choosing the second gender value to cancel the difference between
+	// two yob rounds makes the two-attribute keys collide.
+	yobs := hin.NewBuilder(s)
+	yobs.AddEntity(0, "", 1980, 0, 0, 0)
+	yobs.AddEntity(0, "", 1990, 0, 0, 0)
+	yg, err := yobs.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	yobOnly := []int{tqq.AttrYob}
+	gender := int64(exactKey(yg, 0, yobOnly) ^ exactKey(yg, 1, yobOnly) ^ 1)
+
+	b := hin.NewBuilder(s)
+	real := b.AddEntity(0, "real", 1980, 1, 100, 2)
+	b.AddEntity(0, "twin", 1990, gender, 100, 2)
+	aux, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := TQQProfile()
+	if exactKey(aux, 0, spec.ExactAttrs) != exactKey(aux, 1, spec.ExactAttrs) {
+		t.Fatal("fixture tuples do not collide")
 	}
 	tb := hin.NewBuilder(s)
 	tb.AddEntity(0, "t", 1980, 1, 50, 1)
@@ -85,45 +125,63 @@ func TestPackedIndexOverflowFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := idx.lookup(target, 0)
-	if len(got) != 1 || got[0] != small {
-		t.Fatalf("fallback lookup = %v, want [%d]", got, small)
+	idx, err := buildProfileIndex(aux, spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := idx.lookup(target, 0); len(got) != 2 {
+		t.Fatalf("lookup = %v, want both colliding entities", got)
+	}
+	indexed, scanned := profileOnly(t, aux, target, spec)
+	want := []hin.EntityID{real}
+	if !slices.Equal(indexed[0], want) || !slices.Equal(scanned[0], want) {
+		t.Fatalf("index %v, scan %v, want %v", indexed[0], scanned[0], want)
 	}
 }
 
-// TestPackedIndexOverflowingTargetValue pins the other direction: the
-// auxiliary graph packs fine, a target value overflows int32 - the packed
-// key computation fails and the lookup must report no candidates (correct,
-// since no in-range auxiliary value can equal it).
-func TestPackedIndexOverflowingTargetValue(t *testing.T) {
-	aux := buildAux(t)
-	idx, err := buildProfileIndex(aux, TQQProfile(), 1)
+// TestIndexWideExactTuple covers a spec with more than two exact
+// attributes: candidate sets equal the full scan's, and a lookup stays
+// allocation-free.
+func TestIndexWideExactTuple(t *testing.T) {
+	d, tgt := buildIndexFixture(t, 600)
+	spec := ProfileSpec{
+		ExactAttrs: []int{tqq.AttrYob, tqq.AttrGender, tqq.AttrNumTags},
+		GrowAttrs:  []int{tqq.AttrTweets},
+	}
+	indexed, scanned := profileOnly(t, d.Graph, tgt.Graph, spec)
+	found := 0
+	for tv := range indexed {
+		if !slices.Equal(indexed[tv], scanned[tv]) {
+			t.Fatalf("target %d: index %v, scan %v", tv, indexed[tv], scanned[tv])
+		}
+		found += len(indexed[tv])
+	}
+	if found == 0 {
+		t.Fatal("no target had a candidate")
+	}
+	idx, err := buildProfileIndex(d.Graph, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idx.packed {
-		t.Fatal("fixture index unexpectedly unpacked")
-	}
-	tb := hin.NewBuilder(tqq.TargetSchema())
-	tb.AddEntity(0, "t", int64(1)<<40, 1, 50, 1)
-	target, err := tb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.lookup(target, 0); got != nil {
-		t.Fatalf("overflowing target value matched %v, want nil", got)
+	allocs := testing.AllocsPerRun(20, func() {
+		for tv := 0; tv < tgt.Graph.NumEntities(); tv++ {
+			idx.lookup(tgt.Graph, hin.EntityID(tv))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("three-attribute lookups allocated %.1f times per pass", allocs)
 	}
 }
 
 // TestIndexBuildWorkerFingerprint pins the parallel build contract: at
 // every worker count the index is identical - same buckets, same entity
-// order within each bucket - on both the packed and string key paths.
-// The fixture spans several build shards so the merge really runs.
+// order within each bucket. The fixture spans several build shards so the
+// merge really runs.
 func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	s := tqq.TargetSchema()
 	rng := randx.New(77)
 	b := hin.NewBuilder(s)
-	n := 2*indexShardRows + 123
+	n := 2*shardRows + 123
 	for i := 0; i < n; i++ {
 		b.AddEntity(0, "", int64(1900+rng.Intn(80)), int64(rng.Intn(2)), int64(rng.Intn(5000)), int64(rng.Intn(4)))
 	}
@@ -131,39 +189,29 @@ func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, forceString := range []bool{false, true} {
-		ref, err := buildProfileIndexOpt(aux, TQQProfile(), forceString, 1)
+	ref, err := buildProfileIndex(aux, TQQProfile(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, runtime.NumCPU(), 0} {
+		got, err := buildProfileIndex(aux, TQQProfile(), workers)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for _, workers := range []int{2, 4, runtime.NumCPU(), 0} {
-			got, err := buildProfileIndexOpt(aux, TQQProfile(), forceString, workers)
-			if err != nil {
-				t.Fatalf("forceString=%v workers=%d: %v", forceString, workers, err)
-			}
-			if got.packed != ref.packed {
-				t.Fatalf("forceString=%v workers=%d: packed=%v, want %v", forceString, workers, got.packed, ref.packed)
-			}
-			if len(got.bucketsP) != len(ref.bucketsP) || len(got.buckets) != len(ref.buckets) {
-				t.Fatalf("forceString=%v workers=%d: bucket count mismatch", forceString, workers)
-			}
-			for k, rb := range ref.bucketsP {
-				if !slices.Equal(got.bucketsP[k], rb) {
-					t.Fatalf("forceString=%v workers=%d: packed bucket %x differs", forceString, workers, k)
-				}
-			}
-			for k, rb := range ref.buckets {
-				if !slices.Equal(got.buckets[k], rb) {
-					t.Fatalf("forceString=%v workers=%d: string bucket %q differs", forceString, workers, k)
-				}
+		if len(got.buckets) != len(ref.buckets) {
+			t.Fatalf("workers=%d: %d buckets, want %d", workers, len(got.buckets), len(ref.buckets))
+		}
+		for k, rb := range ref.buckets {
+			if !slices.Equal(got.buckets[k], rb) {
+				t.Fatalf("workers=%d: bucket %x differs", workers, k)
 			}
 		}
 	}
 }
 
-func benchmarkLookup(b *testing.B, forceString bool) {
+func BenchmarkProfileLookup(b *testing.B) {
 	d, tgt := buildIndexFixture(b, 5000)
-	idx, err := buildProfileIndexOpt(d.Graph, TQQProfile(), forceString, 1)
+	idx, err := buildProfileIndex(d.Graph, TQQProfile(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -174,6 +222,3 @@ func benchmarkLookup(b *testing.B, forceString bool) {
 		idx.lookup(tgt.Graph, hin.EntityID(i%n))
 	}
 }
-
-func BenchmarkProfileLookupPacked(b *testing.B) { benchmarkLookup(b, false) }
-func BenchmarkProfileLookupString(b *testing.B) { benchmarkLookup(b, true) }

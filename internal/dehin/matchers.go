@@ -64,23 +64,22 @@ func TQQProfile() ProfileSpec {
 // evaluation uses: exact attributes equal, growable attributes
 // auxiliary >= target, set attributes superset.
 //
-// The closure dispatches once per call to a same-backend specialization
-// when both graphs share a concrete type: the matcher runs per candidate
-// pair in the engine's innermost loop, and the concrete attribute reads
-// inline where the interface calls cannot (worth ~20% of whole-query time
-// on the in-memory backend). Go's gcshape generics would not recover
-// this - all pointer instantiations share one dictionary-dispatched body -
-// so the specializations are spelled out.
+// The closure dispatches once per call to an in-memory specialization
+// when both graphs are *hin.Graph: the matcher runs per candidate pair in
+// the engine's innermost loop, and the concrete attribute reads inline
+// where the interface calls cannot (worth ~20% of whole-query time on
+// that backend). Go's gcshape generics would not recover this - all
+// pointer instantiations share one dictionary-dispatched body - so the
+// specialization is spelled out. Only the in-memory pair gets one: the
+// experiment suite attacks in-memory releases against an in-memory
+// auxiliary graph, while the pipeline and the daemon attack in-memory
+// targets against a mapped *hin.CSRGraph, a mixed pair that takes the
+// interface body below.
 func (ps ProfileSpec) GrowthMatcher() EntityMatcher {
 	return func(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool {
-		switch tgc := tg.(type) {
-		case *hin.Graph:
+		if tgc, ok := tg.(*hin.Graph); ok {
 			if agc, ok := ag.(*hin.Graph); ok {
 				return ps.growthMatchMem(tgc, agc, tv, av)
-			}
-		case *hin.CSRGraph:
-			if agc, ok := ag.(*hin.CSRGraph); ok {
-				return ps.growthMatchCSR(tgc, agc, tv, av)
 			}
 		}
 		for _, i := range ps.ExactAttrs {
@@ -99,24 +98,9 @@ func (ps ProfileSpec) GrowthMatcher() EntityMatcher {
 
 // growthMatchMem is GrowthMatcher's body with both graphs on the
 // in-memory backend; the devirtualized Attr calls inline to two loads.
-// Any edit here must be mirrored in growthMatchCSR and the interface
-// fallback above (TestMatcherSpecializationsAgree pins the equivalence).
+// Any edit here must be mirrored in the interface body above
+// (TestMatcherSpecializationsAgree pins the equivalence).
 func (ps ProfileSpec) growthMatchMem(tg, ag *hin.Graph, tv, av hin.EntityID) bool {
-	for _, i := range ps.ExactAttrs {
-		if tg.Attr(tv, i) != ag.Attr(av, i) {
-			return false
-		}
-	}
-	for _, i := range ps.GrowAttrs {
-		if ag.Attr(av, i) < tg.Attr(tv, i) {
-			return false
-		}
-	}
-	return ps.subsetSetsMatch(tg, ag, tv, av)
-}
-
-// growthMatchCSR is growthMatchMem for the compact backend.
-func (ps ProfileSpec) growthMatchCSR(tg, ag *hin.CSRGraph, tv, av hin.EntityID) bool {
 	for _, i := range ps.ExactAttrs {
 		if tg.Attr(tv, i) != ag.Attr(av, i) {
 			return false
@@ -132,7 +116,7 @@ func (ps ProfileSpec) growthMatchCSR(tg, ag *hin.CSRGraph, tv, av hin.EntityID) 
 
 // subsetSetsMatch checks the SubsetSets clause (target set a subset of the
 // auxiliary's). Set lookups are per-name map probes on either backend, so
-// this shared tail costs the specializations nothing.
+// this shared tail costs the specialization nothing.
 func (ps ProfileSpec) subsetSetsMatch(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool {
 	for _, name := range ps.SubsetSets {
 		if !sortedSubset(tg.Set(name, tv), ag.Set(name, av)) {

@@ -49,48 +49,18 @@ func (a *Attack) DeanonymizeRanked(target hin.GraphBackend, tv hin.EntityID) []R
 }
 
 // neighborhoodScore computes matched-slots / total-slots at depth
-// cfg.MaxDistance (depth 0 scores every profile candidate 1). It builds
-// into the frame above the linkMatch recursion's deepest use, so the two
-// never collide.
+// cfg.MaxDistance (depth 0 scores every profile candidate 1): the size of
+// a maximum matching in each (link type, direction) compatibility graph,
+// over the number of target neighbors.
 func (a *Attack) neighborhoodScore(s *queryScratch, target hin.GraphBackend, tv, av hin.EntityID) float64 {
 	if a.cfg.MaxDistance == 0 {
 		return 1
 	}
 	totalSlots, matchedSlots := 0, 0
-	count := func(lt hin.LinkTypeID, inEdges bool) {
-		f := s.frame(a.cfg.MaxDistance)
-		var tns []hin.EntityID
-		var tws []int32
-		var ans []hin.EntityID
-		var aws []int32
-		if inEdges {
-			tns, tws = target.InEdgesBuf(&f.tbuf, lt, tv)
-			ans, aws = a.aux.InEdgesBuf(&f.abuf, lt, av)
-		} else {
-			tns, tws = target.OutEdgesBuf(&f.tbuf, lt, tv)
-			ans, aws = a.aux.OutEdgesBuf(&f.abuf, lt, av)
-		}
-		if len(tns) == 0 {
-			return
-		}
-		totalSlots += len(tns)
-		f.reset()
-		for i, tb := range tns {
-			for j, ab := range ans {
-				if !a.lm(tws[i], aws[j]) {
-					continue
-				}
-				if !a.emCached(s, target, tb, ab) {
-					continue
-				}
-				if a.cfg.MaxDistance > 1 && !a.linkMatch(s, target, a.cfg.MaxDistance-1, tb, ab) {
-					continue
-				}
-				f.dat = append(f.dat, int32(j))
-			}
-			f.closeRow()
-		}
-		matchedSlots += s.matcher.Match(f.graph(len(ans)))
+	count := func(lt hin.LinkTypeID, in bool) {
+		g, _, _ := a.neighborGraph(s, target, a.cfg.MaxDistance, tv, av, lt, in, false)
+		totalSlots += g.NLeft
+		matchedSlots += s.matcher.Match(g)
 	}
 	for _, lt := range a.cfg.LinkTypes {
 		count(lt, false)

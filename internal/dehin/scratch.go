@@ -34,7 +34,7 @@ type queryScratch struct {
 }
 
 // frame returns the adjacency frame for recursion depth n (1-based).
-// directionMatch at depth n builds its bipartite graph into frame n while
+// neighborGraph at depth n builds its bipartite graph into frame n while
 // the recursive linkMatch calls it makes during the build use frames
 // 1..n-1, so one frame per depth is exactly enough; the Hopcroft-Karp runs
 // themselves never nest (each fires only after its frame's build loop, and
@@ -59,7 +59,7 @@ type adjFrame struct {
 	dat  []int32
 	rows [][]int32
 	// tbuf and abuf are this depth's pooled adjacency decode cursors: the
-	// target and auxiliary rows directionMatch compares. Compact backends
+	// target and auxiliary rows neighborGraph compares. Compact backends
 	// decode varint rows into them (capacity amortizes to the largest row
 	// seen); the in-memory backend returns zero-copy views and leaves
 	// them untouched. One pair per frame keeps the rows of an in-progress

@@ -1,10 +1,8 @@
 package dehin
 
 import (
-	"runtime"
-	"sync"
-
 	"github.com/hinpriv/dehin/internal/hin"
+	"github.com/hinpriv/dehin/internal/par"
 )
 
 // degSignature is the auxiliary graph's per-entity, per-link-type degree
@@ -20,8 +18,8 @@ import (
 // neighbors to exist, whatever the entity and link matchers decide about
 // individual pairs - so rejecting when aux degree < need can never drop a
 // candidate directionMatch would have kept (it is the same bound
-// directionMatch enforces via len(ans), hoisted in front of the whole
-// recursion). Under the growth threat model this is exactly the
+// neighborGraph checks against the auxiliary degree, hoisted in front of
+// the whole recursion). Under the growth threat model this is exactly the
 // degree-monotonicity that degree-sequence attacks exploit: auxiliary
 // neighborhoods only gain edges after the target snapshot. NewAttack still
 // disables the filter when RemoveMajorityStrength or a custom LinkMatch/
@@ -35,45 +33,25 @@ type degSignature struct {
 	in  []int32 // nil unless in-edges are matched
 }
 
-// buildDegSignature precomputes the signature, parallelized across
-// GOMAXPROCS over disjoint entity ranges (each worker writes its own
-// slice segment; no synchronization beyond the WaitGroup).
-func buildDegSignature(aux hin.GraphBackend, lts []hin.LinkTypeID, useIn bool) *degSignature {
+// buildDegSignature precomputes the signature on a pool of workers
+// (0 = GOMAXPROCS), each shard writing only its own entities' slots.
+func buildDegSignature(aux hin.GraphBackend, lts []hin.LinkTypeID, useIn bool, workers int) *degSignature {
 	n := aux.NumEntities()
 	L := len(lts)
 	sig := &degSignature{lts: lts, out: make([]int32, n*L)}
 	if useIn {
 		sig.in = make([]int32, n*L)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				for k, lt := range lts {
-					sig.out[v*L+k] = int32(aux.OutDegree(lt, hin.EntityID(v)))
-					if sig.in != nil {
-						sig.in[v*L+k] = int32(aux.InDegree(lt, hin.EntityID(v)))
-					}
+	par.Sweep(workers, n, shardRows, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			for k, lt := range lts {
+				sig.out[v*L+k] = int32(aux.OutDegree(lt, hin.EntityID(v)))
+				if sig.in != nil {
+					sig.in[v*L+k] = int32(aux.InDegree(lt, hin.EntityID(v)))
 				}
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	return sig
 }
 
@@ -101,9 +79,9 @@ func (d *degSignature) admits(needs []int32, av hin.EntityID) bool {
 }
 
 // computeNeeds fills s.needs with the target entity's per-type matching
-// quotas (out first, then in when matched), mirroring directionMatch's
-// tolerance arithmetic; quotas clamp at zero because a non-positive need
-// constrains nothing.
+// quotas (out first, then in when matched), the Attack.quota values
+// neighborGraph computes; quotas clamp at zero because a non-positive
+// need constrains nothing.
 //
 //hin:hot
 func (a *Attack) computeNeeds(s *queryScratch, target hin.GraphBackend, tv hin.EntityID) {

@@ -121,11 +121,11 @@ func TestSingleQueryPathsNeverTraced(t *testing.T) {
 	// would make the public-path count nondeterministic).
 	s := &queryScratch{}
 	for tv := 0; tv < n; tv++ {
-		dst = a.deanonymize(s, dst[:0], prepared, hin.EntityID(tv))
+		dst = a.deanonymize(s, dst[:0], prepared, hin.EntityID(tv), trace.Span{})
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for tv := 0; tv < 25; tv++ {
-			dst = a.deanonymize(s, dst[:0], prepared, hin.EntityID(tv))
+			dst = a.deanonymize(s, dst[:0], prepared, hin.EntityID(tv), trace.Span{})
 		}
 	})
 	if allocs != 0 {

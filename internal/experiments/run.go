@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/hinpriv/dehin/internal/par"
 )
 
 // Runner regenerates one paper artifact (or ablation) on a prepared
@@ -318,7 +320,7 @@ func RunAllTimed(sink io.Writer, p Params) ([]*Table, []ExperimentTiming, CacheS
 	// together and which serialized behind a shared intermediate.
 	suite := p.Trace.Start("experiments.run_all")
 	suite.Attr("slots", int64(len(runAllOrder)))
-	go runLimited(p.Workers, len(runAllOrder), func(i int) {
+	go par.Run(p.Workers, len(runAllOrder), func(_, i int) {
 		sp := suite.Fork(runAllOrder[i])
 		//hin:allow determinism -- per-slot wall time feeds the -timing report and histograms only; experiment tables never see it
 		start := time.Now()

@@ -2,17 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/hinpriv/dehin/internal/anonymize"
 	"github.com/hinpriv/dehin/internal/dehin"
 	"github.com/hinpriv/dehin/internal/hin"
 	"github.com/hinpriv/dehin/internal/obs"
 	"github.com/hinpriv/dehin/internal/obs/trace"
+	"github.com/hinpriv/dehin/internal/par"
 	"github.com/hinpriv/dehin/internal/randx"
 	"github.com/hinpriv/dehin/internal/tqq"
 )
@@ -197,7 +196,7 @@ func NewWorkbench(p Params) (*Workbench, error) {
 	warm := w.tr.Start("workbench.warm")
 	warm.Attr("communities", int64(nc))
 	errs := make([]error, nc)
-	runLimited(p.Workers, nc, func(ci int) {
+	par.Run(p.Workers, nc, func(_, ci int) {
 		_, errs[ci] = w.target(ci)
 	})
 	warm.End()
@@ -210,39 +209,6 @@ func NewWorkbench(p Params) (*Workbench, error) {
 		"users", ds.Graph.NumEntities(), "edges", ds.Graph.NumEdgesTotal(),
 		"communities", nc)
 	return w, nil
-}
-
-// runLimited executes fn(0..n-1) on a pool of at most `workers`
-// goroutines (0 = GOMAXPROCS). Calls must be independent.
-func runLimited(workers, n int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // GenConfig returns the tqq generator configuration the workbench used

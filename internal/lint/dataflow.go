@@ -65,17 +65,6 @@ func forward[F any](c *CFG, fns flowFuncs[F], init F) map[*Block]F {
 	return in
 }
 
-// exitFact computes the fact at one block's out edge set (entry fact
-// pushed through its statements) — used to read the state at Exit/Panic
-// predecessors when reporting.
-func exitFact[F any](fns flowFuncs[F], in map[*Block]F, b *Block) F {
-	out := fns.clone(in[b])
-	for _, s := range b.Stmts {
-		fns.transfer(out, s)
-	}
-	return out
-}
-
 // identVar resolves an identifier to the variable it defines or uses.
 func identVar(info *types.Info, id *ast.Ident) *types.Var {
 	obj := info.Defs[id]

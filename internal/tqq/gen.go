@@ -242,9 +242,9 @@ func Generate(cfg Config) (*Dataset, error) {
 	tasks = append(tasks, planBackground(schema, cfg, inCommunity, rng.Split(3))...)
 
 	stage = root.Child("edges")
-	lanes := workerLanes(cfg.Trace, cfg.Workers, len(tasks))
+	lanes := par.Lanes(cfg.Trace, cfg.Workers, len(tasks))
 	edgeTaskNs := stageTaskHist(cfg, "edges")
-	runTasks(cfg.Workers, len(tasks), func(w, i int) {
+	par.Run(cfg.Workers, len(tasks), func(w, i int) {
 		var sp trace.Span
 		if lanes != nil {
 			sp = stage.ChildOn(lanes[w], "edge_task")
@@ -299,34 +299,6 @@ type edgeTask struct {
 	gen func() ([]edge, error)
 	out []edge
 	err error
-}
-
-// runTasks executes n independent tasks on a worker pool of the given
-// size (0 = GOMAXPROCS). Tasks must be independent: they draw randomness
-// only from streams derived before dispatch and write only to their own
-// slots, so the schedule cannot affect the result. The callback receives
-// the pool worker index (stable per goroutine, always 0 when serial) so
-// instrumentation can attribute work to timeline lanes.
-//
-// The pool itself now lives in internal/par (the shared deterministic
-// sweep layer grown out of this recipe); these wrappers keep the
-// generator's call sites and vocabulary unchanged.
-func runTasks(workers, n int, task func(worker, i int)) {
-	par.Run(workers, n, task)
-}
-
-// poolSize resolves the effective worker count runTasks will use for n
-// tasks: 0 means GOMAXPROCS, never more workers than tasks, at least 1.
-func poolSize(workers, n int) int {
-	return par.Workers(workers, n)
-}
-
-// workerLanes allocates one tracer track per pool worker, so the spans of
-// concurrently running tasks land on stable timeline lanes (Perfetto
-// renders one row per track and expects same-row spans to nest). Returns
-// nil when tracing is off - the single branch the disabled path pays.
-func workerLanes(tr *trace.Tracer, workers, n int) []trace.Track {
-	return par.Lanes(tr, workers, n)
 }
 
 // userShards returns the number of fixed-width user shards for cfg.
@@ -407,8 +379,8 @@ func genProfiles(b *hin.Builder, cfg Config, rng *randx.RNG, stage trace.Span) {
 	rngs := rng.Fork(nShards)
 	shards := make([]profileShard, nShards)
 	shardNs := stageTaskHist(cfg, "profiles")
-	lanes := workerLanes(cfg.Trace, cfg.Workers, nShards)
-	runTasks(cfg.Workers, nShards, func(w, s int) {
+	lanes := par.Lanes(cfg.Trace, cfg.Workers, nShards)
+	par.Run(cfg.Workers, nShards, func(w, s int) {
 		if lanes != nil {
 			sp := stage.ChildOn(lanes[w], "profiles_shard")
 			sp.Attr("shard", int64(s))
@@ -815,8 +787,8 @@ func genRecLog(cfg Config, rng *randx.RNG, stage trace.Span) ([]Item, []RecEntry
 	rngs := rng.Fork(nShards)
 	shards := make([]recShard, nShards)
 	shardNs := stageTaskHist(cfg, "reclog")
-	lanes := workerLanes(cfg.Trace, cfg.Workers, nShards)
-	runTasks(cfg.Workers, nShards, func(w, s int) {
+	lanes := par.Lanes(cfg.Trace, cfg.Workers, nShards)
+	par.Run(cfg.Workers, nShards, func(w, s int) {
 		var sp trace.Span
 		if lanes != nil {
 			sp = stage.ChildOn(lanes[w], "reclog_shard")
