@@ -143,6 +143,8 @@ fuzz:
 	$(GO) test -fuzz FuzzGenerateSmall -fuzztime $(FUZZTIME) -run '^$$' ./internal/tqq
 	$(GO) test -fuzz FuzzAdjRowCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
 	$(GO) test -fuzz FuzzOpenCSRFile -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
+	$(GO) test -fuzz FuzzWithOutRows -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
+	$(GO) test -fuzz FuzzServeDehin -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem

@@ -14,6 +14,9 @@
 // immutable snapshot swapped atomically by /v1/reload or SIGHUP, and
 // in-flight requests always finish on the epoch they started on.
 //
+// A client that has not finished sending its request headers within
+// readHeaderTimeout (10s) is disconnected.
+//
 // Observability is opt-in: -flight N retains the span trees of the last
 // N slow (>= -flight-slow) or failed requests for /debug/requests and a
 // SIGQUIT stderr dump; -runtime-metrics D polls runtime/metrics onto
@@ -138,7 +141,7 @@ func main() {
 		}
 	}()
 
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	term := make(chan os.Signal, 1)
 	signal.Notify(term, syscall.SIGINT, syscall.SIGTERM)
 	drained := make(chan struct{})
@@ -175,6 +178,14 @@ func main() {
 // shutdownDrainTimeout bounds how long SIGTERM/SIGINT waits for
 // in-flight requests before closing their connections.
 const shutdownDrainTimeout = 5 * time.Second
+
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, so slow-header (slowloris) connections are dropped rather than
+// piling up. It is the only server timeout set: /v1/dehin and /v1/reload
+// can legitimately run long, and with IdleTimeout and ReadTimeout both
+// zero a keep-alive connection waits for its next request as long as it
+// always did.
+const readHeaderTimeout = 10 * time.Second
 
 // intList parses a comma-separated list of non-negative integers; the
 // empty string is the empty list.

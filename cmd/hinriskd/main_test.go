@@ -321,6 +321,44 @@ func TestSIGTERMDrainsInFlight(t *testing.T) {
 	}
 }
 
+// TestReadHeaderTimeoutDropsSlowHeaders holds a connection that sends a
+// request line and one header but never the blank line ending them: the
+// daemon must drop it once readHeaderTimeout passes, while a second
+// connection is still answered. It waits out the real bound, so it takes
+// about readHeaderTimeout.
+func TestReadHeaderTimeoutDropsSlowHeaders(t *testing.T) {
+	graphPath, _ := writeFixtureGraph(t)
+	base, stop := startDaemon(t, "-graph", graphPath, "-addr", "127.0.0.1:0")
+	defer stop()
+	addr := strings.TrimPrefix(base, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "GET /v1/healthz HTTP/1.1\r\nHost: %s\r\n", addr); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(base + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz beside a slow client = %d, want 200", resp.StatusCode)
+	}
+
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 2*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon closes the connection without a reply; ReadAll returns at
+	// that EOF, or with a timeout if the connection is still open.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("slow-header connection still open %v after its headers began: %v", readHeaderTimeout+2*time.Second, err)
+	}
+}
+
 // writeSnippetFixtures derives the committed request fixtures from the
 // deterministic fixture graph: a real user-42 neighborhood snippet, a
 // profile-only snippet, and the two malformed bodies.

@@ -176,54 +176,47 @@ func CompleteGraph(g *hin.Graph, opt CGAOptions) (*hin.Graph, error) {
 		}
 	}
 	rng := randx.New(opt.Seed)
-	b := hin.NewBuilder(schema)
-	for i := 0; i < n; i++ {
-		id := hin.EntityID(i)
-		b.AddEntity(g.EntityType(id), g.Label(id), g.Attrs(id)...)
-		for _, sa := range schema.EntityType(g.EntityType(id)).SetAttrs {
-			if s := g.Set(sa, id); len(s) > 0 {
-				b.SetSet(sa, id, s)
-			}
-		}
-	}
-	for lt := 0; lt < schema.NumLinkTypes(); lt++ {
+	rows := make([]hin.Rows, schema.NumLinkTypes())
+	for lt := range rows {
 		ltid := hin.LinkTypeID(lt)
 		decl := schema.LinkType(ltid)
+		// A completion is a function of the seed through this draw
+		// order: the per-type constant first, then one draw per fake
+		// edge in (u, v) order.
 		constant := int32(rng.IntRange(1, opt.StrengthMax))
+		size := n * n
+		if !decl.AllowSelf {
+			size -= n
+		}
+		r := hin.Rows{
+			Off: make([]int64, n+1),
+			To:  make([]hin.EntityID, 0, size),
+			W:   make([]int32, 0, size),
+		}
 		for u := 0; u < n; u++ {
-			uid := hin.EntityID(u)
-			tos, ws := g.OutEdges(ltid, uid)
-			// Real edges keep their strengths.
-			for j, to := range tos {
-				if err := b.AddEdge(ltid, uid, to, ws[j]); err != nil {
-					return nil, err
-				}
-			}
-			// Fake edges fill the gaps; tos is sorted, walk it in step.
+			// Real edges keep their strengths; fake edges fill the gaps.
+			// tos is sorted, so one walk over v merges the two in order.
+			tos, ws := g.OutEdges(ltid, hin.EntityID(u))
 			j := 0
 			for v := 0; v < n; v++ {
-				if v == u && !decl.AllowSelf {
-					continue
-				}
-				for j < len(tos) && int(tos[j]) < v {
-					j++
-				}
-				if j < len(tos) && int(tos[j]) == v {
-					continue // real edge exists
-				}
 				w := int32(1)
-				if decl.Weighted {
-					if opt.VaryWeights {
-						w = int32(rng.IntRange(1, opt.StrengthMax))
-					} else {
-						w = constant
-					}
+				switch {
+				case j < len(tos) && int(tos[j]) == v:
+					w = ws[j]
+					j++
+				case v == u && !decl.AllowSelf:
+					continue
+				case decl.Weighted && opt.VaryWeights:
+					w = int32(rng.IntRange(1, opt.StrengthMax))
+				case decl.Weighted:
+					w = constant
 				}
-				if err := b.AddEdge(ltid, uid, hin.EntityID(v), w); err != nil {
-					return nil, err
-				}
+				r.To = append(r.To, hin.EntityID(v))
+				r.W = append(r.W, w)
 			}
+			r.Off[u+1] = int64(len(r.To))
 		}
+		rows[lt] = r
 	}
-	return b.Build()
+	return hin.WithOutRows(g, rows)
 }

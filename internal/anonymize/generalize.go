@@ -45,34 +45,31 @@ func GeneralizeStrengths(g *hin.Graph, k int, strengthMax int) (*hin.Graph, int,
 // identity.
 func bucketStrengths(g *hin.Graph, width int) (*hin.Graph, error) {
 	schema := g.Schema()
-	b := hin.NewBuilder(schema)
 	n := g.NumEntities()
-	for i := 0; i < n; i++ {
-		id := hin.EntityID(i)
-		b.AddEntity(g.EntityType(id), g.Label(id), g.Attrs(id)...)
-		for _, sa := range schema.EntityType(g.EntityType(id)).SetAttrs {
-			if s := g.Set(sa, id); len(s) > 0 {
-				b.SetSet(sa, id, s)
-			}
-		}
-	}
-	for lt := 0; lt < schema.NumLinkTypes(); lt++ {
+	rows := make([]hin.Rows, schema.NumLinkTypes())
+	for lt := range rows {
 		ltid := hin.LinkTypeID(lt)
 		weighted := schema.LinkType(ltid).Weighted
+		m := g.NumEdges(ltid)
+		r := hin.Rows{
+			Off: make([]int64, n+1),
+			To:  make([]hin.EntityID, 0, m),
+			W:   make([]int32, 0, m),
+		}
 		for v := 0; v < n; v++ {
 			tos, ws := g.OutEdges(ltid, hin.EntityID(v))
-			for j, to := range tos {
-				w := ws[j]
+			r.To = append(r.To, tos...)
+			for _, w := range ws {
 				if weighted && width > 1 {
 					w = (w-1)/int32(width)*int32(width) + 1
 				}
-				if err := b.AddEdge(ltid, hin.EntityID(v), to, w); err != nil {
-					return nil, err
-				}
+				r.W = append(r.W, w)
 			}
+			r.Off[v+1] = int64(len(r.To))
 		}
+		rows[lt] = r
 	}
-	return b.Build()
+	return hin.WithOutRows(g, rows)
 }
 
 // neighborhoodAnonymityLevel returns the size of the smallest equivalence

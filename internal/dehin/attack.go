@@ -235,37 +235,20 @@ func (a *Attack) DeanonymizeSpan(target hin.GraphBackend, tv hin.EntityID, qs tr
 }
 
 // ensureMemo (re)binds the scratch's memo table to the given prepared
-// target graph. Memoized results - linkMatch verdicts at depths >= 1 and
-// entity-matcher verdicts at depth 0 - are pure functions of (target
-// graph, auxiliary graph, config), so they stay valid for the lifetime of
-// the (attack, target graph) pair: the table resets only when the scratch
-// sees a different graph. This is what lets a whole Run (500 queries
-// against one release) amortize the depth-1 neighborhood recursion that
-// different targets share.
+// target graph. Memoized results - linkMatch verdicts, all at depths >= 1
+// - are pure functions of (target graph, auxiliary graph, config), so they
+// stay valid for the lifetime of the (attack, target graph) pair: the
+// table resets only when the scratch sees a different graph. This is what
+// lets a whole Run (500 queries against one release) amortize the depth-1
+// neighborhood recursion that different targets share. Entity-matcher
+// verdicts are not memoized: the matcher reads a few attributes, and
+// calling it costs less than probing a table grown to millions of entries.
 func (a *Attack) ensureMemo(s *queryScratch, target hin.GraphBackend) {
 	if s.memoTarget == target {
 		return
 	}
 	s.memo.reset(memoPackable(target, a.aux, a.cfg.MaxDistance))
 	s.memoTarget = target
-}
-
-// emCached is the entity matcher memoized per (target entity, auxiliary
-// entity) as depth-0 entries of the query memo. The matcher compares
-// attribute tuples (several Graph.Attr reads per call) and the same
-// neighbor pair is re-examined once per link type, direction, and parent
-// pair, so a table probe is substantially cheaper than re-evaluating it.
-//
-//hin:hot
-func (a *Attack) emCached(s *queryScratch, target hin.GraphBackend, tb, ab hin.EntityID) bool {
-	if r, ok := s.memo.get(tb, ab, 0); ok {
-		s.stats.memoHits++
-		return r
-	}
-	r := a.em(target, a.aux, tb, ab)
-	s.memo.put(tb, ab, 0, r)
-	s.stats.memoMisses++
-	return r
 }
 
 // deanonymize is the per-query entry point: the uninstrumented core plus,
@@ -461,7 +444,7 @@ func (a *Attack) neighborGraph(s *queryScratch, target hin.GraphBackend, n int, 
 			if !a.lm(tws[i], aws[j]) {
 				continue
 			}
-			if !a.emCached(s, target, tb, ab) {
+			if !a.em(target, a.aux, tb, ab) {
 				continue
 			}
 			if n > 1 && !a.linkMatch(s, target, n-1, tb, ab) {
@@ -505,37 +488,31 @@ func degree(g hin.GraphBackend, lt hin.LinkTypeID, v hin.EntityID, in bool) int 
 // which is what completing the follow graph costs the defender's victim
 // (Section 6.2).
 func RemoveMajorityStrengthEdges(g hin.GraphBackend) (*hin.Graph, error) {
-	schema := g.Schema()
-	b := hin.NewBuilder(schema)
 	n := g.NumEntities()
-	var attrs []int64
-	for i := 0; i < n; i++ {
-		id := hin.EntityID(i)
-		attrs = g.AppendAttrs(attrs[:0], id)
-		b.AddEntity(g.EntityType(id), g.Label(id), attrs...)
-		for _, sa := range schema.EntityType(g.EntityType(id)).SetAttrs {
-			if s := g.Set(sa, id); len(s) > 0 {
-				b.SetSet(sa, id, s)
-			}
-		}
-	}
+	rows := make([]hin.Rows, g.Schema().NumLinkTypes())
 	buf := &hin.EdgeBuf{}
-	for lt := 0; lt < schema.NumLinkTypes(); lt++ {
+	for lt := range rows {
 		ltid := hin.LinkTypeID(lt)
-		maj, _, ok := hin.MajorityStrength(g, ltid)
+		maj, count, ok := hin.MajorityStrength(g, ltid)
+		kept := g.NumEdges(ltid) - count
+		r := hin.Rows{
+			Off: make([]int64, n+1),
+			To:  make([]hin.EntityID, 0, kept),
+			W:   make([]int32, 0, kept),
+		}
 		for v := 0; v < n; v++ {
 			tos, ws := g.OutEdgesBuf(buf, ltid, hin.EntityID(v))
 			for j, to := range tos {
-				if ok && ws[j] == maj {
-					continue
-				}
-				if err := b.AddEdge(ltid, hin.EntityID(v), to, ws[j]); err != nil {
-					return nil, err
+				if !ok || ws[j] != maj {
+					r.To = append(r.To, to)
+					r.W = append(r.W, ws[j])
 				}
 			}
+			r.Off[v+1] = int64(len(r.To))
 		}
+		rows[lt] = r
 	}
-	return b.Build()
+	return hin.WithOutRows(g, rows)
 }
 
 // Query-span sampling policy for Run (see Config.Trace): trace every

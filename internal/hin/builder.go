@@ -101,23 +101,8 @@ func (b *Builder) AddEdge(lt LinkTypeID, from, to EntityID, w int32) error {
 	if to < 0 || int(to) >= len(b.etype) {
 		return fmt.Errorf("hin: edge destination %d out of range", to)
 	}
-	decl := b.schema.LinkType(lt)
-	if ft := b.schema.EntityType(b.etype[from]).Name; ft != decl.From {
-		return fmt.Errorf("hin: link %q requires source type %q, entity %d has %q",
-			decl.Name, decl.From, from, ft)
-	}
-	if tt := b.schema.EntityType(b.etype[to]).Name; tt != decl.To {
-		return fmt.Errorf("hin: link %q requires destination type %q, entity %d has %q",
-			decl.Name, decl.To, to, tt)
-	}
-	if from == to && !decl.AllowSelf {
-		return fmt.Errorf("hin: link %q forbids self-loops (entity %d)", decl.Name, from)
-	}
-	if w <= 0 {
-		return fmt.Errorf("hin: edge strength must be positive, got %d", w)
-	}
-	if !decl.Weighted && w != 1 {
-		return fmt.Errorf("hin: unweighted link %q requires strength 1, got %d", decl.Name, w)
+	if err := b.schema.checkEdge(lt, b.etype[from], b.etype[to], from, to, w); err != nil {
+		return err
 	}
 	b.eFrom[lt] = append(b.eFrom[lt], from)
 	b.eTo[lt] = append(b.eTo[lt], to)
@@ -127,7 +112,8 @@ func (b *Builder) AddEdge(lt LinkTypeID, from, to EntityID, w int32) error {
 
 // Build freezes the accumulated entities and edges into a Graph. Duplicate
 // edges of the same link type are merged by summing strengths (unweighted
-// duplicates collapse to a single strength-1 edge).
+// duplicates collapse to a single strength-1 edge). The reverse adjacency
+// is the transposition of the merged forward rows, as in WithOutRows.
 func (b *Builder) Build() (*Graph, error) {
 	if b.built {
 		return nil, fmt.Errorf("hin: Builder already built")
@@ -165,13 +151,9 @@ func (b *Builder) Build() (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		rev, err := buildCSR(n, b.eTo[lt], b.eFrom[lt], b.eW[lt], merged)
-		if err != nil {
-			return nil, err
-		}
-		g.fwd[lt] = fwd
-		g.rev[lt] = rev
 		b.eFrom[lt], b.eTo[lt], b.eW[lt] = nil, nil, nil
+		g.fwd[lt] = fwd
+		g.rev[lt] = transpose(n, &fwd)
 	}
 	return g, nil
 }

@@ -35,7 +35,9 @@ type setCol struct {
 
 // Graph is an immutable heterogeneous information network instance: typed
 // entities with scalar and set attributes, and per-link-type weighted
-// adjacency in both directions. Construct one with a Builder.
+// adjacency in both directions. Construct one with a Builder from an edge
+// stream, or with WithOutRows for a transform that keeps every entity of
+// an existing graph and rewrites only its edges.
 type Graph struct {
 	schema *Schema
 	n      int

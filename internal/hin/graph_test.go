@@ -190,13 +190,15 @@ func TestBuilderEndpointTypeCheck(t *testing.T) {
 	b := NewBuilder(s)
 	u := b.AddEntity(0, "")
 	tw := b.AddEntity(1, "")
+	u2 := b.AddEntity(0, "")
 	if err := b.AddEdge(0, u, tw, 1); err != nil {
 		t.Fatalf("valid edge rejected: %v", err)
 	}
 	if err := b.AddEdge(0, tw, u, 1); err == nil {
 		t.Fatal("reversed endpoint types accepted")
 	}
-	if err := b.AddEdge(0, u, u, 1); err == nil {
+	// u2 is a second User, so the edge is not also a self-loop.
+	if err := b.AddEdge(0, u, u2, 1); err == nil {
 		t.Fatal("wrong destination type accepted")
 	}
 }

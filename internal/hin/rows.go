@@ -1,0 +1,164 @@
+package hin
+
+import "fmt"
+
+// Rows is the forward adjacency of one link type in CSR form: row v is
+// To[Off[v]:Off[v+1]] (destinations, strictly ascending) with the
+// parallel strengths W.
+type Rows struct {
+	Off []int64
+	To  []EntityID
+	W   []int32
+}
+
+// WithOutRows returns a graph with src's entities - types, labels, scalar
+// attributes and set attributes - and rows[lt] as the forward adjacency of
+// link type lt. It is the constructor for transforms that keep every
+// entity and rewrite only the edges (stripping, completing or bucketing
+// strengths); Builder is for graphs assembled from an edge stream.
+//
+// The rows must be in final form: Off has length n+1, starts at 0, does
+// not decrease and ends at len(To) == len(W); every destination is in
+// range and the destinations of a row strictly ascend, so there are no
+// duplicate edges to merge; endpoint types match the link type; self-loops
+// appear only where the link type allows them; and strengths are positive,
+// and 1 on unweighted link types. A violation is returned as an error.
+//
+// The graph takes ownership of the rows' slices, which the caller must not
+// modify afterwards. A *Graph source shares its immutable entity columns
+// with the result; any other backend's entity columns are copied once,
+// keeping the set attributes declared by the schema that hold a value.
+func WithOutRows(src GraphBackend, rows []Rows) (*Graph, error) {
+	schema := src.Schema()
+	if len(rows) != schema.NumLinkTypes() {
+		return nil, fmt.Errorf("hin: %d adjacency rows for %d link types", len(rows), schema.NumLinkTypes())
+	}
+	var g *Graph
+	if sg, ok := src.(*Graph); ok {
+		g = &Graph{
+			schema:   schema,
+			n:        sg.n,
+			etype:    sg.etype,
+			label:    sg.label,
+			attrOff:  sg.attrOff,
+			attrData: sg.attrData,
+			sets:     sg.sets,
+		}
+	} else {
+		g = copyEntities(src)
+	}
+	g.fwd = make([]csr, len(rows))
+	g.rev = make([]csr, len(rows))
+	for lt, r := range rows {
+		c := csr{off: r.Off, to: r.To, w: r.W}
+		if err := g.checkRows(LinkTypeID(lt), &c); err != nil {
+			return nil, err
+		}
+		g.fwd[lt] = c
+		g.rev[lt] = transpose(g.n, &c)
+	}
+	return g, nil
+}
+
+// copyEntities copies the entity columns of any backend into a Graph with
+// no adjacency yet.
+func copyEntities(src GraphBackend) *Graph {
+	schema := src.Schema()
+	n := src.NumEntities()
+	g := &Graph{
+		schema:  schema,
+		n:       n,
+		etype:   make([]EntityTypeID, n),
+		label:   make([]string, n),
+		attrOff: make([]int64, n+1),
+		sets:    make(map[string]*setCol),
+	}
+	for v := 0; v < n; v++ {
+		id := EntityID(v)
+		g.etype[v] = src.EntityType(id)
+		g.label[v] = src.Label(id)
+		g.attrData = src.AppendAttrs(g.attrData, id)
+		g.attrOff[v+1] = int64(len(g.attrData))
+	}
+	for t := 0; t < schema.NumEntityTypes(); t++ {
+		for _, name := range schema.EntityType(EntityTypeID(t)).SetAttrs {
+			if _, done := g.sets[name]; done {
+				continue
+			}
+			col := &setCol{off: make([]int64, n+1)}
+			for v := 0; v < n; v++ {
+				if schema.SetAttrIndex(g.etype[v], name) >= 0 {
+					col.data = append(col.data, src.Set(name, EntityID(v))...)
+				}
+				col.off[v+1] = int64(len(col.data))
+			}
+			if len(col.data) > 0 {
+				g.sets[name] = col
+			}
+		}
+	}
+	return g
+}
+
+// checkRows validates one link type's forward rows against g's entities:
+// the row rules here, the per-edge rules in Schema.checkEdge (WithOutRows
+// lists both).
+func (g *Graph) checkRows(lt LinkTypeID, c *csr) error {
+	name := g.schema.LinkType(lt).Name
+	n := g.n
+	if len(c.off) != n+1 || c.off[0] != 0 {
+		return fmt.Errorf("hin: link %q: row offsets must have length %d and start at 0", name, n+1)
+	}
+	if len(c.to) != len(c.w) || c.off[n] != int64(len(c.to)) {
+		return fmt.Errorf("hin: link %q: row offsets end at %d for %d destinations and %d strengths",
+			name, c.off[n], len(c.to), len(c.w))
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := c.off[v], c.off[v+1]
+		if hi < lo || hi > c.off[n] {
+			return fmt.Errorf("hin: link %q: row offsets decrease after entity %d", name, v)
+		}
+		prev := EntityID(-1)
+		for i := lo; i < hi; i++ {
+			to := c.to[i]
+			if to < 0 || int(to) >= n {
+				return fmt.Errorf("hin: link %q: destination %d of entity %d out of range", name, to, v)
+			}
+			if to <= prev {
+				return fmt.Errorf("hin: link %q: row of entity %d is not strictly ascending at %d", name, v, to)
+			}
+			if err := g.schema.checkEdge(lt, g.etype[v], g.etype[to], EntityID(v), to, c.w[i]); err != nil {
+				return err
+			}
+			prev = to
+		}
+	}
+	return nil
+}
+
+// transpose returns the reverse adjacency of c over n entities. Sources
+// are visited in ascending order, so every reverse row comes out ascending
+// and, since c has no duplicate edges, duplicate-free.
+func transpose(n int, c *csr) csr {
+	off := make([]int64, n+1)
+	for _, to := range c.to {
+		off[to+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	next := make([]int64, n)
+	copy(next, off[:n])
+	to := make([]EntityID, len(c.to))
+	w := make([]int32, len(c.w))
+	for v := 0; v < n; v++ {
+		for i := c.off[v]; i < c.off[v+1]; i++ {
+			d := c.to[i]
+			p := next[d]
+			next[d]++
+			to[p] = EntityID(v)
+			w[p] = c.w[i]
+		}
+	}
+	return csr{off: off, to: to, w: w}
+}

@@ -1,0 +1,404 @@
+package hin
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/hinpriv/dehin/internal/randx"
+)
+
+// rowsSchema has one unweighted, one weighted and one AllowSelf link type
+// among users, plus a cross-type link to a second entity type.
+func rowsSchema(t testing.TB) *Schema {
+	t.Helper()
+	s, err := NewSchema(
+		[]EntityType{
+			{Name: "User", Attrs: []string{"yob"}, SetAttrs: []string{"tags"}},
+			{Name: "Tag"},
+		},
+		[]LinkType{
+			{Name: "follow", From: "User", To: "User"},
+			{Name: "mention", From: "User", To: "User", Weighted: true},
+			{Name: "self", From: "User", To: "User", Weighted: true, AllowSelf: true},
+			{Name: "has", From: "User", To: "Tag"},
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// randomMultigraph builds a rowsSchema graph from an edge stream with
+// duplicate edges on every link type: users first, then tags.
+func randomMultigraph(t testing.TB, seed uint64, users, tags, edges int) *Graph {
+	t.Helper()
+	rng := randx.New(seed)
+	b := NewBuilder(rowsSchema(t))
+	for i := 0; i < users; i++ {
+		v := b.AddEntity(0, fmt.Sprintf("u%d", i), int64(1900+rng.Intn(100)))
+		if rng.Intn(2) == 0 {
+			b.SetSet("tags", v, []int32{int32(rng.Intn(9)), int32(rng.Intn(9))})
+		}
+	}
+	for i := 0; i < tags; i++ {
+		b.AddEntity(1, fmt.Sprintf("t%d", i))
+	}
+	for i := 0; i < edges; i++ {
+		f := EntityID(rng.Intn(users))
+		to := EntityID(rng.Intn(users))
+		w := int32(rng.IntRange(1, 6))
+		var err error
+		switch lt := LinkTypeID(rng.Intn(4)); lt {
+		case 0:
+			if f != to {
+				err = b.AddEdge(lt, f, to, 1)
+			}
+		case 1:
+			if f != to {
+				err = b.AddEdge(lt, f, to, w)
+			}
+		case 2:
+			err = b.AddEdge(lt, f, to, w)
+		case 3:
+			if tags > 0 {
+				err = b.AddEdge(lt, f, EntityID(users+rng.Intn(tags)), 1)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// outRows copies every link type's forward rows out of g.
+func outRows(g GraphBackend) []Rows {
+	n := g.NumEntities()
+	rows := make([]Rows, g.Schema().NumLinkTypes())
+	buf := &EdgeBuf{}
+	for lt := range rows {
+		r := Rows{Off: make([]int64, n+1)}
+		for v := 0; v < n; v++ {
+			tos, ws := g.OutEdgesBuf(buf, LinkTypeID(lt), EntityID(v))
+			r.To = append(r.To, tos...)
+			r.W = append(r.W, ws...)
+			r.Off[v+1] = int64(len(r.To))
+		}
+		rows[lt] = r
+	}
+	return rows
+}
+
+// naiveTranspose is the reverse adjacency of r by collecting every edge
+// and sorting each destination's sources.
+func naiveTranspose(n int, r Rows) [][]Edge {
+	in := make([][]Edge, n)
+	for v := 0; v < n; v++ {
+		for i := r.Off[v]; i < r.Off[v+1]; i++ {
+			in[r.To[i]] = append(in[r.To[i]], Edge{To: EntityID(v), W: r.W[i]})
+		}
+	}
+	for _, row := range in {
+		slices.SortFunc(row, func(a, b Edge) int { return int(a.To) - int(b.To) })
+	}
+	return in
+}
+
+// checkTransposed fails unless g's reverse rows equal the naive
+// transposition of its forward rows and every row strictly ascends.
+func checkTransposed(t *testing.T, g *Graph) {
+	t.Helper()
+	n := g.NumEntities()
+	for lt, r := range outRows(g) {
+		want := naiveTranspose(n, r)
+		for v := 0; v < n; v++ {
+			froms, ws := g.InEdges(LinkTypeID(lt), EntityID(v))
+			for _, ids := range [][]EntityID{r.To[r.Off[v]:r.Off[v+1]], froms} {
+				for i := 1; i < len(ids); i++ {
+					if ids[i] <= ids[i-1] {
+						t.Fatalf("link %d entity %d: row %v not strictly ascending", lt, v, ids)
+					}
+				}
+			}
+			got := make([]Edge, len(froms))
+			for i := range froms {
+				got[i] = Edge{To: froms[i], W: ws[i]}
+			}
+			if !slices.Equal(got, want[v]) {
+				t.Fatalf("link %d entity %d: in-row %v, want %v", lt, v, got, want[v])
+			}
+		}
+	}
+}
+
+func TestBuildReverseIsTransposition(t *testing.T) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		rng := randx.New(seed)
+		users := rng.IntRange(1, 40)
+		checkTransposed(t, randomMultigraph(t, seed, users, rng.Intn(4), rng.Intn(8*users)))
+	}
+}
+
+// Rebuilding a graph from its own forward rows, from either backend, gives
+// the identical graph: the two encode to the same file image, which holds
+// every row in both directions, weight, label, attribute and set.
+func TestWithOutRowsRebuildsIdenticalGraph(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := randx.New(seed)
+		users := rng.IntRange(1, 30)
+		g := randomMultigraph(t, seed, users, rng.Intn(4), rng.Intn(6*users))
+		want := csrImage(t, g)
+		for _, src := range []GraphBackend{g, FromGraph(g)} {
+			got, err := WithOutRows(src, outRows(src))
+			if err != nil {
+				t.Fatalf("seed %d %T: %v", seed, src, err)
+			}
+			if !bytes.Equal(csrImage(t, got), want) {
+				t.Fatalf("seed %d %T: rebuilt graph differs from the source", seed, src)
+			}
+			checkTransposed(t, got)
+		}
+	}
+}
+
+func TestWithOutRowsEmptyGraph(t *testing.T) {
+	g, err := NewBuilder(rowsSchema(t)).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := WithOutRows(g, outRows(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumEntities() != 0 || got.NumEdgesTotal() != 0 {
+		t.Fatalf("empty rebuild has %d entities, %d edges", got.NumEntities(), got.NumEdgesTotal())
+	}
+}
+
+func TestWithOutRowsRejects(t *testing.T) {
+	// Users 0..2, tag 3.
+	b := NewBuilder(rowsSchema(t))
+	for i := 0; i < 3; i++ {
+		b.AddEntity(0, "", 1990)
+	}
+	b.AddEntity(1, "")
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const follow, mention, self, has LinkTypeID = 0, 1, 2, 3
+	// valid is a graph's worth of good rows; each case breaks one link
+	// type's rows.
+	valid := func() []Rows {
+		return []Rows{
+			follow:  {Off: []int64{0, 2, 2, 2, 2}, To: []EntityID{1, 2}, W: []int32{1, 1}},
+			mention: {Off: []int64{0, 1, 2, 2, 2}, To: []EntityID{2, 0}, W: []int32{4, 9}},
+			self:    {Off: []int64{0, 2, 2, 2, 2}, To: []EntityID{0, 1}, W: []int32{3, 3}},
+			has:     {Off: []int64{0, 1, 1, 1, 1}, To: []EntityID{3}, W: []int32{1}},
+		}
+	}
+	if _, err := WithOutRows(g, valid()); err != nil {
+		t.Fatalf("valid rows rejected: %v", err)
+	}
+	cases := []struct {
+		name  string
+		lt    LinkTypeID
+		rows  Rows
+		count int // number of link types passed, if not all
+		want  string
+	}{
+		{name: "too few link types", count: 3, want: "3 adjacency rows for 4 link types"},
+		{name: "too many link types", count: 5, want: "5 adjacency rows for 4 link types"},
+		{name: "short Off", lt: follow, rows: Rows{Off: []int64{0, 0, 0, 0}}, want: "length 5"},
+		{name: "long Off", lt: follow, rows: Rows{Off: []int64{0, 0, 0, 0, 0, 0}}, want: "length 5"},
+		{name: "nil Off", lt: follow, rows: Rows{}, want: "length 5"},
+		{name: "Off not starting at 0", lt: follow, rows: Rows{Off: []int64{1, 1, 1, 1, 1}, To: []EntityID{1}, W: []int32{1}}, want: "start at 0"},
+		{name: "decreasing Off", lt: follow, rows: Rows{Off: []int64{0, 2, 1, 2, 2}, To: []EntityID{1, 2}, W: []int32{1, 1}}, want: "decrease"},
+		{name: "Off past the end", lt: follow, rows: Rows{Off: []int64{0, 9, 0, 1, 1}, To: []EntityID{1}, W: []int32{1}}, want: "decrease"},
+		{name: "Off end short of To", lt: follow, rows: Rows{Off: []int64{0, 1, 1, 1, 1}, To: []EntityID{1, 2}, W: []int32{1, 1}}, want: "end at 1"},
+		{name: "W shorter than To", lt: follow, rows: Rows{Off: []int64{0, 2, 2, 2, 2}, To: []EntityID{1, 2}, W: []int32{1}}, want: "end at 2"},
+		{name: "destination past n", lt: follow, rows: Rows{Off: []int64{0, 1, 1, 1, 1}, To: []EntityID{4}, W: []int32{1}}, want: "out of range"},
+		{name: "negative destination", lt: follow, rows: Rows{Off: []int64{0, 1, 1, 1, 1}, To: []EntityID{-1}, W: []int32{1}}, want: "out of range"},
+		{name: "duplicate destination", lt: mention, rows: Rows{Off: []int64{0, 2, 2, 2, 2}, To: []EntityID{1, 1}, W: []int32{2, 2}}, want: "strictly ascending"},
+		{name: "descending destination", lt: mention, rows: Rows{Off: []int64{0, 2, 2, 2, 2}, To: []EntityID{2, 1}, W: []int32{2, 2}}, want: "strictly ascending"},
+		{name: "wrong source type", lt: follow, rows: Rows{Off: []int64{0, 0, 0, 0, 1}, To: []EntityID{0}, W: []int32{1}}, want: `source type "User", entity 3 has "Tag"`},
+		{name: "wrong destination type", lt: follow, rows: Rows{Off: []int64{0, 1, 1, 1, 1}, To: []EntityID{3}, W: []int32{1}}, want: `destination type "User", entity 3 has "Tag"`},
+		{name: "cross-type destination", lt: has, rows: Rows{Off: []int64{0, 1, 1, 1, 1}, To: []EntityID{1}, W: []int32{1}}, want: `destination type "Tag"`},
+		{name: "forbidden self-loop", lt: mention, rows: Rows{Off: []int64{0, 0, 1, 1, 1}, To: []EntityID{1}, W: []int32{1}}, want: "forbids self-loops"},
+		{name: "zero weight", lt: self, rows: Rows{Off: []int64{0, 1, 1, 1, 1}, To: []EntityID{0}, W: []int32{0}}, want: "must be positive"},
+		{name: "negative weight", lt: mention, rows: Rows{Off: []int64{0, 1, 1, 1, 1}, To: []EntityID{1}, W: []int32{-3}}, want: "must be positive"},
+		{name: "weight on unweighted type", lt: follow, rows: Rows{Off: []int64{0, 1, 1, 1, 1}, To: []EntityID{1}, W: []int32{2}}, want: "requires strength 1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := valid()
+			switch {
+			case tc.count > len(rows):
+				rows = append(rows, rows[0])
+			case tc.count > 0:
+				rows = rows[:tc.count]
+			default:
+				rows[tc.lt] = tc.rows
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			for _, src := range []GraphBackend{g, FromGraph(g)} {
+				got, err := WithOutRows(src, rows)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%T: got (%v, %v), want error containing %q", src, got, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// FuzzWithOutRows decodes arbitrary bytes into adjacency rows over a fixed
+// six-entity graph (users 0..4, tag 5). Every input must either be
+// rejected with an error or build a graph whose rows strictly ascend and
+// whose reverse side is the transposition of its forward side.
+func FuzzWithOutRows(f *testing.F) {
+	b := NewBuilder(rowsSchema(f))
+	for i := 0; i < 5; i++ {
+		b.AddEntity(0, fmt.Sprintf("u%d", i), int64(1980+i))
+	}
+	b.AddEntity(1, "t")
+	base, err := b.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := base.NumEntities()
+	f.Add(make([]byte, 64))
+	for seed := uint64(1); seed <= 4; seed++ {
+		want := randomFuzzGraph(f, base, seed)
+		data := encodeFuzzRows(outRows(want))
+		g, err := WithOutRows(base, decodeFuzzRows(data, base.Schema().NumLinkTypes(), n))
+		if err != nil || g.NumEdgesTotal() != want.NumEdgesTotal() {
+			f.Fatalf("seed %d does not decode to its graph: %v", seed, err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows := decodeFuzzRows(data, base.Schema().NumLinkTypes(), n)
+		if g, err := WithOutRows(base, rows); err == nil {
+			checkTransposed(t, g)
+		}
+	})
+}
+
+// decodeFuzzRows reads one signed byte at a time (zero once data runs
+// out). A negative first byte picks a wrong link-type count; per link type
+// Off[0] is the next byte / 64 and each later offset adds the next byte
+// % 8, To and W get lengths Off[n] + byte/64, destinations are byte %
+// (n+2) and strengths byte % 4. All-zero bytes decode to empty rows.
+func decodeFuzzRows(data []byte, numLT, n int) []Rows {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := int(int8(data[0]))
+		data = data[1:]
+		return b
+	}
+	count := numLT
+	if k := next(); k < 0 {
+		count = -k % (numLT + 2)
+	}
+	rows := make([]Rows, count)
+	for lt := range rows {
+		r := Rows{Off: make([]int64, n+1+next()/64)}
+		if len(r.Off) == 0 {
+			rows[lt] = r
+			continue
+		}
+		r.Off[0] = int64(next() / 64)
+		for v := 1; v < len(r.Off); v++ {
+			r.Off[v] = r.Off[v-1] + int64(next()%8)
+		}
+		last := int(r.Off[len(r.Off)-1])
+		r.To = make([]EntityID, max(0, last+next()/64))
+		r.W = make([]int32, max(0, last+next()/64))
+		for i := range r.To {
+			r.To[i] = EntityID(next() % (n + 2))
+		}
+		for i := range r.W {
+			r.W[i] = int32(next() % 4)
+		}
+		rows[lt] = r
+	}
+	return rows
+}
+
+// encodeFuzzRows is the inverse of decodeFuzzRows for well-formed rows
+// with at most 7 edges per row and strengths of at most 3.
+func encodeFuzzRows(rows []Rows) []byte {
+	out := []byte{0}
+	for _, r := range rows {
+		out = append(out, 0, 0)
+		for v := 1; v < len(r.Off); v++ {
+			out = append(out, byte(r.Off[v]-r.Off[v-1]))
+		}
+		out = append(out, 0, 0)
+		for _, to := range r.To {
+			out = append(out, byte(to))
+		}
+		for _, w := range r.W {
+			out = append(out, byte(w))
+		}
+	}
+	return out
+}
+
+// randomFuzzGraph returns base's entities with a few random edges per user
+// and link type, in the shape encodeFuzzRows accepts.
+func randomFuzzGraph(t testing.TB, base *Graph, seed uint64) *Graph {
+	t.Helper()
+	rng := randx.New(seed)
+	b := NewBuilder(base.Schema())
+	users := 0
+	for v := 0; v < base.NumEntities(); v++ {
+		b.AddEntity(base.EntityType(EntityID(v)), base.Label(EntityID(v)), base.Attrs(EntityID(v))...)
+		if base.EntityType(EntityID(v)) == 0 {
+			users++
+		}
+	}
+	for lt := 0; lt < 4; lt++ {
+		decl := base.Schema().LinkType(LinkTypeID(lt))
+		for u := 0; u < users; u++ {
+			// No duplicates: a merged strength could exceed 3.
+			seen := map[EntityID]bool{}
+			for k := rng.Intn(3); k > 0; k-- {
+				to := EntityID(rng.Intn(users))
+				if lt == 3 {
+					to = EntityID(users)
+				}
+				if seen[to] || to == EntityID(u) && !decl.AllowSelf {
+					continue
+				}
+				seen[to] = true
+				w := int32(1)
+				if decl.Weighted {
+					w = int32(rng.IntRange(1, 3))
+				}
+				if err := b.AddEdge(LinkTypeID(lt), EntityID(u), to, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}

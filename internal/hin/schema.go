@@ -58,6 +58,7 @@ type LinkType struct {
 type Schema struct {
 	entityTypes []EntityType
 	linkTypes   []LinkType
+	linkEnds    [][2]EntityTypeID // per link type: source and destination entity type
 	etByName    map[string]EntityTypeID
 	ltByName    map[string]LinkTypeID
 	attrIndex   []map[string]int // per entity type: attr name -> position
@@ -119,13 +120,16 @@ func NewSchema(entityTypes []EntityType, linkTypes []LinkType) (*Schema, error) 
 		if _, dup := s.ltByName[lt.Name]; dup {
 			return nil, fmt.Errorf("hin: duplicate link type %q", lt.Name)
 		}
-		if _, ok := s.etByName[lt.From]; !ok {
+		from, ok := s.etByName[lt.From]
+		if !ok {
 			return nil, fmt.Errorf("hin: link type %q: unknown source entity type %q", lt.Name, lt.From)
 		}
-		if _, ok := s.etByName[lt.To]; !ok {
+		to, ok := s.etByName[lt.To]
+		if !ok {
 			return nil, fmt.Errorf("hin: link type %q: unknown destination entity type %q", lt.Name, lt.To)
 		}
 		s.ltByName[lt.Name] = LinkTypeID(i)
+		s.linkEnds = append(s.linkEnds, [2]EntityTypeID{from, to})
 	}
 	return s, nil
 }
@@ -157,6 +161,31 @@ func (s *Schema) EntityType(id EntityTypeID) EntityType { return s.entityTypes[i
 
 // LinkType returns the declaration of link type id.
 func (s *Schema) LinkType(id LinkTypeID) LinkType { return s.linkTypes[id] }
+
+// checkEdge enforces the per-edge rules of link type lt for an edge
+// from -> to of strength w whose endpoints have entity types fromType and
+// toType: the endpoint types match the declaration (compared by type ID),
+// a self-loop needs AllowSelf, and the strength is positive, and 1 on an
+// unweighted link type. Builder.AddEdge and WithOutRows both call it, after
+// their own range checks.
+func (s *Schema) checkEdge(lt LinkTypeID, fromType, toType EntityTypeID, from, to EntityID, w int32) error {
+	decl := &s.linkTypes[lt]
+	switch {
+	case fromType != s.linkEnds[lt][0]:
+		return fmt.Errorf("hin: link %q requires source type %q, entity %d has %q",
+			decl.Name, decl.From, from, s.entityTypes[fromType].Name)
+	case toType != s.linkEnds[lt][1]:
+		return fmt.Errorf("hin: link %q requires destination type %q, entity %d has %q",
+			decl.Name, decl.To, to, s.entityTypes[toType].Name)
+	case from == to && !decl.AllowSelf:
+		return fmt.Errorf("hin: link %q forbids self-loops (entity %d)", decl.Name, from)
+	case w <= 0:
+		return fmt.Errorf("hin: edge strength must be positive, got %d", w)
+	case !decl.Weighted && w != 1:
+		return fmt.Errorf("hin: unweighted link %q requires strength 1, got %d", decl.Name, w)
+	}
+	return nil
+}
 
 // EntityTypeID resolves an entity type by name.
 func (s *Schema) EntityTypeID(name string) (EntityTypeID, bool) {

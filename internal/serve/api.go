@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -225,8 +226,8 @@ func writeJSON(w http.ResponseWriter, code int, body any) {
 }
 
 // queryInt parses an integer query parameter, with def when absent.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func queryInt(q url.Values, name string, def int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -239,8 +240,8 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 
 // distanceParam parses the shared distance parameter (default: the
 // server's MaxDistance — the most identifying view).
-func (s *Server) distanceParam(r *http.Request) (int, error) {
-	d, err := queryInt(r, "distance", s.cfg.MaxDistance)
+func (s *Server) distanceParam(q url.Values) (int, error) {
+	d, err := queryInt(q, "distance", s.cfg.MaxDistance)
 	if err != nil {
 		return 0, err
 	}
@@ -258,14 +259,15 @@ func (s *Server) handleRisk(r *http.Request, fr *trace.FlightReq) (int, any) {
 	defer s.release(sn)
 	fr.SetEpoch(sn.epoch)
 
-	d, err := s.distanceParam(r)
+	q := r.URL.Query()
+	d, err := s.distanceParam(q)
 	if err != nil {
 		return http.StatusBadRequest, errResponse{Error: err.Error(), Epoch: sn.epoch}
 	}
-	if r.URL.Query().Get("user") == "" {
+	if q.Get("user") == "" {
 		return http.StatusBadRequest, errResponse{Error: `parameter "user": required`, Epoch: sn.epoch}
 	}
-	user, err := queryInt(r, "user", 0)
+	user, err := queryInt(q, "user", 0)
 	if err != nil {
 		return http.StatusBadRequest, errResponse{Error: err.Error(), Epoch: sn.epoch}
 	}
@@ -291,11 +293,12 @@ func (s *Server) handleTopK(r *http.Request, fr *trace.FlightReq) (int, any) {
 	defer s.release(sn)
 	fr.SetEpoch(sn.epoch)
 
-	d, err := s.distanceParam(r)
+	q := r.URL.Query()
+	d, err := s.distanceParam(q)
 	if err != nil {
 		return http.StatusBadRequest, errResponse{Error: err.Error(), Epoch: sn.epoch}
 	}
-	k, err := queryInt(r, "k", 10)
+	k, err := queryInt(q, "k", 10)
 	if err != nil {
 		return http.StatusBadRequest, errResponse{Error: err.Error(), Epoch: sn.epoch}
 	}
