@@ -401,6 +401,42 @@ func BenchmarkDeanonymizeSingle(b *testing.B) {
 	}
 }
 
+// BenchmarkDeanonymizeCold measures one distance-2 query on a reset memo:
+// queries alternate between the releases of the two densest targets, so
+// the pooled scratch's memo is rebound (and emptied) before every query
+// and each one rebuilds its depth-1 neighbour graphs from scratch. This
+// is the neighbour stage BenchmarkDeanonymizeSingle's warm memo mostly
+// skips. allocs/op must be 0, as for the warm query.
+func BenchmarkDeanonymizeCold(b *testing.B) {
+	w := bench(b)
+	var releases [2]*hin.Graph
+	for k := range releases {
+		targets, err := w.Targets(len(w.Params.Densities) - 1 - k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		releases[k] = targets[0].Graph
+	}
+	a, err := w.Attack(dehin.Config{MaxDistance: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	query := func(dst []hin.EntityID, i int) []hin.EntityID {
+		tg := releases[i%2]
+		return a.DeanonymizeAppend(dst[:0], tg, hin.EntityID(i/2%tg.NumEntities()))
+	}
+	n := 2 * max(releases[0].NumEntities(), releases[1].NumEntities())
+	var dst []hin.EntityID
+	for i := 0; i < n; i++ { // warm the pooled scratch past its high-water mark
+		dst = query(dst, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = query(dst, i)
+	}
+}
+
 // BenchmarkDeanonymizeInstrumented is BenchmarkDeanonymizeSingle with a
 // live obs registry attached to the attack. The per-query events batch in
 // the scratch and flush once per query, so this must also stay 0 allocs/op

@@ -15,7 +15,8 @@
 // in-flight requests always finish on the epoch they started on.
 //
 // A client that has not finished sending its request headers within
-// readHeaderTimeout (10s) is disconnected.
+// readHeaderTimeout (10s) is disconnected, and a request whose headers
+// exceed maxHeaderBytes (16 KiB) is answered 431 and disconnected.
 //
 // Observability is opt-in: -flight N retains the span trees of the last
 // N slow (>= -flight-slow) or failed requests for /debug/requests and a
@@ -141,7 +142,7 @@ func main() {
 		}
 	}()
 
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
 	term := make(chan os.Signal, 1)
 	signal.Notify(term, syscall.SIGINT, syscall.SIGTERM)
 	drained := make(chan struct{})
@@ -186,6 +187,12 @@ const shutdownDrainTimeout = 5 * time.Second
 // zero a keep-alive connection waits for its next request as long as it
 // always did.
 const readHeaderTimeout = 10 * time.Second
+
+// maxHeaderBytes bounds the request line plus headers a client may send;
+// net/http answers a larger request 431 and closes the connection. Every
+// endpoint takes its input in the query string or the body, so 16 KiB is
+// ample, against net/http's 1 MiB default.
+const maxHeaderBytes = 16 << 10
 
 // intList parses a comma-separated list of non-negative integers; the
 // empty string is the empty list.

@@ -359,6 +359,46 @@ func TestReadHeaderTimeoutDropsSlowHeaders(t *testing.T) {
 	}
 }
 
+// TestMaxHeaderBytesRejectsOversizedHeaders sends a request whose headers
+// are twice maxHeaderBytes: the daemon must answer 431 and close that
+// connection, and a request on a fresh connection must still get a 200.
+func TestMaxHeaderBytesRejectsOversizedHeaders(t *testing.T) {
+	graphPath, _ := writeFixtureGraph(t)
+	base, stop := startDaemon(t, "-graph", graphPath, "-addr", "127.0.0.1:0")
+	defer stop()
+	addr := strings.TrimPrefix(base, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("a", 2*maxHeaderBytes)
+	if _, err := fmt.Fprintf(conn, "GET /v1/healthz HTTP/1.1\r\nHost: %s\r\nX-Pad: %s\r\n\r\n", addr, pad); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized headers = %d, want 431", resp.StatusCode)
+	}
+
+	fresh := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err = fresh.Get(base + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after an oversized request = %d, want 200", resp.StatusCode)
+	}
+}
+
 // writeSnippetFixtures derives the committed request fixtures from the
 // deterministic fixture graph: a real user-42 neighborhood snippet, a
 // profile-only snippet, and the two malformed bodies.

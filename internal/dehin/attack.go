@@ -34,11 +34,15 @@ type Config struct {
 	// UseIndex enables the (gender, yob, ...)-bucketed candidate index.
 	// It requires EntityMatch to imply equality on Profile.ExactAttrs and
 	// auxiliary >= target on the first Profile.GrowAttrs entry, which
-	// holds for the built-in matchers. Disable for exotic matchers.
+	// holds for the built-in matchers. Disable for exotic matchers. The
+	// neighbour stage relies on the same contract: it rejects a neighbour
+	// pair whose exact-attribute keys differ without calling the
+	// matchers.
 	UseIndex bool
 	// SharedIndex supplies a prebuilt index (see NewIndex) so many attack
 	// configurations over the same auxiliary graph can share one. It must
-	// have been built from the same graph and ProfileSpec.
+	// have been built from the same graph and ProfileSpec; NewAttack
+	// rejects one that was not. UseIndex's matcher contract applies.
 	SharedIndex *Index
 	// RemoveMajorityStrength preprocesses the target graph by deleting,
 	// per link type, every edge carrying that type's majority strength -
@@ -136,6 +140,9 @@ func NewAttack(aux hin.GraphBackend, cfg Config) (*Attack, error) {
 	case cfg.SharedIndex != nil:
 		if cfg.SharedIndex.idx.aux != aux {
 			return nil, fmt.Errorf("dehin: SharedIndex was built from a different auxiliary graph")
+		}
+		if !cfg.SharedIndex.idx.spec.equal(cfg.Profile) {
+			return nil, fmt.Errorf("dehin: SharedIndex was built from a different ProfileSpec")
 		}
 		a.index = cfg.SharedIndex.idx
 	case cfg.UseIndex:
@@ -412,6 +419,13 @@ func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int,
 // 1..n-1, so it never clobbers this build. need is how many left vertices
 // a matching must cover under NeighborTolerance.
 //
+// With a profile index, a pair whose exact-attribute keys differ is
+// rejected before either matcher runs: Config.UseIndex requires the entity
+// matcher to imply equality on Profile.ExactAttrs, so such a pair cannot
+// pass it. A pair with equal keys - a hash collision included - still goes
+// through both matchers and the recursion, so the graph is the one the
+// matchers alone would build.
+//
 // With verdict set the build serves a yes/no decision and gives up as soon
 // as the quota is out of reach - against av's degree before its row is
 // decoded, and on the running count of empty rows - returning ok false and
@@ -437,10 +451,21 @@ func (a *Attack) neighborGraph(s *queryScratch, target hin.GraphBackend, n int, 
 	}
 	ans, aws := edges(a.aux, &f.abuf, lt, av, in)
 	f.reset()
+	var keys []uint64
+	if a.index != nil {
+		keys = a.index.keys
+	}
 	empties := 0
 	for i, tb := range tns {
 		row := len(f.dat)
+		var tk uint64
+		if keys != nil {
+			tk = exactKey(target, tb, a.index.spec.ExactAttrs)
+		}
 		for j, ab := range ans {
+			if keys != nil && keys[ab] != tk {
+				continue
+			}
 			if !a.lm(tws[i], aws[j]) {
 				continue
 			}

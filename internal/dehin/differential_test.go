@@ -116,8 +116,11 @@ func refDirectionMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.Ent
 
 // TestDifferentialEngineMatchesSeed sweeps every engine-relevant flag
 // combination over randomized anonymized communities and asserts the
-// query engine (degree pruning + scratch reuse + candidate index) returns
-// candidate sets identical to the seed reference implementation.
+// query engine (degree pruning + scratch reuse + candidate index + the
+// neighbour stage's key prefilter) returns candidate sets identical to
+// the seed reference implementation, which calls both matchers on every
+// neighbour pair. The custom dimension runs the ablations' time-
+// synchronized matchers (exact entity and link matchers) over the index.
 func TestDifferentialEngineMatchesSeed(t *testing.T) {
 	for _, seed := range []uint64{17, 91} {
 		cfgGen := tqq.DefaultConfig(900, seed)
@@ -142,7 +145,9 @@ func TestDifferentialEngineMatchesSeed(t *testing.T) {
 			for _, tol := range []float64{0, 0.3} {
 				for _, fb := range []bool{false, true} {
 					for _, rm := range []bool{false, true} {
-						for _, sharedIdx := range []bool{false, true} {
+						for _, v := range []struct{ sharedIdx, custom bool }{
+							{false, false}, {true, false}, {false, true}, {true, true},
+						} {
 							cfg := Config{
 								MaxDistance:            2,
 								Profile:                TQQProfile(),
@@ -151,13 +156,17 @@ func TestDifferentialEngineMatchesSeed(t *testing.T) {
 								FallbackProfileOnly:    fb,
 								RemoveMajorityStrength: rm,
 							}
-							if sharedIdx {
+							if v.sharedIdx {
 								cfg.SharedIndex = shared
 							} else {
 								cfg.UseIndex = true
 							}
-							name := fmt.Sprintf("seed=%d in=%v tol=%g fb=%v rm=%v shared=%v",
-								seed, useIn, tol, fb, rm, sharedIdx)
+							if v.custom {
+								cfg.EntityMatch = TQQProfile().ExactMatcher()
+								cfg.LinkMatch = ExactLinkMatcher
+							}
+							name := fmt.Sprintf("seed=%d in=%v tol=%g fb=%v rm=%v shared=%v custom=%v",
+								seed, useIn, tol, fb, rm, v.sharedIdx, v.custom)
 							a, err := NewAttack(d.Graph, cfg)
 							if err != nil {
 								t.Fatal(err)
@@ -341,6 +350,25 @@ func TestProfileSpecValidation(t *testing.T) {
 	any := func(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool { return true }
 	if _, err := NewAttack(aux, Config{EntityMatch: any, Profile: ProfileSpec{ExactAttrs: []int{42}}}); err != nil {
 		t.Fatalf("custom-matcher attack rejected: %v", err)
+	}
+	// A shared index answers for the spec it was built from: the
+	// candidate lookup and the neighbour stage's key prefilter both read
+	// it, so an attack declaring another spec must be refused.
+	shared, err := NewIndex(aux, TQQProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewAttack(aux, Config{Profile: TQQProfile(), SharedIndex: shared}); err != nil {
+		t.Fatalf("matching shared spec rejected: %v", err)
+	}
+	for name, spec := range map[string]ProfileSpec{
+		"exact": {ExactAttrs: []int{tqq.AttrYob}, GrowAttrs: TQQProfile().GrowAttrs},
+		"grow":  {ExactAttrs: TQQProfile().ExactAttrs, GrowAttrs: []int{tqq.AttrTweets}},
+		"sets":  {ExactAttrs: TQQProfile().ExactAttrs, GrowAttrs: TQQProfile().GrowAttrs, SubsetSets: []string{tqq.TagsAttr}},
+	} {
+		if _, err := NewAttack(aux, Config{Profile: spec, SharedIndex: shared}); err == nil {
+			t.Errorf("%s: NewAttack accepted a SharedIndex built from another ProfileSpec", name)
+		}
 	}
 }
 

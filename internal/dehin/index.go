@@ -21,11 +21,17 @@ import (
 // holds both, which is safe because profileCandidates re-checks every
 // entry with the entity matcher, and Config.UseIndex requires that
 // matcher to imply equality on the exact attributes.
+//
+// keys holds every auxiliary entity's key, indexed by entity id (8 B per
+// entity), for the neighbour stage, which relies on the same contract:
+// neighborGraph rejects a neighbour pair whose keys differ before calling
+// either matcher.
 type profileIndex struct {
 	aux     hin.GraphBackend
 	spec    ProfileSpec
 	primary int // attr index used for ordering, -1 if none
 	buckets map[uint64][]hin.EntityID
+	keys    []uint64
 }
 
 // shardRows is how many auxiliary entities one build task of the index
@@ -36,10 +42,11 @@ const shardRows = 1 << 14
 // buildProfileIndex buckets the auxiliary graph on a pool of workers
 // (0 = GOMAXPROCS). The index is identical at any count: each shard
 // buckets a fixed entity range into a private map (recording keys in
-// first-occurrence order, so no merge step ranges over a map), and shards
-// merge in shard order - every bucket lists its entities ascending,
-// exactly as a serial scan appends them, which also makes the subsequent
-// unstable per-bucket sort deterministic.
+// first-occurrence order, so no merge step ranges over a map) and keeps
+// its entities' keys in a private column, and shards merge in shard
+// order - every bucket lists its entities ascending, exactly as a serial
+// scan appends them, which also makes the subsequent unstable per-bucket
+// sort deterministic.
 func buildProfileIndex(aux hin.GraphBackend, spec ProfileSpec, workers int) (*profileIndex, error) {
 	if err := validateProfileSpec(aux.Schema(), spec); err != nil {
 		return nil, err
@@ -55,26 +62,31 @@ func buildProfileIndex(aux hin.GraphBackend, spec ProfileSpec, workers int) (*pr
 	}
 	n := aux.NumEntities()
 	type shard struct {
-		keys []uint64
-		m    map[uint64][]hin.EntityID
+		keys   []uint64 // distinct keys, first-occurrence order
+		column []uint64 // the key of every entity in the shard's range
+		m      map[uint64][]hin.EntityID
 	}
 	shards := make([]shard, par.Shards(n, shardRows))
 	par.Run(workers, len(shards), func(_, s int) {
 		lo, hi := par.Bounds(s, n, shardRows)
 		m := make(map[uint64][]hin.EntityID)
 		var keys []uint64
+		column := make([]uint64, 0, hi-lo)
 		for v := lo; v < hi; v++ {
 			key := exactKey(aux, hin.EntityID(v), spec.ExactAttrs)
+			column = append(column, key)
 			b, seen := m[key]
 			if !seen {
 				keys = append(keys, key)
 			}
 			m[key] = append(b, hin.EntityID(v))
 		}
-		shards[s].keys, shards[s].m = keys, m
+		shards[s].keys, shards[s].column, shards[s].m = keys, column, m
 	})
+	idx.keys = make([]uint64, 0, n)
 	var keys []uint64
 	for _, sh := range shards {
+		idx.keys = append(idx.keys, sh.column...)
 		for _, k := range sh.keys {
 			b, seen := idx.buckets[k]
 			if !seen {

@@ -93,8 +93,12 @@ func TestIndexOverflowingTargetValue(t *testing.T) {
 // (yob, gender) tuples differ but share one bucket key, and checks that
 // the lookup returns both while the attack keeps only the real match:
 // profileCandidates re-checks every bucket entry with the entity matcher.
+// The twin is also the only auxiliary neighbour of one candidate in a
+// distance-1 query, so the neighbour stage's key prefilter passes the
+// pair and only the entity matcher can reject it.
 func TestIndexKeyCollisionFiltered(t *testing.T) {
 	s := tqq.TargetSchema()
+	follow := s.MustLinkTypeID(tqq.LinkFollow)
 	// The key after the first attribute is one finalizer round of yob;
 	// choosing the second gender value to cancel the difference between
 	// two yob rounds makes the two-attribute keys collide.
@@ -110,17 +114,28 @@ func TestIndexKeyCollisionFiltered(t *testing.T) {
 
 	b := hin.NewBuilder(s)
 	real := b.AddEntity(0, "real", 1980, 1, 100, 2)
-	b.AddEntity(0, "twin", 1990, gender, 100, 2)
+	twin := b.AddEntity(0, "twin", 1990, gender, 100, 2)
+	viaTwin := b.AddEntity(0, "via-twin", 1970, 0, 100, 2)
+	viaReal := b.AddEntity(0, "via-real", 1970, 0, 100, 2)
+	for _, e := range [][2]hin.EntityID{{viaTwin, twin}, {viaReal, real}} {
+		if err := b.AddEdge(follow, e[0], e[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	aux, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := TQQProfile()
-	if exactKey(aux, 0, spec.ExactAttrs) != exactKey(aux, 1, spec.ExactAttrs) {
+	if exactKey(aux, real, spec.ExactAttrs) != exactKey(aux, twin, spec.ExactAttrs) {
 		t.Fatal("fixture tuples do not collide")
 	}
 	tb := hin.NewBuilder(s)
-	tb.AddEntity(0, "t", 1980, 1, 50, 1)
+	tReal := tb.AddEntity(0, "t", 1980, 1, 50, 1)
+	tHub := tb.AddEntity(0, "t-hub", 1970, 0, 50, 1)
+	if err := tb.AddEdge(follow, tHub, tReal, 1); err != nil {
+		t.Fatal(err)
+	}
 	target, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -129,13 +144,25 @@ func TestIndexKeyCollisionFiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.lookup(target, 0); len(got) != 2 {
+	if got := idx.lookup(target, tReal); len(got) != 2 {
 		t.Fatalf("lookup = %v, want both colliding entities", got)
 	}
 	indexed, scanned := profileOnly(t, aux, target, spec)
 	want := []hin.EntityID{real}
-	if !slices.Equal(indexed[0], want) || !slices.Equal(scanned[0], want) {
-		t.Fatalf("index %v, scan %v, want %v", indexed[0], scanned[0], want)
+	if !slices.Equal(indexed[tReal], want) || !slices.Equal(scanned[tReal], want) {
+		t.Fatalf("index %v, scan %v, want %v", indexed[tReal], scanned[tReal], want)
+	}
+
+	a, err := NewAttack(aux, Config{MaxDistance: 1, Profile: spec, UseIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := a.Deanonymize(target, tHub)
+	if ref := refDeanonymize(a, target, tHub); !slices.Equal(got, ref) {
+		t.Fatalf("distance-1 engine %v, reference %v", got, ref)
+	}
+	if want := []hin.EntityID{viaReal}; !slices.Equal(got, want) {
+		t.Fatalf("distance-1 candidates = %v, want %v: a key-equal neighbour pair skipped the entity matcher", got, want)
 	}
 }
 
@@ -175,8 +202,8 @@ func TestIndexWideExactTuple(t *testing.T) {
 
 // TestIndexBuildWorkerFingerprint pins the parallel build contract: at
 // every worker count the index is identical - same buckets, same entity
-// order within each bucket. The fixture spans several build shards so the
-// merge really runs.
+// order within each bucket, same key column. The fixture spans several
+// build shards so the merge really runs.
 func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	s := tqq.TargetSchema()
 	rng := randx.New(77)
@@ -193,6 +220,14 @@ func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(ref.keys) != n {
+		t.Fatalf("key column has %d entries, want %d", len(ref.keys), n)
+	}
+	for v, k := range ref.keys {
+		if want := exactKey(aux, hin.EntityID(v), TQQProfile().ExactAttrs); k != want {
+			t.Fatalf("key of entity %d = %x, want %x", v, k, want)
+		}
+	}
 	for _, workers := range []int{2, 4, runtime.NumCPU(), 0} {
 		got, err := buildProfileIndex(aux, TQQProfile(), workers)
 		if err != nil {
@@ -205,6 +240,9 @@ func TestIndexBuildWorkerFingerprint(t *testing.T) {
 			if !slices.Equal(got.buckets[k], rb) {
 				t.Fatalf("workers=%d: bucket %x differs", workers, k)
 			}
+		}
+		if !slices.Equal(got.keys, ref.keys) {
+			t.Fatalf("workers=%d: key column differs", workers)
 		}
 	}
 }

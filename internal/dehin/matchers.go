@@ -13,6 +13,8 @@
 package dehin
 
 import (
+	"slices"
+
 	"github.com/hinpriv/dehin/internal/hin"
 	"github.com/hinpriv/dehin/internal/tqq"
 )
@@ -47,6 +49,14 @@ type ProfileSpec struct {
 	SubsetSets []string
 }
 
+// equal reports whether ps and o declare the same attributes in the same
+// roles and order.
+func (ps ProfileSpec) equal(o ProfileSpec) bool {
+	return slices.Equal(ps.ExactAttrs, o.ExactAttrs) &&
+		slices.Equal(ps.GrowAttrs, o.GrowAttrs) &&
+		slices.Equal(ps.SubsetSets, o.SubsetSets)
+}
+
 // TQQProfile is the profile specification for the t.qq target schema: yob
 // and gender exact; tweet count and number of tags growable. Tag IDs are
 // deliberately NOT matched: the KDD Cup release replaced them with
@@ -65,16 +75,17 @@ func TQQProfile() ProfileSpec {
 // auxiliary >= target, set attributes superset.
 //
 // The closure dispatches once per call to an in-memory specialization
-// when both graphs are *hin.Graph: the matcher runs per candidate pair in
-// the engine's innermost loop, and the concrete attribute reads inline
-// where the interface calls cannot (worth ~20% of whole-query time on
-// that backend). Go's gcshape generics would not recover this - all
-// pointer instantiations share one dictionary-dispatched body - so the
-// specialization is spelled out. Only the in-memory pair gets one: the
-// experiment suite attacks in-memory releases against an in-memory
-// auxiliary graph, while the pipeline and the daemon attack in-memory
-// targets against a mapped *hin.CSRGraph, a mixed pair that takes the
-// interface body below.
+// when both graphs are *hin.Graph: the profile stage runs the matcher on
+// every index-bucket entry, and the concrete attribute reads inline
+// where the interface calls cannot (worth ~12% of a warm query on that
+// backend; with an index, the neighbour stage calls the matcher only on
+// pairs whose exact-attribute keys agree). Go's gcshape generics would
+// not recover this - all pointer instantiations share one
+// dictionary-dispatched body - so the specialization is spelled out.
+// Only the in-memory pair gets one: the experiment suite attacks
+// in-memory releases against an in-memory auxiliary graph, while the
+// pipeline and the daemon attack in-memory targets against a mapped
+// *hin.CSRGraph, a mixed pair that takes the interface body below.
 func (ps ProfileSpec) GrowthMatcher() EntityMatcher {
 	return func(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool {
 		if tgc, ok := tg.(*hin.Graph); ok {

@@ -141,21 +141,37 @@ func StrengthCardinality(g GraphBackend, lt LinkTypeID) int {
 	return len(seen)
 }
 
+// denseStrengths bounds the strengths MajorityStrength counts in an array
+// rather than a map; interaction counters are small, and every release the
+// experiment suite strips has strengths <= 60.
+const denseStrengths = 256
+
 // MajorityStrength returns the most frequent edge strength of link type lt
-// and its count. The re-configured DeHIN of Section 6.2 removes all links
-// carrying the network-wide majority strength to strip Complete Graph
-// Anonymity's fake edges. ok is false if the link type has no edges.
+// and its count; a tie goes to the smallest strength. The re-configured
+// DeHIN of Section 6.2 removes all links carrying the network-wide majority
+// strength to strip Complete Graph Anonymity's fake edges. ok is false if
+// the link type has no edges.
 func MajorityStrength(g GraphBackend, lt LinkTypeID) (w int32, count int64, ok bool) {
-	counts := make(map[int32]int64)
+	var dense [denseStrengths]int64
+	sparse := make(map[int32]int64) // strengths outside [0, denseStrengths)
 	buf := &EdgeBuf{}
 	for v := 0; v < g.NumEntities(); v++ {
 		_, ws := g.OutEdgesBuf(buf, lt, EntityID(v))
 		for _, x := range ws {
-			counts[x]++
+			if uint32(x) < denseStrengths {
+				dense[x]++
+			} else {
+				sparse[x]++
+			}
 		}
 	}
-	for x, c := range counts {
-		if !ok || c > count || (c == count && x < w) {
+	for x, c := range dense {
+		if c > count {
+			w, count, ok = int32(x), c, true
+		}
+	}
+	for x, c := range sparse {
+		if c > count || (c == count && x < w) {
 			w, count, ok = x, c, true
 		}
 	}

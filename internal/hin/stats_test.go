@@ -167,13 +167,14 @@ func TestCardinalities(t *testing.T) {
 	}
 }
 
-func TestMajorityStrength(t *testing.T) {
-	s := targetSchema4(t)
-	b := NewBuilder(s)
+// majorityOf builds a graph whose mention links carry the given
+// strengths, one link per ordered entity pair, and returns its majority.
+func majorityOf(t *testing.T, weights []int32) (int32, int64, bool) {
+	t.Helper()
+	b := NewBuilder(targetSchema4(t))
 	for i := 0; i < 5; i++ {
 		b.AddEntity(0, "", 0)
 	}
-	weights := []int32{7, 7, 7, 2, 5}
 	k := 0
 	for i := 0; i < 5 && k < len(weights); i++ {
 		for j := 0; j < 5 && k < len(weights); j++ {
@@ -186,10 +187,38 @@ func TestMajorityStrength(t *testing.T) {
 			k++
 		}
 	}
-	g, _ := b.Build()
-	w, c, ok := MajorityStrength(g, 1)
-	if !ok || w != 7 || c != 3 {
-		t.Fatalf("majority = %d x%d %v", w, c, ok)
+	if k != len(weights) {
+		t.Fatalf("fixture holds %d links, not %d", k, len(weights))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return MajorityStrength(g, 1)
+}
+
+func TestMajorityStrength(t *testing.T) {
+	big := int32(denseStrengths + 44)
+	for _, tc := range []struct {
+		weights []int32
+		w       int32
+		count   int64
+	}{
+		{[]int32{7, 7, 7, 2, 5}, 7, 3},
+		// The majority lies above the dense bound, beside counted
+		// strengths below it.
+		{[]int32{big, 7, big, 2, 7, big}, big, 3},
+		{[]int32{denseStrengths, denseStrengths - 1, denseStrengths}, denseStrengths, 2},
+		{[]int32{1 << 30, 3, 1 << 30}, 1 << 30, 2},
+	} {
+		w, c, ok := majorityOf(t, tc.weights)
+		if !ok || w != tc.w || c != tc.count {
+			t.Errorf("majority of %v = %d x%d %v, want %d x%d", tc.weights, w, c, ok, tc.w, tc.count)
+		}
+	}
+	g, err := NewBuilder(targetSchema4(t)).Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, _, ok := MajorityStrength(g, 2); ok {
 		t.Fatal("empty link type should report no majority")
@@ -197,21 +226,24 @@ func TestMajorityStrength(t *testing.T) {
 }
 
 func TestMajorityStrengthTieBreaksLow(t *testing.T) {
-	s := targetSchema4(t)
-	b := NewBuilder(s)
-	for i := 0; i < 3; i++ {
-		b.AddEntity(0, "", 0)
-	}
-	if err := b.AddEdge(1, 0, 1, 9); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(1, 1, 2, 4); err != nil {
-		t.Fatal(err)
-	}
-	g, _ := b.Build()
-	w, c, ok := MajorityStrength(g, 1)
-	if !ok || c != 1 || w != 4 {
-		t.Fatalf("tie must break to the smaller strength: %d x%d %v", w, c, ok)
+	big := int32(denseStrengths + 44)
+	for _, tc := range []struct {
+		weights []int32
+		w       int32
+		count   int64
+	}{
+		{[]int32{9, 4}, 4, 1},
+		// A strength below the dense bound ties one above it.
+		{[]int32{big, 3, big, 3}, 3, 2},
+		{[]int32{big, 9, denseStrengths - 1, 9, big, denseStrengths - 1}, 9, 2},
+		// Two strengths above the bound tie.
+		{[]int32{big + 1, big, big + 1, big, 2}, big, 2},
+	} {
+		w, c, ok := majorityOf(t, tc.weights)
+		if !ok || w != tc.w || c != tc.count {
+			t.Errorf("tie must break to the smaller strength: majority of %v = %d x%d %v, want %d x%d",
+				tc.weights, w, c, ok, tc.w, tc.count)
+		}
 	}
 }
 
