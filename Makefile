@@ -60,9 +60,11 @@ lint:
 lint-mut:
 	$(GO) test -run TestMutation -count=1 ./internal/lint
 
-# verify is the CI gate: static checks (vet, then vet restricted to the
-# mutex-copy and loop-capture analyzers so they stay on even if the default
-# set changes, then hinlint), the race-detector run over the packages with
+# verify is the CI gate: formatting (gofmt -l over every tracked Go file;
+# git ls-files keeps build outputs such as .bench_build/ out), static
+# checks (vet, then vet restricted to the mutex-copy and loop-capture
+# analyzers so they stay on even if the default set changes, then
+# hinlint), the race-detector run over the packages with
 # real concurrency (the sharded generator, the parallel workbench/registry,
 # the obs metrics registry, the span tracer, and the hinriskd daemon
 # tests), the benchmark module's vet and tests (perfbench/ is its own
@@ -74,6 +76,8 @@ lint-mut:
 # SKIP_SERVE_SMOKE=1), and the bench-regression gate on the
 # zero-allocation query benchmarks. Keep it green before committing.
 verify:
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
+		test -z "$$unformatted" || { echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) vet -copylocks -loopclosure ./...
 	$(MAKE) lint

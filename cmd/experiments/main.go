@@ -49,7 +49,6 @@ func main() {
 		metrics  = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090 or 127.0.0.1:0)")
 		metDump  = flag.String("metrics-dump", "", "write a final JSON metrics snapshot to this file")
 		traceOut = flag.String("trace", "", "record a span timeline and write it as Chrome trace-event JSON (Perfetto/about://tracing) to this file")
-		backend  = flag.String("backend", "", "auxiliary graph backend: mem (default) or csr (compact, varint-compressed)")
 		graphIn  = flag.String("graph-in", "", "inspect a persisted CSR graph file (stats + dataset risk) and exit")
 		verbose  = flag.Bool("v", false, "debug-level progress logging on stderr")
 	)
@@ -103,7 +102,6 @@ func main() {
 	}
 	p.Parallelism = *par
 	p.Workers = *parallel
-	p.Backend = *backend
 
 	var reg *obs.Registry
 	if *metrics != "" || *metDump != "" || *timing {
@@ -126,12 +124,8 @@ func main() {
 		p.Log = logger
 	}
 
-	be := p.Backend
-	if be == "" {
-		be = experiments.BackendMem
-	}
-	fmt.Printf("params: aux=%d target=%d samples/density=%d densities=%v distances=%v seed=%d backend=%s\n\n",
-		p.AuxUsers, p.TargetSize, p.SamplesPerDensity, p.Densities, p.Distances, p.Seed, be)
+	fmt.Printf("params: aux=%d target=%d samples/density=%d densities=%v distances=%v seed=%d\n\n",
+		p.AuxUsers, p.TargetSize, p.SamplesPerDensity, p.Densities, p.Distances, p.Seed)
 
 	start := time.Now()
 	var tables []*experiments.Table

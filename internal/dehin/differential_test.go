@@ -141,6 +141,33 @@ func TestDifferentialEngineMatchesSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		check := func(name string, cfg Config, targets int) {
+			a, err := NewAttack(d.Graph, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepared, err := a.PrepareTarget(anon.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tv := 0; tv < targets; tv++ {
+				got := a.Deanonymize(prepared, hin.EntityID(tv))
+				want := refDeanonymize(a, prepared, hin.EntityID(tv))
+				if len(got) != len(want) {
+					t.Fatalf("%s target %d: engine %v, reference %v", name, tv, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s target %d: engine %v, reference %v", name, tv, got, want)
+					}
+				}
+			}
+		}
+		if seed == 17 {
+			// A distance past memoMaxDepth does not fit a packed memo
+			// key, so every query runs on the memo's map fallback.
+			check("seed=17 distance=256", Config{MaxDistance: memoMaxDepth + 1, Profile: TQQProfile(), UseIndex: true}, 8)
+		}
 		for _, useIn := range []bool{false, true} {
 			for _, tol := range []float64{0, 0.3} {
 				for _, fb := range []bool{false, true} {
@@ -165,28 +192,8 @@ func TestDifferentialEngineMatchesSeed(t *testing.T) {
 								cfg.EntityMatch = TQQProfile().ExactMatcher()
 								cfg.LinkMatch = ExactLinkMatcher
 							}
-							name := fmt.Sprintf("seed=%d in=%v tol=%g fb=%v rm=%v shared=%v custom=%v",
-								seed, useIn, tol, fb, rm, v.sharedIdx, v.custom)
-							a, err := NewAttack(d.Graph, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							prepared, err := a.PrepareTarget(anon.Graph)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for tv := 0; tv < 40; tv++ {
-								got := a.Deanonymize(prepared, hin.EntityID(tv))
-								want := refDeanonymize(a, prepared, hin.EntityID(tv))
-								if len(got) != len(want) {
-									t.Fatalf("%s target %d: engine %v, reference %v", name, tv, got, want)
-								}
-								for i := range got {
-									if got[i] != want[i] {
-										t.Fatalf("%s target %d: engine %v, reference %v", name, tv, got, want)
-									}
-								}
-							}
+							check(fmt.Sprintf("seed=%d in=%v tol=%g fb=%v rm=%v shared=%v custom=%v",
+								seed, useIn, tol, fb, rm, v.sharedIdx, v.custom), cfg, 40)
 						}
 					}
 				}

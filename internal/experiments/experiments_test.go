@@ -444,81 +444,22 @@ func TestRegistryAndRunUnknown(t *testing.T) {
 	}
 }
 
-// TestAllRenders exercises every experiment's Render path end to end on
-// the shared quick workbench, checking each table has a title, a header,
-// and at least one row.
+// TestAllRenders exercises every suite entry's Render path end to end on
+// the shared quick workbench, in one pass, checking each table has a
+// title, a header, and at least one row.
 func TestAllRenders(t *testing.T) {
-	w := quickBench(t)
-	var tables []*Table
-
-	t1, err := RunTable1(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, t1.Render(), RunFigure7(t1).Render())
-	t2, err := RunTable2(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, t2.Render())
-	t3, err := RunTable3(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, t3.Render(), RunFigure9(t3).Render())
-	t4, err := RunTable4(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, t4.Render())
-	f8, err := RunFigure8(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, f8.Render())
-	growth, err := RunGrowthAblation(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, growth.Render())
-	base, err := RunBaselineAblation(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, base.Render())
-	homog, err := RunHomogeneousAblation(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, homog.Render())
-	util, err := RunUtility(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, util.Render())
-	perturb, err := RunPerturbAblation(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, perturb.Render())
-	bn, err := RunBottleneck(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, bn.Render())
-	ob, err := RunObscurity(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables = append(tables, ob.Render())
-
-	for i, tb := range tables {
+	sh := &shared{w: quickBench(t)}
+	for _, e := range suite {
+		tb, err := e.run(sh)
+		if err != nil {
+			t.Fatalf("%s: %v", e.id, err)
+		}
 		if tb.Title == "" || len(tb.Header) == 0 || len(tb.Rows) == 0 {
-			t.Fatalf("table %d is hollow: %+v", i, tb)
+			t.Fatalf("%s table is hollow: %+v", e.id, tb)
 		}
 		out := tb.String()
 		if !strings.Contains(out, tb.Header[0]) {
-			t.Fatalf("table %d render lost its header:\n%s", i, out)
+			t.Fatalf("%s render lost its header:\n%s", e.id, out)
 		}
 	}
 }

@@ -47,8 +47,8 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", workers, err)
 		}
-		if len(tables) != len(runAllOrder) {
-			t.Fatalf("Workers=%d: got %d tables, want %d", workers, len(tables), len(runAllOrder))
+		if len(tables) != len(suite) {
+			t.Fatalf("Workers=%d: got %d tables, want %d", workers, len(tables), len(suite))
 		}
 		return tablesHash(tables)
 	}

@@ -61,12 +61,6 @@ type Params struct {
 	// Log receives levelled pipeline progress events. Nil disables
 	// logging.
 	Log *obs.Logger
-	// Backend selects the auxiliary graph representation the attacks run
-	// against: "" or "mem" keeps the in-memory hin.Graph, "csr" converts
-	// it to the compact CSR backend (hin.FromGraph). Results are identical
-	// for every value - the backends are differentially tested - so this
-	// is a performance/measurement knob, not an experimental variable.
-	Backend string
 }
 
 // DefaultParams returns the committed configuration: every paper shape is
@@ -125,19 +119,8 @@ func (p Params) validate() error {
 	if need > p.AuxUsers {
 		return fmt.Errorf("experiments: %d community users exceed %d auxiliary users", need, p.AuxUsers)
 	}
-	switch p.Backend {
-	case "", BackendMem, BackendCSR:
-	default:
-		return fmt.Errorf("experiments: unknown backend %q (want %q or %q)", p.Backend, BackendMem, BackendCSR)
-	}
 	return nil
 }
-
-// Backend values for Params.Backend.
-const (
-	BackendMem = "mem"
-	BackendCSR = "csr"
-)
 
 // LinkSubset names one of the 15 non-empty subsets of {follow, mention,
 // comment, retweet} in the paper's Table 1/3 notation (f, m, c, r).

@@ -138,25 +138,36 @@ func RunFigure7(t1 *Table1Result) *Figure7Result {
 		Params:    t1.Params,
 		Distances: append([]int{0}, t1.Distances...),
 	}
+	means := meanBySize(t1.Subsets, len(t1.Distances), func(si, ni int) float64 { return t1.Risk[si][ni] })
+	for _, m := range means {
+		res.Series = append(res.Series, append([]float64{t1.RiskAtZero}, m...))
+	}
+	return res
+}
+
+// meanBySize averages a subsets x columns grid over the subsets with the
+// same number of link types: out[k-1][ni] is the mean of cell(si, ni)
+// over the subsets si with k link types, summed in subset order.
+func meanBySize(subsets []string, cols int, cell func(si, ni int) float64) [][]float64 {
+	out := make([][]float64, 4)
 	for k := 1; k <= 4; k++ {
-		series := make([]float64, len(res.Distances))
-		series[0] = t1.RiskAtZero
+		series := make([]float64, cols)
 		count := 0
-		for si, name := range t1.Subsets {
+		for si, name := range subsets {
 			if subsetSize(name) != k {
 				continue
 			}
 			count++
-			for ni := range t1.Distances {
-				series[ni+1] += t1.Risk[si][ni]
+			for ni := range series {
+				series[ni] += cell(si, ni)
 			}
 		}
-		for ni := 1; ni < len(series); ni++ {
+		for ni := range series {
 			series[ni] /= float64(count)
 		}
-		res.Series = append(res.Series, series)
+		out[k-1] = series
 	}
-	return res
+	return out
 }
 
 // subsetSize counts the link types in a subset name like "f-m-c".
@@ -173,16 +184,20 @@ func subsetSize(name string) int {
 // Render lays Figure 7 out as a table: one row per link-type count, one
 // column per distance.
 func (r *Figure7Result) Render() *Table {
-	t := &Table{
-		Title:  "Figure 7: Privacy risk (percent) vs max distance, averaged by number of utilized link types",
-		Header: []string{"Link types \\ Max Distance"},
-	}
-	for _, n := range r.Distances {
+	return renderBySize("Figure 7: Privacy risk (percent) vs max distance, averaged by number of utilized link types",
+		r.Distances, r.Series)
+}
+
+// renderBySize renders the shared layout of Figures 7 and 9: one row per
+// link-type count, one column per distance.
+func renderBySize(title string, distances []int, series [][]float64) *Table {
+	t := &Table{Title: title, Header: []string{"Link types \\ Max Distance"}}
+	for _, n := range distances {
 		t.Header = append(t.Header, fmt.Sprintf("%d", n))
 	}
-	for k, series := range r.Series {
+	for k, vals := range series {
 		row := []string{fmt.Sprintf("%d", k+1)}
-		for _, v := range series {
+		for _, v := range vals {
 			row = append(row, pct(v))
 		}
 		t.Rows = append(t.Rows, row)

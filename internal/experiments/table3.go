@@ -106,42 +106,16 @@ type Figure9Result struct {
 
 // RunFigure9 derives Figure 9 from a Table 3 run.
 func RunFigure9(t3 *Table3Result) *Figure9Result {
-	res := &Figure9Result{Params: t3.Params, Distances: t3.Distances}
-	for k := 1; k <= 4; k++ {
-		series := make([]float64, len(t3.Distances))
-		count := 0
-		for si, name := range t3.Subsets {
-			if subsetSize(name) != k {
-				continue
-			}
-			count++
-			for ni := range t3.Distances {
-				series[ni] += t3.Cells[si][ni].Precision
-			}
-		}
-		for ni := range series {
-			series[ni] /= float64(count)
-		}
-		res.Series = append(res.Series, series)
+	return &Figure9Result{
+		Params:    t3.Params,
+		Distances: t3.Distances,
+		Series: meanBySize(t3.Subsets, len(t3.Distances),
+			func(si, ni int) float64 { return t3.Cells[si][ni].Precision }),
 	}
-	return res
 }
 
 // Render lays Figure 9 out as a table.
 func (r *Figure9Result) Render() *Table {
-	t := &Table{
-		Title:  "Figure 9: DeHIN precision (percent) vs max distance, averaged by number of utilized link types",
-		Header: []string{"Link types \\ Max Distance"},
-	}
-	for _, n := range r.Distances {
-		t.Header = append(t.Header, fmt.Sprintf("%d", n))
-	}
-	for k, series := range r.Series {
-		row := []string{fmt.Sprintf("%d", k+1)}
-		for _, v := range series {
-			row = append(row, pct(v))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	return renderBySize("Figure 9: DeHIN precision (percent) vs max distance, averaged by number of utilized link types",
+		r.Distances, r.Series)
 }

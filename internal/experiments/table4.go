@@ -76,28 +76,22 @@ type Figure8Result struct {
 // RunFigure8 runs all three anonymization pipelines. The KDDA series is
 // the plain DeHIN of Table 2; CGA and VW-CGA use the re-configured attack.
 func RunFigure8(w *Workbench) (*Figure8Result, error) {
-	t2, err := RunTable2(w)
-	if err != nil {
-		return nil, err
-	}
-	cga, err := runCGASweep(w, false)
-	if err != nil {
-		return nil, err
-	}
-	vw, err := runCGASweep(w, true)
-	if err != nil {
-		return nil, err
-	}
-	return figure8From(w.Params, t2, cga, vw), nil
+	return (&shared{w: w}).figure8()
 }
 
-// figure8From assembles Figure 8 from already-computed sweeps, letting
-// RunAll share the expensive parts across artifacts.
-func figure8From(p Params, t2 *Table2Result, cga, vw *Table4Result) *Figure8Result {
-	res := &Figure8Result{
-		Params:    p,
-		Densities: p.Densities,
-		Distances: p.Distances,
+// figure8 assembles Figure 8 from the pass's Table 2 and CGA sweeps.
+func (s *shared) figure8() (*Figure8Result, error) {
+	t2, err := s.table2()
+	if err != nil {
+		return nil, err
+	}
+	cga, err := s.table4()
+	if err != nil {
+		return nil, err
+	}
+	vw, err := s.vwcga()
+	if err != nil {
+		return nil, err
 	}
 	pick := func(cells [][]Cell) [][]float64 {
 		out := make([][]float64, len(cells))
@@ -109,10 +103,15 @@ func figure8From(p Params, t2 *Table2Result, cga, vw *Table4Result) *Figure8Resu
 		}
 		return out
 	}
-	res.KDDA = pick(t2.Cells)
-	res.CGA = pick(cga.Cells)
-	res.VWCGA = pick(vw.Cells)
-	return res
+	p := s.w.Params
+	return &Figure8Result{
+		Params:    p,
+		Densities: p.Densities,
+		Distances: p.Distances,
+		KDDA:      pick(t2.Cells),
+		CGA:       pick(cga.Cells),
+		VWCGA:     pick(vw.Cells),
+	}, nil
 }
 
 // Render emits one block per density panel, mirroring Figure 8(a)-(j).

@@ -58,9 +58,9 @@ func TestRunAllTraced(t *testing.T) {
 	if stats.Names["experiments.run_all"] != 1 {
 		t.Errorf("experiments.run_all spans = %d, want 1", stats.Names["experiments.run_all"])
 	}
-	for _, id := range runAllOrder {
-		if stats.Names[id] != 1 {
-			t.Errorf("slot span %q count = %d, want 1", id, stats.Names[id])
+	for _, e := range suite {
+		if stats.Names[e.id] != 1 {
+			t.Errorf("slot span %q count = %d, want 1", e.id, stats.Names[e.id])
 		}
 	}
 }

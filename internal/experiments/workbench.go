@@ -33,24 +33,20 @@ type Workbench struct {
 	Params  Params
 	Dataset *tqq.Dataset
 	Index   *dehin.Index
-	// Aux is the auxiliary graph in the backend Params.Backend selected:
-	// Dataset.Graph itself for "mem" (the default), or its compact CSR
-	// form for "csr". Every attack the workbench builds runs against Aux.
-	Aux hin.GraphBackend
 
 	// byDensity[i] lists the community indices of Params.Densities[i].
 	byDensity [][]int
 
-	targets   []targetSlot    // released targets, one slot per community
-	completed [2][]targetSlot // CGA completions: [varyWeights][community]
+	targets   []slot[*ReleasedTarget]    // released targets, one slot per community
+	completed [2][]slot[*ReleasedTarget] // CGA completions: [varyWeights][community]
 	mu        sync.Mutex
-	attacks   map[string]*attackSlot
+	attacks   map[string]*slot[*dehin.Attack]
 
 	// obs is never nil: Params.Metrics when provided, else a private
 	// registry, so the cache counters (and Stats) work with or without an
 	// exposed metrics endpoint.
-	obs   *obs.Registry
-	stats cacheCounters
+	obs                                *obs.Registry
+	targetCache, cgaCache, attackCache cacheClass
 	// tr mirrors Params.Trace (nil = tracing off): cache fills record
 	// spans with real durations, cache hits record instant spans, so an
 	// exported timeline shows which experiment paid for an artifact and
@@ -65,37 +61,61 @@ type ReleasedTarget struct {
 	Truth []hin.EntityID
 }
 
-// targetSlot memoizes one released (or CGA-completed) target.
-type targetSlot struct {
+// slot memoizes one value: the first get computes it, every other get -
+// concurrent ones included - blocks on that computation and shares its
+// result.
+type slot[T any] struct {
 	once sync.Once
-	rt   *ReleasedTarget
+	val  T
 	err  error
 }
 
-// attackSlot memoizes one constructed attack.
-type attackSlot struct {
-	once sync.Once
-	a    *dehin.Attack
-	err  error
+// get returns the slot's value, computing it with fill on the first call;
+// fresh reports whether this call was the one that computed it.
+func (s *slot[T]) get(fill func() (T, error)) (val T, fresh bool, err error) {
+	s.once.Do(func() {
+		fresh = true
+		s.val, s.err = fill()
+	})
+	return s.val, fresh, s.err
 }
 
-// cacheCounters are the workbench's resolved obs handles. The counter
-// names are part of the exposed metric surface (see OBSERVABILITY.md).
-type cacheCounters struct {
-	targetHits, targetMisses *obs.Counter
-	cgaHits, cgaMisses       *obs.Counter
-	attackHits, attackMisses *obs.Counter
+// cacheClass is one artifact class of the workbench cache: its resolved
+// obs counters (names in OBSERVABILITY.md) and its trace span names.
+type cacheClass struct {
+	hits, misses *obs.Counter
+	fill, hit    string
 }
 
-func newCacheCounters(r *obs.Registry) cacheCounters {
-	return cacheCounters{
-		targetHits:   r.Counter("workbench_target_cache_hits_total"),
-		targetMisses: r.Counter("workbench_target_cache_misses_total"),
-		cgaHits:      r.Counter("workbench_cga_cache_hits_total"),
-		cgaMisses:    r.Counter("workbench_cga_cache_misses_total"),
-		attackHits:   r.Counter("workbench_attack_cache_hits_total"),
-		attackMisses: r.Counter("workbench_attack_cache_misses_total"),
+func newCacheClass(r *obs.Registry, name string) cacheClass {
+	return cacheClass{
+		hits:   r.Counter("workbench_" + name + "_cache_hits_total"),
+		misses: r.Counter("workbench_" + name + "_cache_misses_total"),
+		fill:   "workbench." + name + "_fill",
+		hit:    "workbench." + name + "_hit",
 	}
+}
+
+// cached returns s's value through the cache class c. The call that fills
+// the slot counts a miss and records c's fill span around fill, which
+// sets the span's attributes; every other call counts a hit and records
+// an instant root span carrying key - the near-zero-width counterpart of
+// the fill span, cheap on the hot cache paths because the zero-tracer
+// case is one branch.
+func cached[T any](w *Workbench, c cacheClass, s *slot[T], key int64, fill func(trace.Span) (T, error)) (T, error) {
+	v, fresh, err := s.get(func() (T, error) {
+		c.misses.Add(1)
+		sp := w.tr.Start(c.fill)
+		defer sp.End()
+		return fill(sp)
+	})
+	if !fresh {
+		c.hits.Add(1)
+		sp := w.tr.Start(c.hit)
+		sp.Attr("key", key)
+		sp.End()
+	}
+	return v, err
 }
 
 // CacheStats is a point-in-time snapshot of the workbench artifact cache.
@@ -166,30 +186,25 @@ func NewWorkbench(p Params) (*Workbench, error) {
 	if err != nil {
 		return nil, err
 	}
-	var aux hin.GraphBackend = ds.Graph
-	if p.Backend == BackendCSR {
-		sp := p.Trace.Start("workbench.csr_convert")
-		aux = hin.FromGraph(ds.Graph)
-		sp.End()
-	}
-	idx, err := dehin.NewIndex(aux, dehin.TQQProfile())
+	idx, err := dehin.NewIndex(ds.Graph, dehin.TQQProfile())
 	if err != nil {
 		return nil, err
 	}
 	w := &Workbench{
-		Params:    p,
-		Dataset:   ds,
-		Index:     idx,
-		Aux:       aux,
-		byDensity: byDensity,
-		targets:   make([]targetSlot, len(cfg.Communities)),
-		attacks:   make(map[string]*attackSlot),
-		obs:       reg,
-		stats:     newCacheCounters(reg),
-		tr:        p.Trace,
+		Params:      p,
+		Dataset:     ds,
+		Index:       idx,
+		byDensity:   byDensity,
+		targets:     make([]slot[*ReleasedTarget], len(cfg.Communities)),
+		attacks:     make(map[string]*slot[*dehin.Attack]),
+		obs:         reg,
+		targetCache: newCacheClass(reg, "target"),
+		cgaCache:    newCacheClass(reg, "cga"),
+		attackCache: newCacheClass(reg, "attack"),
+		tr:          p.Trace,
 	}
 	for vw := range w.completed {
-		w.completed[vw] = make([]targetSlot, len(cfg.Communities))
+		w.completed[vw] = make([]slot[*ReleasedTarget], len(cfg.Communities))
 	}
 	// Warm every release now; experiments then only ever hit the cache.
 	nc := len(cfg.Communities)
@@ -241,33 +256,10 @@ func (w *Workbench) Targets(di int) ([]*ReleasedTarget, error) {
 // target returns community ci's released target, computing it at most
 // once.
 func (w *Workbench) target(ci int) (*ReleasedTarget, error) {
-	s := &w.targets[ci]
-	fresh := false
-	s.once.Do(func() {
-		fresh = true
-		w.stats.targetMisses.Add(1)
-		sp := w.tr.Start("workbench.target_fill")
+	return cached(w, w.targetCache, &w.targets[ci], int64(ci), func(sp trace.Span) (*ReleasedTarget, error) {
 		sp.Attr("community", int64(ci))
-		s.rt, s.err = w.releaseCommunity(ci)
-		sp.End()
+		return w.releaseCommunity(ci)
 	})
-	if !fresh {
-		w.stats.targetHits.Add(1)
-		w.cacheHitSpan("workbench.target_hit", int64(ci))
-	}
-	return s.rt, s.err
-}
-
-// cacheHitSpan records an instant root span marking a cache hit - the
-// near-zero-width counterpart of the *_fill spans, cheap enough for the
-// hot cache paths because the zero-tracer case is one branch.
-func (w *Workbench) cacheHitSpan(name string, key int64) {
-	if w.tr == nil {
-		return
-	}
-	sp := w.tr.Start(name)
-	sp.Attr("key", key)
-	sp.End()
 }
 
 // CompletedTargets returns the di-th density's released targets hardened
@@ -286,19 +278,12 @@ func (w *Workbench) CompletedTargets(di int, varyWeights bool) ([]*ReleasedTarge
 	strengthMax := w.GenConfig().StrengthMax
 	out := make([]*ReleasedTarget, 0, len(w.byDensity[di]))
 	for ti, ci := range w.byDensity[di] {
-		s := &w.completed[vw][ci]
-		fresh := false
-		s.once.Do(func() {
-			fresh = true
-			w.stats.cgaMisses.Add(1)
-			sp := w.tr.Start("workbench.cga_fill")
+		ct, err := cached(w, w.cgaCache, &w.completed[vw][ci], int64(ci), func(sp trace.Span) (*ReleasedTarget, error) {
 			sp.Attr("community", int64(ci))
 			sp.Attr("vary_weights", int64(vw))
-			defer sp.End()
 			rt, err := w.target(ci)
 			if err != nil {
-				s.err = err
-				return
+				return nil, err
 			}
 			cg, err := anonymize.CompleteGraph(rt.Graph, anonymize.CGAOptions{
 				VaryWeights: varyWeights,
@@ -306,19 +291,14 @@ func (w *Workbench) CompletedTargets(di int, varyWeights bool) ([]*ReleasedTarge
 				Seed:        w.Params.Seed + uint64(di*100+ti),
 			})
 			if err != nil {
-				s.err = err
-				return
+				return nil, err
 			}
-			s.rt = &ReleasedTarget{Graph: cg, Truth: rt.Truth}
+			return &ReleasedTarget{Graph: cg, Truth: rt.Truth}, nil
 		})
-		if !fresh {
-			w.stats.cgaHits.Add(1)
-			w.cacheHitSpan("workbench.cga_hit", int64(ci))
+		if err != nil {
+			return nil, err
 		}
-		if s.err != nil {
-			return nil, s.err
-		}
-		out = append(out, s.rt)
+		out = append(out, ct)
 	}
 	return out, nil
 }
@@ -369,31 +349,21 @@ func (w *Workbench) Attack(cfg dehin.Config) (*dehin.Attack, error) {
 		cfg.Trace = w.Params.Trace
 	}
 	if cfg.EntityMatch != nil || cfg.LinkMatch != nil {
-		return dehin.NewAttack(w.Aux, cfg)
+		return dehin.NewAttack(w.Dataset.Graph, cfg)
 	}
 	key := attackKey(cfg)
 	w.mu.Lock()
 	s, ok := w.attacks[key]
 	if !ok {
-		s = &attackSlot{}
+		s = &slot[*dehin.Attack]{}
 		w.attacks[key] = s
 	}
 	w.mu.Unlock()
-	fresh := false
-	s.once.Do(func() {
-		fresh = true
-		w.stats.attackMisses.Add(1)
-		sp := w.tr.Start("workbench.attack_fill")
+	return cached(w, w.attackCache, s, int64(cfg.MaxDistance), func(sp trace.Span) (*dehin.Attack, error) {
 		sp.Attr("distance", int64(cfg.MaxDistance))
 		sp.Attr("link_types", int64(len(cfg.LinkTypes)))
-		s.a, s.err = dehin.NewAttack(w.Aux, cfg)
-		sp.End()
+		return dehin.NewAttack(w.Dataset.Graph, cfg)
 	})
-	if !fresh {
-		w.stats.attackHits.Add(1)
-		w.cacheHitSpan("workbench.attack_hit", int64(cfg.MaxDistance))
-	}
-	return s.a, s.err
 }
 
 // attackKey canonicalizes the comparable dehin.Config fields. Profile and

@@ -114,7 +114,7 @@ func FuzzAdjRowCodec(f *testing.F) {
 	f.Add(appendAdjRow(nil, []EntityID{0, 2, 5}, nil, false), false, 10)
 	f.Add(appendAdjRow(nil, []EntityID{1, 3}, []int32{7, maxInt32}, true), true, 10)
 	f.Add([]byte{2, 1, 0}, false, 10)
-	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x08}, false, 1 << 30)
+	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x08}, false, 1<<30)
 	f.Fuzz(func(t *testing.T, dat []byte, weighted bool, n int) {
 		if n < 0 || n > 1<<30 {
 			n = 1 << 30

@@ -93,8 +93,8 @@ func TestMetaPathValidate(t *testing.T) {
 		{Name: "", Steps: []Step{{Link: "follow"}}},
 		{Name: "x"},
 		{Name: "x", Steps: []Step{{Link: "nope"}}},
-		{Name: "x", Steps: []Step{{Link: "mention"}}},           // starts at Tweet
-		{Name: "x", Steps: []Step{{Link: "post"}}},              // ends at Tweet
+		{Name: "x", Steps: []Step{{Link: "mention"}}},              // starts at Tweet
+		{Name: "x", Steps: []Step{{Link: "post"}}},                 // ends at Tweet
 		{Name: "x", Steps: []Step{{Link: "post"}, {Link: "post"}}}, // does not compose
 	}
 	for _, p := range bad {

@@ -7,7 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hinpriv/dehin/internal/dehin"
@@ -304,6 +307,105 @@ func TestReloadSwapsEpochAndRetiresFile(t *testing.T) {
 	getJSON(t, ts, "/v1/risk?user=1", 503, nil)
 	if err := s.Load(p1); err == nil {
 		t.Fatal("Load after Close succeeded")
+	}
+}
+
+// TestFailedReloadKeepsServing pins SERVICE.md's promise for a failed
+// load: the reload call answers 500 with a JSON error, the current
+// snapshot keeps serving byte-identical answers, serve_reload_errors_total
+// ticks once per failure, and serve_reloads_total and the epoch stay put.
+func TestFailedReloadKeepsServing(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.hincsr")
+	if err := hin.WriteCSRFile(good, testGraph(t, 300, 4)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(dir, "truncated.hincsr")
+	if err := os.WriteFile(truncated, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// One flipped body byte keeps the header valid but breaks the
+	// CRC-32C over everything after it.
+	corrupt := bytes.Clone(data)
+	corrupt[len(corrupt)/2] ^= 1
+	flipped := filepath.Join(dir, "flipped.hincsr")
+	if err := os.WriteFile(flipped, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := testConfig()
+	s := New(cfg)
+	if err := s.Load(good); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	answers := func() []string {
+		t.Helper()
+		var out []string
+		for _, path := range []string{
+			"/v1/risk?user=0&distance=1", "/v1/risk?user=17&distance=2",
+			"/v1/risk?user=299&distance=0", "/v1/snapshot",
+		} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != 200 {
+				t.Fatalf("GET %s = %d, %v: %s", path, resp.StatusCode, err, body)
+			}
+			out = append(out, string(body))
+		}
+		return out
+	}
+	before := answers()
+	epoch := s.Epoch()
+	reloads := cfg.Metrics.Counter("serve_reloads_total")
+	reloadErrs := cfg.Metrics.Counter("serve_reload_errors_total")
+	okReloads := reloads.Value()
+
+	for _, c := range []struct{ name, path, want string }{
+		{"missing", filepath.Join(dir, "missing.hincsr"), "no such file"},
+		{"truncated", truncated, "truncated"},
+		{"flipped", flipped, "checksum mismatch"},
+	} {
+		errs := reloadErrs.Value()
+		var e errResponse
+		postJSON(t, ts, "/v1/reload", reloadRequest{Source: c.path}, 500, &e)
+		if !strings.Contains(e.Error, c.want) || e.Epoch != epoch {
+			t.Fatalf("%s: error response %+v, want %q at epoch %d", c.name, e, c.want, epoch)
+		}
+		if got := reloadErrs.Value(); got != errs+1 {
+			t.Fatalf("%s: serve_reload_errors_total %d -> %d, want +1", c.name, errs, got)
+		}
+		if got := reloads.Value(); got != okReloads {
+			t.Fatalf("%s: serve_reloads_total moved %d -> %d", c.name, okReloads, got)
+		}
+		if got := s.Epoch(); got != epoch {
+			t.Fatalf("%s: epoch moved %d -> %d", c.name, epoch, got)
+		}
+		if got := answers(); !slices.Equal(got, before) {
+			t.Fatalf("%s: answers changed after a failed reload:\n%q\nwant\n%q", c.name, got, before)
+		}
+	}
+
+	// A failed load uses up an epoch number, so the good reload's epoch
+	// is larger but not necessarily epoch+1.
+	var info snapshotResponse
+	postJSON(t, ts, "/v1/reload", reloadRequest{Source: good}, 200, &info)
+	if info.Epoch <= epoch || s.Epoch() != info.Epoch {
+		t.Fatalf("good reload: info %+v, Epoch() %d, want an epoch above %d", info, s.Epoch(), epoch)
+	}
+	if got := reloads.Value(); got != okReloads+1 {
+		t.Fatalf("good reload: serve_reloads_total %d, want %d", got, okReloads+1)
 	}
 }
 

@@ -190,12 +190,12 @@ type edge struct {
 // serially - before any worker runs - from the stage stream, with fixed
 // shard boundaries (genShardUsers) or fixed task identity (community
 // index, link type). Workers only consume pre-derived streams and write
-// to pre-assigned slots. Edges are then handed to the Builder per link
-// type in ascending order, each type's buffer stably sorted by
-// (src, dst); ties (duplicate pairs, merged by summed strength at Build)
-// keep task order. The AddEntity/AddEdge sequence is therefore fully
-// specified, not an accident of scheduling: Generate(cfg) is
-// byte-identical for every Workers and GOMAXPROCS value.
+// to pre-assigned slots. Edges are then handed to the Builder task by
+// task in task order, so the AddEntity/AddEdge sequence is fixed, not an
+// accident of scheduling; Build sorts every row and merges duplicate
+// pairs by summed strength, so the graph would not depend on that order
+// anyway. Generate(cfg) is byte-identical for every Workers and
+// GOMAXPROCS value.
 func Generate(cfg Config) (*Dataset, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
@@ -272,7 +272,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		cfg.Metrics.Counter("tqq_generate_edges_total").Add(emitted)
 	}
 	stage = root.Child("merge")
-	err = mergeEdges(b, schema, tasks)
+	err = mergeEdges(b, tasks)
 	stage.End()
 	if err != nil {
 		return nil, err
@@ -680,30 +680,19 @@ func genBackgroundShard(cfg Config, inCommunity []bool, weighted bool, lo, hi in
 	return out
 }
 
-// mergeEdges feeds every task's edges into the Builder under the
-// specified ordering invariant: link types ascending, each type's
-// concatenated buffers (community tasks first, then background shards,
-// both in creation order) stably sorted by (src, dst). Duplicate pairs
-// merge at Build by summing strengths, which is order-independent, so
-// this ordering is about making the AddEdge sequence reproducible and
-// reviewable rather than an accident of task layout.
-func mergeEdges(b *hin.Builder, schema *hin.Schema, tasks []*edgeTask) error {
-	perType := make([][]edge, schema.NumLinkTypes())
+// mergeEdges feeds every task's edges into the Builder in task order
+// (community tasks first, then background shards, both in creation order)
+// and drops each task's buffer once it is fed. Build sorts each row and
+// merges duplicate pairs by summing strengths, which is order-independent,
+// so no sort is needed here.
+func mergeEdges(b *hin.Builder, tasks []*edgeTask) error {
 	for _, t := range tasks {
-		perType[t.lt] = append(perType[t.lt], t.out...)
-	}
-	for lt, edges := range perType {
-		slices.SortStableFunc(edges, func(a, b edge) int {
-			if a.src != b.src {
-				return int(a.src) - int(b.src)
-			}
-			return int(a.dst) - int(b.dst)
-		})
-		for _, e := range edges {
-			if err := b.AddEdge(hin.LinkTypeID(lt), e.src, e.dst, e.w); err != nil {
+		for _, e := range t.out {
+			if err := b.AddEdge(t.lt, e.src, e.dst, e.w); err != nil {
 				return err
 			}
 		}
+		t.out = nil
 	}
 	return nil
 }

@@ -124,13 +124,11 @@ func TestGenerateShardBoundaries(t *testing.T) {
 	}
 }
 
-// TestGenerateOrderingSpecified verifies the documented merge invariant
-// directly: within every link type the builder receives edges sorted by
-// (src, dst), so the generator's output ordering is part of its contract
-// rather than an accident of task layout. Build sorting would mask a
-// violation, so this test goes through the merge path with a fake
-// builder-level probe: it regenerates and checks the CSR rows are the
-// sorted multiset union regardless of which task emitted what.
+// TestGenerateOrderingSpecified pins the generator's output ordering:
+// the tasks feed the builder in task order, unsorted, and Build sorts
+// every row and merges duplicate pairs, so every CSR row must come out
+// strictly ascending whichever task emitted which edge. Community member
+// lists must be ascending too.
 func TestGenerateOrderingSpecified(t *testing.T) {
 	cfg := DefaultConfig(1200, 9)
 	cfg.Workers = 4

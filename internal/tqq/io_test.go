@@ -142,14 +142,14 @@ func TestLoadDatasetCorruptEdgeFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct{ file, content string }{
-		{"user_mention.txt", "u0000001\tu0000002\n"},          // missing strength
-		{"user_mention.txt", "u0000001\tu0000002\tNaN\n"},     // bad strength
-		{"user_mention.txt", "u0000001\tu0000002\t0\n"},       // zero strength
-		{"user_sns.txt", "u0000001\tu0000002\textra\n"},       // too many fields
-		{"rec_log.txt", "u0000001\tx\t1\n"},                   // bad item id
-		{"rec_log.txt", "ghost\t1\t1\n"},                      // unknown user
-		{"item.txt", "x\tname\tcat\n"},                        // bad item id
-		{"communities.txt", "ghost\n"},                        // unknown member
+		{"user_mention.txt", "u0000001\tu0000002\n"},      // missing strength
+		{"user_mention.txt", "u0000001\tu0000002\tNaN\n"}, // bad strength
+		{"user_mention.txt", "u0000001\tu0000002\t0\n"},   // zero strength
+		{"user_sns.txt", "u0000001\tu0000002\textra\n"},   // too many fields
+		{"rec_log.txt", "u0000001\tx\t1\n"},               // bad item id
+		{"rec_log.txt", "ghost\t1\t1\n"},                  // unknown user
+		{"item.txt", "x\tname\tcat\n"},                    // bad item id
+		{"communities.txt", "ghost\n"},                    // unknown member
 	}
 	for _, tc := range cases {
 		if err := os.WriteFile(filepath.Join(dir, tc.file), []byte(tc.content), 0o644); err != nil {
