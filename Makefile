@@ -43,10 +43,10 @@ test:
 	$(GO) test ./...
 
 # lint runs hinlint, the repository's custom analyzer suite (see LINT.md):
-# the syntactic checks (determinism, nilsafe, logdiscipline), hotpath (the
-# compiler's go build -gcflags=-m escapes inside //hin:hot functions), and
-# the flow-sensitive CFG analyzers (pairing, shardsafety, goleak, errdrop)
-# over every package. Must run from the module root - package loading
+# the syntactic checks (determinism, nilsafe, logdiscipline, shardsafety,
+# errdrop), hotpath (the compiler's go build -gcflags=-m escapes inside
+# //hin:hot functions), and the flow-sensitive CFG analyzers (pairing,
+# goleak) over every package. Must run from the module root - package loading
 # resolves imports through the go command.
 lint:
 	$(GO) run ./cmd/hinlint ./...

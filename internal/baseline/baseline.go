@@ -1,9 +1,7 @@
 // Package baseline implements the prior-work attacks the paper positions
-// DeHIN against (Section 2.2):
+// DeHIN against (Section 2.2). The attribute-only attack of
+// Narayanan-Shmatikov 2008 is DeHIN at distance 0, so it has no code here.
 //
-//   - ProfileOnly - the relational micro-data attack of Narayanan-Shmatikov
-//     2008 transplanted to this setting: match on attribute information
-//     alone, ignoring the graph. Equivalent to DeHIN at distance 0.
 //   - Propagation - a Narayanan-Shmatikov 2009 style structural attack:
 //     starting from pre-matched seed pairs, iteratively map target nodes to
 //     auxiliary nodes by scoring how many already-mapped neighbors agree,
@@ -16,100 +14,10 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/hinpriv/dehin/internal/hin"
-	"github.com/hinpriv/dehin/internal/par"
 )
-
-// ProfileOnly returns, for each target entity, the auxiliary entities whose
-// declared profile attributes match exactly. It is the paper's
-// "utilizing attribute information of micro-data" strawman.
-func ProfileOnly(target, aux *hin.Graph, attrs []int) ([][]hin.EntityID, error) {
-	for _, ai := range attrs {
-		if ai < 0 {
-			return nil, fmt.Errorf("baseline: negative attribute index %d", ai)
-		}
-	}
-	type key string
-	index := make(map[key][]hin.EntityID)
-	enc := func(g *hin.Graph, v hin.EntityID) (key, error) {
-		var b []byte
-		for _, ai := range attrs {
-			if ai >= g.NumAttrs(v) {
-				return "", fmt.Errorf("baseline: attr %d out of range", ai)
-			}
-			x := g.Attr(v, ai)
-			for i := 0; i < 8; i++ {
-				b = append(b, byte(x))
-				x >>= 8
-			}
-		}
-		return key(b), nil
-	}
-	for v := 0; v < aux.NumEntities(); v++ {
-		k, err := enc(aux, hin.EntityID(v))
-		if err != nil {
-			return nil, err
-		}
-		index[k] = append(index[k], hin.EntityID(v))
-	}
-	out := make([][]hin.EntityID, target.NumEntities())
-	for v := 0; v < target.NumEntities(); v++ {
-		k, err := enc(target, hin.EntityID(v))
-		if err != nil {
-			return nil, err
-		}
-		out[v] = index[k]
-	}
-	return out, nil
-}
-
-// ProfileOnlyGrowing is ProfileOnly under the paper's time-gap threat
-// model: exactAttrs must be equal, growAttrs may only have grown
-// (auxiliary >= target). This is the attribute-only attack on equal
-// footing with DeHIN's growth-tolerant matchers - exactly DeHIN at
-// distance 0.
-func ProfileOnlyGrowing(target, aux *hin.Graph, exactAttrs, growAttrs []int) ([][]hin.EntityID, error) {
-	for _, ai := range append(append([]int(nil), exactAttrs...), growAttrs...) {
-		if ai < 0 {
-			return nil, fmt.Errorf("baseline: negative attribute index %d", ai)
-		}
-	}
-	// Validate attribute indices up front (on the first entities), then
-	// fan the scan out across targets - it is a pure read.
-	if target.NumEntities() > 0 && aux.NumEntities() > 0 {
-		for _, ai := range append(append([]int(nil), exactAttrs...), growAttrs...) {
-			if ai >= target.NumAttrs(0) || ai >= aux.NumAttrs(0) {
-				return nil, fmt.Errorf("baseline: attr %d out of range", ai)
-			}
-		}
-	}
-	out := make([][]hin.EntityID, target.NumEntities())
-	par.Run(0, target.NumEntities(), func(_, tv int) {
-		for av := 0; av < aux.NumEntities(); av++ {
-			ok := true
-			for _, ai := range exactAttrs {
-				if target.Attr(hin.EntityID(tv), ai) != aux.Attr(hin.EntityID(av), ai) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				for _, ai := range growAttrs {
-					if aux.Attr(hin.EntityID(av), ai) < target.Attr(hin.EntityID(tv), ai) {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				out[tv] = append(out[tv], hin.EntityID(av))
-			}
-		}
-	})
-	return out, nil
-}
 
 // PropagationConfig parameterizes the seed-and-propagate attack.
 type PropagationConfig struct {
@@ -146,7 +54,6 @@ func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationRes
 	}
 	tn, an := target.NumEntities(), aux.NumEntities()
 	mapping := make([]hin.EntityID, tn)
-	mapped := make([]bool, an) // auxiliary side, to keep the mapping injective
 	for i := range mapping {
 		mapping[i] = hin.NoEntity
 	}
@@ -155,7 +62,20 @@ func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationRes
 			return nil, fmt.Errorf("baseline: seed (%d,%d) out of range", tv, av)
 		}
 		mapping[tv] = av
-		mapped[av] = true
+	}
+	// inv is mapping's inverse (auxiliary -> target, NoEntity while
+	// free), kept current with every accepted pair; it keeps the mapping
+	// injective. Filled in target order, so a seed set that maps two
+	// targets to one auxiliary entity resolves to the later target
+	// whatever order the Seeds map is ranged in.
+	inv := make([]hin.EntityID, an)
+	for i := range inv {
+		inv[i] = hin.NoEntity
+	}
+	for tv, av := range mapping {
+		if av != hin.NoEntity {
+			inv[av] = hin.EntityID(tv)
+		}
 	}
 
 	tAdj := undirectedAdj(target)
@@ -178,7 +98,7 @@ func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationRes
 				// candidate; normalize by its degree so hubs don't win by
 				// volume.
 				for _, ab := range aAdj[am] {
-					if mapped[ab] {
+					if inv[ab] != hin.NoEntity {
 						continue
 					}
 					scores[ab] += 1 / math.Sqrt(float64(len(aAdj[ab]))+1)
@@ -190,11 +110,11 @@ func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationRes
 			}
 			// Reverse check: run the same scoring from the auxiliary
 			// side; accept only if it picks tv back.
-			if !reverseAgrees(tv, best, mapping, mapped, tAdj, aAdj, cfg.Theta) {
+			if !reverseAgrees(tv, best, mapping, inv, tAdj, aAdj, cfg.Theta) {
 				continue
 			}
 			mapping[tv] = best
-			mapped[best] = true
+			inv[best] = hin.EntityID(tv)
 			changed = true
 		}
 		res.Rounds = round + 1
@@ -221,20 +141,10 @@ func undirectedAdj(g *hin.Graph) [][]hin.EntityID {
 		}
 	}
 	for v := range adj {
-		sort.Slice(adj[v], func(i, j int) bool { return adj[v][i] < adj[v][j] })
-		adj[v] = dedupSorted(adj[v])
+		slices.Sort(adj[v])
+		adj[v] = slices.Compact(adj[v])
 	}
 	return adj
-}
-
-func dedupSorted(s []hin.EntityID) []hin.EntityID {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // pickEccentric returns the top-scoring candidate if its margin over the
@@ -277,17 +187,11 @@ func pickEccentric(scores map[hin.EntityID]float64, theta float64) (hin.EntityID
 
 // reverseAgrees scores target candidates for auxiliary node av and checks
 // the winner is tv, mirroring NS09's symmetric verification.
-func reverseAgrees(tv int, av hin.EntityID, mapping []hin.EntityID, mapped []bool, tAdj, aAdj [][]hin.EntityID, theta float64) bool {
-	inv := make(map[hin.EntityID]hin.EntityID, len(mapping))
-	for t, a := range mapping {
-		if a != hin.NoEntity {
-			inv[a] = hin.EntityID(t)
-		}
-	}
+func reverseAgrees(tv int, av hin.EntityID, mapping, inv []hin.EntityID, tAdj, aAdj [][]hin.EntityID, theta float64) bool {
 	scores := make(map[hin.EntityID]float64)
 	for _, ab := range aAdj[av] {
-		tm, ok := inv[ab]
-		if !ok {
+		tm := inv[ab]
+		if tm == hin.NoEntity {
 			continue
 		}
 		for _, tb := range tAdj[tm] {

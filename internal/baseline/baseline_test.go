@@ -8,49 +8,6 @@ import (
 	"github.com/hinpriv/dehin/internal/tqq"
 )
 
-func TestProfileOnly(t *testing.T) {
-	s := tqq.TargetSchema()
-	b := hin.NewBuilder(s)
-	b.AddEntity(0, "a", 1980, 1, 100, 0)
-	b.AddEntity(0, "b", 1980, 1, 100, 0)
-	b.AddEntity(0, "c", 1990, 2, 50, 0)
-	aux, _ := b.Build()
-
-	tb := hin.NewBuilder(s)
-	tb.AddEntity(0, "", 1980, 1, 100, 0)
-	tb.AddEntity(0, "", 1990, 2, 50, 0)
-	tb.AddEntity(0, "", 2000, 0, 1, 0)
-	target, _ := tb.Build()
-
-	attrs := []int{tqq.AttrYob, tqq.AttrGender, tqq.AttrTweets}
-	cands, err := ProfileOnly(target, aux, attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands[0]) != 2 {
-		t.Fatalf("target 0 candidates = %v", cands[0])
-	}
-	if len(cands[1]) != 1 || cands[1][0] != 2 {
-		t.Fatalf("target 1 candidates = %v", cands[1])
-	}
-	if len(cands[2]) != 0 {
-		t.Fatalf("target 2 candidates = %v", cands[2])
-	}
-}
-
-func TestProfileOnlyErrors(t *testing.T) {
-	s := tqq.TargetSchema()
-	b := hin.NewBuilder(s)
-	b.AddEntity(0, "", 1, 1, 1, 0)
-	g, _ := b.Build()
-	if _, err := ProfileOnly(g, g, []int{-1}); err == nil {
-		t.Fatal("negative attr accepted")
-	}
-	if _, err := ProfileOnly(g, g, []int{9}); err == nil {
-		t.Fatal("out-of-range attr accepted")
-	}
-}
-
 // propagationFixture samples a dense community as target (identity-mapped
 // into the dataset) and returns seeds from the ground truth.
 func propagationFixture(t *testing.T, seedCount int) (tgt *tqq.Target, aux *hin.Graph, seeds map[hin.EntityID]hin.EntityID) {
@@ -141,42 +98,5 @@ func TestScoreIgnoresSeeds(t *testing.T) {
 	}
 	if coverage != 0.5 {
 		t.Fatalf("coverage = %g", coverage)
-	}
-}
-
-func TestProfileOnlyGrowing(t *testing.T) {
-	s := tqq.TargetSchema()
-	b := hin.NewBuilder(s)
-	b.AddEntity(0, "a", 1980, 1, 100, 2)
-	b.AddEntity(0, "b", 1980, 1, 150, 3) // grown twin of the target
-	b.AddEntity(0, "c", 1980, 1, 50, 2)  // tweets shrank: impossible
-	b.AddEntity(0, "d", 1981, 1, 100, 2) // different yob
-	aux, _ := b.Build()
-
-	tb := hin.NewBuilder(s)
-	tb.AddEntity(0, "", 1980, 1, 100, 2)
-	target, _ := tb.Build()
-
-	cands, err := ProfileOnlyGrowing(target, aux,
-		[]int{tqq.AttrYob, tqq.AttrGender},
-		[]int{tqq.AttrTweets, tqq.AttrNumTags})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands[0]) != 2 || cands[0][0] != 0 || cands[0][1] != 1 {
-		t.Fatalf("candidates = %v, want [a b]", cands[0])
-	}
-}
-
-func TestProfileOnlyGrowingErrors(t *testing.T) {
-	s := tqq.TargetSchema()
-	b := hin.NewBuilder(s)
-	b.AddEntity(0, "", 1, 1, 1, 0)
-	g, _ := b.Build()
-	if _, err := ProfileOnlyGrowing(g, g, []int{-1}, nil); err == nil {
-		t.Fatal("negative attr accepted")
-	}
-	if _, err := ProfileOnlyGrowing(g, g, nil, []int{9}); err == nil {
-		t.Fatal("out-of-range attr accepted")
 	}
 }

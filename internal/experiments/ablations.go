@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hinpriv/dehin/internal/baseline"
 	"github.com/hinpriv/dehin/internal/dehin"
@@ -124,42 +125,33 @@ type BaselineAblationResult struct {
 	PropPrecision, PropCoverage []float64
 }
 
-// RunBaselineAblation executes the three attacks per density.
+// RunBaselineAblation compares DeHIN at distances 1 and 0 (the
+// profile-only attack) with NS09 propagation per density.
 func RunBaselineAblation(w *Workbench) (*BaselineAblationResult, error) {
-	p := w.Params
+	return (&shared{w: w}).baselineAblation()
+}
+
+// baselineAblation reads both DeHIN columns from the pass's Table 2 and
+// runs only the propagation attack.
+func (s *shared) baselineAblation() (*BaselineAblationResult, error) {
+	p := s.w.Params
+	n0, n1 := slices.Index(p.Distances, 0), slices.Index(p.Distances, 1)
+	if n0 < 0 || n1 < 0 {
+		return nil, fmt.Errorf("experiments: ablation-baseline needs distances 0 and 1")
+	}
+	t2, err := s.table2()
+	if err != nil {
+		return nil, err
+	}
 	res := &BaselineAblationResult{Params: p, Densities: p.Densities}
-	exactAttrs := []int{tqq.AttrYob, tqq.AttrGender}
-	growAttrs := []int{tqq.AttrTweets, tqq.AttrNumTags}
 	rng := randx.New(p.Seed + 4242)
 	for di := range p.Densities {
-		targets, err := w.Targets(di)
+		targets, err := s.w.Targets(di)
 		if err != nil {
 			return nil, err
 		}
-		a, err := w.Attack(dehin.Config{MaxDistance: 1})
-		if err != nil {
-			return nil, err
-		}
-		prec, _, err := averageRun(a, targets, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.DeHIN1 = append(res.DeHIN1, prec)
-
-		var po, pp, pc float64
+		var pp, pc float64
 		for _, rt := range targets {
-			cands, err := baseline.ProfileOnlyGrowing(rt.Graph, w.Dataset.Graph, exactAttrs, growAttrs)
-			if err != nil {
-				return nil, err
-			}
-			correct := 0
-			for tv, c := range cands {
-				if len(c) == 1 && c[0] == rt.Truth[tv] {
-					correct++
-				}
-			}
-			po += float64(correct) / float64(len(cands))
-
 			seeds := make(map[hin.EntityID]hin.EntityID)
 			seedCount := rt.Graph.NumEntities() / 20
 			if seedCount < 3 {
@@ -168,7 +160,7 @@ func RunBaselineAblation(w *Workbench) (*BaselineAblationResult, error) {
 			for _, i := range rng.SampleWithoutReplacement(rt.Graph.NumEntities(), seedCount) {
 				seeds[hin.EntityID(i)] = rt.Truth[i]
 			}
-			pres, err := baseline.Propagation(rt.Graph, w.Dataset.Graph, baseline.PropagationConfig{
+			pres, err := baseline.Propagation(rt.Graph, s.w.Dataset.Graph, baseline.PropagationConfig{
 				Seeds: seeds,
 				Theta: 0.5,
 			})
@@ -180,7 +172,8 @@ func RunBaselineAblation(w *Workbench) (*BaselineAblationResult, error) {
 			pc += cov
 		}
 		n := float64(len(targets))
-		res.ProfileOnly = append(res.ProfileOnly, po/n)
+		res.DeHIN1 = append(res.DeHIN1, t2.Cells[di][n1].Precision)
+		res.ProfileOnly = append(res.ProfileOnly, t2.Cells[di][n0].Precision)
 		res.PropPrecision = append(res.PropPrecision, pp/n)
 		res.PropCoverage = append(res.PropCoverage, pc/n)
 	}
@@ -222,51 +215,38 @@ type HomogeneousAblationResult struct {
 	All    []float64
 }
 
-// RunHomogeneousAblation sweeps single link types at the largest density.
+// RunHomogeneousAblation reads the single-link-type and all-four rows of
+// Table 3 at the largest density.
 func RunHomogeneousAblation(w *Workbench) (*HomogeneousAblationResult, error) {
-	p := w.Params
-	di := len(p.Densities) - 1
-	targets, err := w.Targets(di)
+	return (&shared{w: w}).homogeneousAblation()
+}
+
+// homogeneousAblation is a view of the pass's Table 3, as Figure 9 is:
+// its one-link-type rows in schema order, and its row using all four.
+func (s *shared) homogeneousAblation() (*HomogeneousAblationResult, error) {
+	t3, err := s.table3()
 	if err != nil {
 		return nil, err
 	}
-	var distances []int
-	for _, n := range p.Distances {
-		if n >= 1 {
-			distances = append(distances, n)
-		}
+	schema := s.w.Dataset.Graph.Schema()
+	res := &HomogeneousAblationResult{
+		Params:    t3.Params,
+		Density:   t3.Density,
+		Distances: t3.Distances,
+		Single:    make([][]float64, schema.NumLinkTypes()),
 	}
-	res := &HomogeneousAblationResult{Params: p, Density: p.Densities[di], Distances: distances}
-	schema := w.Dataset.Graph.Schema()
-	for lt := 0; lt < schema.NumLinkTypes(); lt++ {
+	for lt := range schema.NumLinkTypes() {
 		res.Names = append(res.Names, schema.LinkType(hin.LinkTypeID(lt)).Name)
-		row := make([]float64, len(distances))
-		for ni, n := range distances {
-			a, err := w.Attack(dehin.Config{
-				MaxDistance: n,
-				LinkTypes:   []hin.LinkTypeID{hin.LinkTypeID(lt)},
-			})
-			if err != nil {
-				return nil, err
-			}
-			prec, _, err := averageRun(a, targets, nil)
-			if err != nil {
-				return nil, err
-			}
-			row[ni] = prec
-		}
-		res.Single = append(res.Single, row)
 	}
-	for _, n := range distances {
-		a, err := w.Attack(dehin.Config{MaxDistance: n})
-		if err != nil {
-			return nil, err
+	// Table 3's rows follow LinkSubsets, whose singletons run f, m, c, r:
+	// place each by its link type, not by its position.
+	for si, sub := range LinkSubsets(schema) {
+		switch len(sub.Links) {
+		case 1:
+			res.Single[sub.Links[0]] = precisions(t3.Cells[si])
+		case schema.NumLinkTypes():
+			res.All = precisions(t3.Cells[si])
 		}
-		prec, _, err := averageRun(a, targets, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.All = append(res.All, prec)
 	}
 	return res, nil
 }

@@ -307,6 +307,22 @@ func TestBaselineAblation(t *testing.T) {
 	}
 }
 
+// TestBaselineAblationNeedsDistancesZeroAndOne: both DeHIN columns are
+// Table 2 cells, so a sweep without n = 0 or n = 1 is an error, not a
+// missing column.
+func TestBaselineAblationNeedsDistancesZeroAndOne(t *testing.T) {
+	p := QuickParams()
+	p.AuxUsers = 2000
+	p.TargetSize = 150
+	p.Densities = []float64{0.01}
+	for _, d := range [][]int{{1, 2}, {0, 2}} {
+		p.Distances = d
+		if _, err := Run("ablation-baseline", p); err == nil {
+			t.Fatalf("distances %v: no error", d)
+		}
+	}
+}
+
 func TestHomogeneousAblation(t *testing.T) {
 	w := quickBench(t)
 	r, err := RunHomogeneousAblation(w)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hinpriv/dehin/internal/dehin"
 )
@@ -24,18 +25,26 @@ type ObscurityResult struct {
 
 // RunObscurity executes the comparison across densities.
 func RunObscurity(w *Workbench) (*ObscurityResult, error) {
-	p := w.Params
-	maxN := 0
-	for _, n := range p.Distances {
-		if n > maxN {
-			maxN = n
-		}
-	}
-	plain, err := w.Attack(dehin.Config{MaxDistance: maxN})
+	return (&shared{w: w}).obscurity()
+}
+
+// obscurity reads the plain column from the pass's Table 2 and the CGA
+// column from its Table 4 - the same re-configured attack on the same
+// cached completions - and runs only the re-configured attack on KDDA
+// targets.
+func (s *shared) obscurity() (*ObscurityResult, error) {
+	p := s.w.Params
+	maxN := slices.Max(p.Distances)
+	ni := slices.Index(p.Distances, maxN)
+	t2, err := s.table2()
 	if err != nil {
 		return nil, err
 	}
-	reconfig, err := w.Attack(dehin.Config{
+	t4, err := s.table4()
+	if err != nil {
+		return nil, err
+	}
+	reconfig, err := s.w.Attack(dehin.Config{
 		MaxDistance:            maxN,
 		RemoveMajorityStrength: true,
 		FallbackProfileOnly:    true,
@@ -45,11 +54,7 @@ func RunObscurity(w *Workbench) (*ObscurityResult, error) {
 	}
 	res := &ObscurityResult{Params: p, Densities: p.Densities}
 	for di := range p.Densities {
-		targets, err := w.Targets(di)
-		if err != nil {
-			return nil, err
-		}
-		pPlain, _, err := averageRun(plain, targets, nil)
+		targets, err := s.w.Targets(di)
 		if err != nil {
 			return nil, err
 		}
@@ -57,20 +62,9 @@ func RunObscurity(w *Workbench) (*ObscurityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The CGA side reuses the workbench's cached completions (the
-		// same ones Table 4 attacks), exercising the re-configured
-		// attack on hardened targets without re-anonymizing.
-		completed, err := w.CompletedTargets(di, false)
-		if err != nil {
-			return nil, err
-		}
-		pCGA, _, err := averageRun(reconfig, completed, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.Plain = append(res.Plain, pPlain)
+		res.Plain = append(res.Plain, t2.Cells[di][ni].Precision)
 		res.ReconfigKDDA = append(res.ReconfigKDDA, pKDDA)
-		res.ReconfigCGA = append(res.ReconfigCGA, pCGA)
+		res.ReconfigCGA = append(res.ReconfigCGA, t4.Cells[di][ni].Precision)
 	}
 	return res, nil
 }

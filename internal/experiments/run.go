@@ -10,11 +10,12 @@ import (
 )
 
 // shared holds one pass's sweeps that several suite entries read, each
-// computed at most once per pass: Table 1 also feeds Figure 7, Table 3
-// feeds Figure 9, and Table 2 plus the CGA and VW-CGA sweeps feed Table 4
-// and Figure 8. Whichever entry asks first computes; the rest block on the
-// same result. A pass is one RunOn call or one RunAll suite; the RunX
-// functions themselves stay pure computations.
+// computed at most once per pass: Table 1 also feeds Figure 7; Table 3
+// feeds Figure 9 and ablation-homog; Table 2 plus the CGA and VW-CGA
+// sweeps feed Table 4 and Figure 8; Table 2 also feeds ablation-baseline,
+// and Tables 2 and 4 feed obscurity. Whichever entry asks first computes;
+// the rest block on the same result. A pass is one RunOn call or one
+// RunAll suite; the RunX functions themselves stay pure computations.
 type shared struct {
 	w          *Workbench
 	t1         slot[*Table1Result]
@@ -76,12 +77,12 @@ var suite = []struct {
 	{"table4", func(s *shared) (*Table, error) { return render(s.table4()) }},
 	{"figure8", func(s *shared) (*Table, error) { return render(s.figure8()) }},
 	{"ablation-growth", func(s *shared) (*Table, error) { return render(RunGrowthAblation(s.w)) }},
-	{"ablation-baseline", func(s *shared) (*Table, error) { return render(RunBaselineAblation(s.w)) }},
-	{"ablation-homog", func(s *shared) (*Table, error) { return render(RunHomogeneousAblation(s.w)) }},
+	{"ablation-baseline", func(s *shared) (*Table, error) { return render(s.baselineAblation()) }},
+	{"ablation-homog", func(s *shared) (*Table, error) { return render(s.homogeneousAblation()) }},
 	{"utility", func(s *shared) (*Table, error) { return render(RunUtility(s.w)) }},
 	{"ablation-perturb", func(s *shared) (*Table, error) { return render(RunPerturbAblation(s.w)) }},
 	{"ablation-bottleneck", func(s *shared) (*Table, error) { return render(RunBottleneck(s.w)) }},
-	{"obscurity", func(s *shared) (*Table, error) { return render(RunObscurity(s.w)) }},
+	{"obscurity", func(s *shared) (*Table, error) { return render(s.obscurity()) }},
 }
 
 // Names lists the experiment ids, sorted.
@@ -126,10 +127,8 @@ type ExperimentTiming struct {
 	Elapsed time.Duration
 }
 
-// RunAll executes every experiment on one shared workbench, computing the
-// expensive sweeps once: Table 1 also yields Figure 7, Table 3 yields
-// Figure 9, and Table 2 plus the two CGA sweeps yield Table 4 and
-// Figure 8.
+// RunAll executes every experiment on one shared workbench, computing
+// each sweep that several experiments read once (see shared).
 func RunAll(p Params) ([]*Table, error) {
 	out, _, _, err := RunAllTimed(nil, p)
 	return out, err

@@ -12,6 +12,15 @@ type Cell struct {
 	ReductionRate float64
 }
 
+// precisions returns the precision of each cell of a row.
+func precisions(row []Cell) []float64 {
+	out := make([]float64, len(row))
+	for i, c := range row {
+		out[i] = c.Precision
+	}
+	return out
+}
+
 // Table2Result reproduces Table 2: DeHIN against the KDDA-anonymized
 // targets across densities and distances.
 type Table2Result struct {

@@ -24,7 +24,7 @@ func RunTable4(w *Workbench) (*Table4Result, error) {
 
 // runCGASweep powers Table 4 (varyWeights=false) and the VW-CGA series of
 // Figure 8 (varyWeights=true). Completions come from the workbench cache,
-// shared with the utility and obscurity experiments.
+// shared with the utility experiment.
 func runCGASweep(w *Workbench, varyWeights bool) (*Table4Result, error) {
 	p := w.Params
 	res := &Table4Result{Params: p, Densities: p.Densities, Distances: p.Distances}
@@ -96,10 +96,7 @@ func (s *shared) figure8() (*Figure8Result, error) {
 	pick := func(cells [][]Cell) [][]float64 {
 		out := make([][]float64, len(cells))
 		for di, row := range cells {
-			out[di] = make([]float64, len(row))
-			for ni, c := range row {
-				out[di][ni] = c.Precision
-			}
+			out[di] = precisions(row)
 		}
 		return out
 	}

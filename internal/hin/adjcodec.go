@@ -18,9 +18,9 @@ import (
 // Destinations are sorted strictly ascending, so with prev = -1 every
 // delta is >= 1 (the first delta is to[0]+1) and a zero delta always
 // signals corruption. Strengths are in [1, 1<<31-1] by Builder
-// validation. The strict decoder (decodeAdjRow) validates everything and
+// validation. The loader checks every row once with validateAdjRow, which
 // returns errors; the trusting decoder (decodeAdjRowFast) is the hot-path
-// form used only on rows the loader has already strict-decoded once.
+// form, used only on rows validateAdjRow has accepted.
 
 var (
 	errAdjTruncated = errors.New("hin: adjacency row truncated")
@@ -47,65 +47,12 @@ func appendAdjRow(dst []byte, tos []EntityID, ws []int32, weighted bool) []byte 
 	return dst
 }
 
-// decodeAdjRow strictly decodes one row occupying exactly dat, appending
-// destinations and strengths into buf and returning views. numEntities
-// bounds destination ids. Unweighted rows get strength 1. Any structural
-// defect - truncation, non-ascending order, out-of-range id or strength,
-// trailing bytes - returns an error; the function never panics on
-// arbitrary input.
-func decodeAdjRow(dat []byte, weighted bool, numEntities int, buf *EdgeBuf) ([]EntityID, []int32, error) {
-	ids := buf.IDs[:0]
-	ws := buf.Ws[:0]
-	deg, p := binary.Uvarint(dat)
-	if p <= 0 {
-		return nil, nil, errAdjTruncated
-	}
-	if deg > uint64(numEntities) {
-		return nil, nil, errAdjDegree
-	}
-	prev := int64(-1)
-	for i := uint64(0); i < deg; i++ {
-		delta, n := binary.Uvarint(dat[p:])
-		if n <= 0 {
-			return nil, nil, errAdjTruncated
-		}
-		p += n
-		if delta == 0 || delta > uint64(numEntities) {
-			return nil, nil, errAdjOrder
-		}
-		to := prev + int64(delta)
-		if to >= int64(numEntities) {
-			return nil, nil, errAdjRange
-		}
-		prev = to
-		w := int64(1)
-		if weighted {
-			uw, n := binary.Uvarint(dat[p:])
-			if n <= 0 {
-				return nil, nil, errAdjTruncated
-			}
-			p += n
-			if uw == 0 || uw > uint64(maxInt32) {
-				return nil, nil, errAdjWeight
-			}
-			w = int64(uw)
-		}
-		ids = append(ids, EntityID(to))
-		ws = append(ws, int32(w))
-	}
-	if p != len(dat) {
-		return nil, nil, errAdjTrailing
-	}
-	buf.IDs = ids
-	buf.Ws = ws
-	return ids, ws, nil
-}
-
 // validateAdjRow strict-checks one encoded row occupying exactly dat
-// without materializing destinations, returning the degree. It accepts
-// exactly the rows decodeAdjRow accepts and returns the same sentinel
-// errors — the loader's bulk validation path, which only needs
-// yes/no + degree, skips the EdgeBuf stores entirely.
+// without materializing destinations, returning the degree. numEntities
+// bounds destination ids. Any structural defect - truncation,
+// non-ascending order, out-of-range id or strength, trailing bytes -
+// returns one of the errAdj sentinels; the function never panics on
+// arbitrary input.
 func validateAdjRow(dat []byte, weighted bool, numEntities int) (int, error) {
 	deg, p := binary.Uvarint(dat)
 	if p <= 0 {

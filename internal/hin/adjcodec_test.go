@@ -43,16 +43,14 @@ func TestAdjRowCodecRoundTrip(t *testing.T) {
 		ids, ws := randomRow(rng, n, weighted)
 		enc := appendAdjRow(nil, ids, ws, weighted)
 
-		strict := &EdgeBuf{}
-		sIDs, sWs, err := decodeAdjRow(enc, weighted, n, strict)
+		deg, err := validateAdjRow(enc, weighted, n)
 		if err != nil {
-			t.Fatalf("strict decode: %v", err)
+			t.Fatalf("validate: %v", err)
 		}
-		fast := &EdgeBuf{}
-		fIDs, fWs := decodeAdjRowFast(enc, weighted, fast)
-		if fmt.Sprint(sIDs) != fmt.Sprint(ids) || fmt.Sprint(sWs) != fmt.Sprint(ws) {
-			t.Fatalf("strict decode (%v,%v), want (%v,%v)", sIDs, sWs, ids, ws)
+		if deg != len(ids) {
+			t.Fatalf("validate degree = %d, want %d", deg, len(ids))
 		}
+		fIDs, fWs := decodeAdjRowFast(enc, weighted, &EdgeBuf{})
 		if fmt.Sprint(fIDs) != fmt.Sprint(ids) || fmt.Sprint(fWs) != fmt.Sprint(ws) {
 			t.Fatalf("fast decode (%v,%v), want (%v,%v)", fIDs, fWs, ids, ws)
 		}
@@ -61,8 +59,8 @@ func TestAdjRowCodecRoundTrip(t *testing.T) {
 		}
 		// Every strict prefix must error, never succeed or panic.
 		for k := 0; k < len(enc); k++ {
-			if _, _, err := decodeAdjRow(enc[:k], weighted, n, strict); err == nil {
-				t.Fatalf("prefix %d/%d decoded without error", k, len(enc))
+			if _, err := validateAdjRow(enc[:k], weighted, n); err == nil {
+				t.Fatalf("prefix %d/%d validated without error", k, len(enc))
 			}
 		}
 		return true
@@ -92,22 +90,22 @@ func TestAdjRowCodecErrors(t *testing.T) {
 		{"zero weight", []byte{1, 1, 0}, true, 10, errAdjWeight},
 		{"trailing bytes", append(enc([]EntityID{3}, nil, false), 0xAB), false, 10, errAdjTrailing},
 	}
-	buf := &EdgeBuf{}
 	for _, c := range cases {
-		if _, _, err := decodeAdjRow(c.dat, c.weighted, c.n, buf); err != c.want {
+		if _, err := validateAdjRow(c.dat, c.weighted, c.n); err != c.want {
 			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
 	// Oversized weight: 1<<31 encoded as uvarint.
 	over := []byte{1, 1, 0x80, 0x80, 0x80, 0x80, 0x08}
-	if _, _, err := decodeAdjRow(over, true, 10, buf); err != errAdjWeight {
+	if _, err := validateAdjRow(over, true, 10); err != errAdjWeight {
 		t.Fatalf("oversized weight: err = %v, want %v", err, errAdjWeight)
 	}
 }
 
-// FuzzAdjRowCodec drives the strict decoder with arbitrary bytes (it must
-// error, never panic) and checks that every successful decode re-encodes
-// to a canonical row that decodes to the same values.
+// FuzzAdjRowCodec drives the loader's row validator with arbitrary bytes
+// (it must error, never panic) and checks that every accepted row decodes
+// to in-range, strictly ascending ids with valid strengths, and re-encodes
+// to a canonical row that validates and decodes to the same values.
 func FuzzAdjRowCodec(f *testing.F) {
 	f.Add([]byte{}, false, 10)
 	f.Add([]byte{0}, false, 10)
@@ -119,13 +117,14 @@ func FuzzAdjRowCodec(f *testing.F) {
 		if n < 0 || n > 1<<30 {
 			n = 1 << 30
 		}
-		buf := &EdgeBuf{}
-		ids, ws, err := decodeAdjRow(dat, weighted, n, buf)
+		deg, err := validateAdjRow(dat, weighted, n)
 		if err != nil {
 			return
 		}
-		if len(ids) != len(ws) {
-			t.Fatalf("decoded %d ids but %d weights", len(ids), len(ws))
+		ids, ws := decodeAdjRowFast(dat, weighted, &EdgeBuf{})
+		if len(ids) != deg || len(ws) != deg || adjRowDegree(dat) != deg {
+			t.Fatalf("validated degree %d, but decoded %d ids and %d strengths, adjRowDegree %d",
+				deg, len(ids), len(ws), adjRowDegree(dat))
 		}
 		for i := range ids {
 			if ids[i] < 0 || int(ids[i]) >= n {
@@ -142,21 +141,15 @@ func FuzzAdjRowCodec(f *testing.F) {
 			}
 		}
 		// Canonical re-encode must round-trip to the same values. (Byte
-		// equality is not required: the decoder accepts non-minimal
+		// equality is not required: the validator accepts non-minimal
 		// varints the encoder never emits.)
-		canon := appendAdjRow(nil, ids, append([]int32(nil), ws...), weighted)
-		buf2 := &EdgeBuf{}
-		ids2, ws2, err := decodeAdjRow(canon, weighted, n, buf2)
-		if err != nil {
-			t.Fatalf("re-encoded row failed to decode: %v", err)
+		canon := appendAdjRow(nil, ids, ws, weighted)
+		if d2, err := validateAdjRow(canon, weighted, n); err != nil || d2 != deg {
+			t.Fatalf("re-encoded row: degree %d, err %v; want %d, nil", d2, err, deg)
 		}
-		if fmt.Sprint(ids2) != fmt.Sprint(buf.IDs) || fmt.Sprint(ws2) != fmt.Sprint(buf.Ws) {
+		ids2, ws2 := decodeAdjRowFast(canon, weighted, &EdgeBuf{})
+		if fmt.Sprint(ids2) != fmt.Sprint(ids) || fmt.Sprint(ws2) != fmt.Sprint(ws) {
 			t.Fatalf("re-encode round trip mismatch")
-		}
-		// The fast decoder must agree on valid input.
-		fIDs, fWs := decodeAdjRowFast(dat, weighted, &EdgeBuf{})
-		if fmt.Sprint(fIDs) != fmt.Sprint(ids2) || fmt.Sprint(fWs) != fmt.Sprint(ws2) {
-			t.Fatalf("fast decoder disagrees with strict decoder")
 		}
 	})
 }

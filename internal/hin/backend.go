@@ -30,7 +30,6 @@ type GraphBackend interface {
 
 	EntityType(v EntityID) EntityTypeID
 	Label(v EntityID) string
-	NumAttrs(v EntityID) int
 	Attr(v EntityID, i int) int64
 	// AppendAttrs appends all scalar attributes of v to dst and returns
 	// the extended slice (the interface-friendly form of Graph.Attrs).
@@ -44,9 +43,6 @@ type GraphBackend interface {
 
 	OutEdgesBuf(buf *EdgeBuf, lt LinkTypeID, v EntityID) ([]EntityID, []int32)
 	InEdgesBuf(buf *EdgeBuf, lt LinkTypeID, v EntityID) ([]EntityID, []int32)
-	FindEdge(lt LinkTypeID, from, to EntityID) (int32, bool)
-
-	EntitiesOfType(t EntityTypeID) []EntityID
 }
 
 var _ GraphBackend = (*Graph)(nil)

@@ -2,6 +2,7 @@ package hin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -162,39 +163,33 @@ func (b *Builder) Build() (*Graph, error) {
 // each row and merging duplicate destinations by summing weights. If
 // collapse is true, merged weights are clamped to 1 (unweighted links).
 func buildCSR(n int, from, to []EntityID, w []int32, collapse bool) (csr, error) {
-	deg := make([]int64, n+1)
+	off := make([]int64, n+1)
 	for _, f := range from {
-		deg[f+1]++
+		off[f+1]++
 	}
 	for i := 1; i <= n; i++ {
-		deg[i] += deg[i-1]
+		off[i] += off[i-1]
 	}
-	off := deg // deg now holds offsets; reuse
-	tos := make([]EntityID, len(to))
-	ws := make([]int32, len(w))
+	// Each edge packs into one key, destination above strength:
+	// destinations are >= 0 and strengths >= 1, so key order is
+	// destination order and equal destinations sit next to each other.
+	keys := make([]uint64, len(to))
 	cursor := make([]int64, n)
 	for i, f := range from {
-		p := off[f] + cursor[f]
+		keys[off[f]+cursor[f]] = uint64(to[i])<<32 | uint64(uint32(w[i]))
 		cursor[f]++
-		tos[p] = to[i]
-		ws[p] = w[i]
 	}
-	// Sort each row by destination and merge duplicates in place, then
-	// compact.
-	outTo := tos[:0]
-	outW := ws[:0]
+	outTo := make([]EntityID, 0, len(to))
+	outW := make([]int32, 0, len(w))
 	newOff := make([]int64, n+1)
 	for v := 0; v < n; v++ {
-		lo, hi := off[v], off[v+1]
-		row := tos[lo:hi]
-		roww := ws[lo:hi]
-		sort.Sort(&edgeSorter{row, roww})
+		row := keys[off[v]:off[v+1]]
+		slices.Sort(row)
 		for i := 0; i < len(row); {
-			j := i + 1
-			sum := int64(roww[i])
-			for j < len(row) && row[j] == row[i] {
-				sum += int64(roww[j])
-				j++
+			dst := row[i] >> 32
+			sum := int64(0)
+			for ; i < len(row) && row[i]>>32 == dst; i++ {
+				sum += int64(uint32(row[i]))
 			}
 			if collapse {
 				sum = 1
@@ -202,9 +197,8 @@ func buildCSR(n int, from, to []EntityID, w []int32, collapse bool) (csr, error)
 			if sum > int64(maxInt32) {
 				return csr{}, fmt.Errorf("hin: merged edge strength overflows int32 at entity %d", v)
 			}
-			outTo = append(outTo, row[i])
+			outTo = append(outTo, EntityID(dst))
 			outW = append(outW, int32(sum))
-			i = j
 		}
 		newOff[v+1] = int64(len(outTo))
 	}
@@ -212,15 +206,3 @@ func buildCSR(n int, from, to []EntityID, w []int32, collapse bool) (csr, error)
 }
 
 const maxInt32 = 1<<31 - 1
-
-type edgeSorter struct {
-	to []EntityID
-	w  []int32
-}
-
-func (s *edgeSorter) Len() int           { return len(s.to) }
-func (s *edgeSorter) Less(i, j int) bool { return s.to[i] < s.to[j] }
-func (s *edgeSorter) Swap(i, j int) {
-	s.to[i], s.to[j] = s.to[j], s.to[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
-}

@@ -179,44 +179,6 @@ func (g *CSRGraph) InEdgesBuf(buf *EdgeBuf, lt LinkTypeID, v EntityID) ([]Entity
 	return decodeAdjRowFast(c.row(v), c.weighted, buf)
 }
 
-// FindEdge looks up the edge from -> to of link type lt by scanning the
-// encoded row with early exit (rows are ascending).
-func (g *CSRGraph) FindEdge(lt LinkTypeID, from, to EntityID) (int32, bool) {
-	c := &g.fwd[lt]
-	dat := c.row(from)
-	deg, p := uvarintAt(dat, 0)
-	prev := int64(-1)
-	for i := uint64(0); i < deg; i++ {
-		delta, np := uvarintAt(dat, p)
-		p = np
-		prev += int64(delta)
-		w := int32(1)
-		if c.weighted {
-			uw, np := uvarintAt(dat, p)
-			p = np
-			w = int32(uw)
-		}
-		if prev == int64(to) {
-			return w, true
-		}
-		if prev > int64(to) {
-			return 0, false
-		}
-	}
-	return 0, false
-}
-
-// EntitiesOfType returns the ids of all entities with type t, ascending.
-func (g *CSRGraph) EntitiesOfType(t EntityTypeID) []EntityID {
-	var out []EntityID
-	for v := 0; v < g.n; v++ {
-		if g.etype[v] == byte(t) {
-			out = append(out, EntityID(v))
-		}
-	}
-	return out
-}
-
 // appendU64 appends one little-endian uint64 to dst.
 func appendU64(dst []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, v)

@@ -74,13 +74,6 @@ func checkCSRInvariants(t *testing.T, g *CSRGraph) {
 			}
 		}
 	}
-	for ty := 0; ty < s.NumEntityTypes(); ty++ {
-		for _, v := range g.EntitiesOfType(EntityTypeID(ty)) {
-			if int(g.EntityType(v)) != ty {
-				t.Fatalf("EntitiesOfType(%d) lists entity %d of type %d", ty, v, g.EntityType(v))
-			}
-		}
-	}
 	buf := &EdgeBuf{}
 	var total int64
 	for lt := 0; lt < s.NumLinkTypes(); lt++ {
@@ -89,15 +82,10 @@ func checkCSRInvariants(t *testing.T, g *CSRGraph) {
 		var sumOut, sumIn int64
 		for v := 0; v < n; v++ {
 			id := EntityID(v)
-			tos, ws := g.OutEdgesBuf(buf, ltid, id)
+			tos, _ := g.OutEdgesBuf(buf, ltid, id)
 			checkRow(t, "out", lt, v, tos, n)
 			if len(tos) != g.OutDegree(ltid, id) || len(tos) != int(outs[v]) {
 				t.Fatalf("link %d entity %d: %d out-edges, OutDegree %d, OutDegrees %d", lt, v, len(tos), g.OutDegree(ltid, id), outs[v])
-			}
-			for i, to := range tos {
-				if w, ok := g.FindEdge(ltid, id, to); !ok || w != ws[i] {
-					t.Fatalf("link %d: FindEdge(%d, %d) = (%d, %v), row has strength %d", lt, v, to, w, ok, ws[i])
-				}
 			}
 			sumOut += int64(len(tos))
 			tos, _ = g.InEdgesBuf(buf, ltid, id)

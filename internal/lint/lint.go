@@ -18,6 +18,18 @@
 //   - logdiscipline: ad-hoc stderr printing and the standard log package
 //     are forbidden outside internal/obs; commands go through the nil-safe
 //     obs.Logger (see logdiscipline.go).
+//   - shardsafety: par.Run / par.Sweep worker closures and go literals
+//     may write captured slices and maps only through indices they own
+//     (see shardsafety.go).
+//   - errdrop: a call's error result may not be silently discarded (see
+//     errdrop.go).
+//   - pairing: a configured acquire (a snapshot reference, an mmap pin,
+//     an attack-admission slot) must reach its release on every path out
+//     of the function, checked by forward dataflow over the function's
+//     control-flow graph (see pairing.go, cfg.go, dataflow.go).
+//   - goleak: every go statement outside the commands needs a join
+//     reachable in the control-flow graph of the same function (see
+//     goleak.go).
 //
 // The suite is written purely against the standard library (go/parser,
 // go/ast, go/types with the source-mode go/importer) and the go command,
