@@ -44,21 +44,26 @@ test:
 
 # lint runs hinlint, the repository's custom analyzer suite (see LINT.md):
 # the syntactic checks (determinism, nilsafe, logdiscipline, shardsafety,
-# errdrop), hotpath (the compiler's go build -gcflags=-m escapes inside
-# //hin:hot functions), and the flow-sensitive CFG analyzers (pairing,
-# goleak) over every package. Must run from the module root - package loading
-# resolves imports through the go command.
+# errdrop) and hotpath (the compiler's go build -gcflags=-m escapes inside
+# //hin:hot functions) over every package. Resource lifecycles and
+# goroutine lifetimes are checked at run time by the tests instead. Must
+# run from the module root - package loading resolves imports through the
+# go command.
 lint:
 	$(GO) run ./cmd/hinlint ./...
 
-# lint-mut runs the lint suite's mutation tests: copies of the real serve,
-# risk and dehin packages with the canonical regressions re-introduced (an
-# unpaired acquire, a hollowed-out release, an out-of-shard write, and a
-# Sprintf, a boxed value or a per-query make in deanonymizeCore) must each
-# produce a file:line diagnostic, and the unmutated copies must lint
-# clean. This is the proof that the gate still has teeth.
+# lint-mut runs the mutation tests, the proof that the gates still have
+# teeth. At the module root, seven lifecycle leaks (a snapshot reference
+# leaked by three handlers, a missing Unpin, two leaked admission slots,
+# and a goroutine Stop no longer joins) are each planted with
+# go test -overlay, and the named serve or obs test must fail naming the
+# leak. In internal/lint, copies of the real risk, dehin and baseline
+# packages with the canonical regressions re-introduced (an out-of-shard
+# write, a map-order float sum, and a Sprintf, a boxed value or a
+# per-query make in deanonymizeCore) must each produce a file:line
+# diagnostic, and the unmutated copies must lint clean.
 lint-mut:
-	$(GO) test -run TestMutation -count=1 ./internal/lint
+	$(GO) test -run TestMutation -count=1 . ./internal/lint
 
 # verify is the CI gate: formatting (gofmt -l over every tracked Go file;
 # git ls-files keeps build outputs such as .bench_build/ out), static

@@ -62,8 +62,8 @@ func TestRenderSARIF(t *testing.T) {
 	diags := []lint.Diagnostic{
 		{
 			Pos:     token.Position{Filename: "/w/a/b.go", Line: 3, Column: 7},
-			Check:   "pairing",
-			Message: `snapshot acquired by "acquire" leaks`,
+			Check:   "errdrop",
+			Message: `call "f.Sync" discards its error`,
 		},
 	}
 	var log struct {
@@ -127,10 +127,10 @@ func TestRenderSARIF(t *testing.T) {
 		t.Fatalf("got %d results, want 1", len(run.Results))
 	}
 	res := run.Results[0]
-	if res.RuleID != "pairing" || res.Level != "error" {
+	if res.RuleID != "errdrop" || res.Level != "error" {
 		t.Errorf("result header mangled: %+v", res)
 	}
-	if res.Message.Text != `snapshot acquired by "acquire" leaks` {
+	if res.Message.Text != `call "f.Sync" discards its error` {
 		t.Errorf("message mangled: %q", res.Message.Text)
 	}
 	if len(res.Locations) != 1 {

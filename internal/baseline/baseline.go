@@ -80,6 +80,9 @@ func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationRes
 
 	tAdj := undirectedAdj(target)
 	aAdj := undirectedAdj(aux)
+	// One scorer per side, reused for every vertex: auxiliary candidates
+	// for the forward scoring, target candidates for the reverse check.
+	aScores, tScores := newScorer(an), newScorer(tn)
 
 	res := &PropagationResult{}
 	for round := 0; round < cfg.MaxRounds; round++ {
@@ -88,7 +91,6 @@ func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationRes
 			if mapping[tv] != hin.NoEntity {
 				continue
 			}
-			scores := make(map[hin.EntityID]float64)
 			for _, tb := range tAdj[tv] {
 				am := mapping[tb]
 				if am == hin.NoEntity {
@@ -101,16 +103,16 @@ func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationRes
 					if inv[ab] != hin.NoEntity {
 						continue
 					}
-					scores[ab] += 1 / math.Sqrt(float64(len(aAdj[ab]))+1)
+					aScores.add(ab, 1/math.Sqrt(float64(len(aAdj[ab]))+1))
 				}
 			}
-			best, ok := pickEccentric(scores, cfg.Theta)
+			best, ok := aScores.pickEccentric(cfg.Theta)
 			if !ok {
 				continue
 			}
 			// Reverse check: run the same scoring from the auxiliary
 			// side; accept only if it picks tv back.
-			if !reverseAgrees(tv, best, mapping, inv, tAdj, aAdj, cfg.Theta) {
+			if !reverseAgrees(tv, best, mapping, inv, tAdj, aAdj, tScores, cfg.Theta) {
 				continue
 			}
 			mapping[tv] = best
@@ -147,16 +149,40 @@ func undirectedAdj(g *hin.Graph) [][]hin.EntityID {
 	return adj
 }
 
+// scorer accumulates candidate scores densely: score[id] is id's running
+// score, and touched lists the scored ids in first-touch order. Scores
+// are positive, so a zero entry marks an untouched id.
+type scorer struct {
+	score   []float64
+	touched []hin.EntityID
+}
+
+func newScorer(n int) *scorer {
+	return &scorer{score: make([]float64, n)}
+}
+
+func (sc *scorer) add(id hin.EntityID, s float64) {
+	if sc.score[id] == 0 {
+		sc.touched = append(sc.touched, id)
+	}
+	sc.score[id] += s
+}
+
 // pickEccentric returns the top-scoring candidate if its margin over the
-// runner-up exceeds theta standard deviations of the score distribution.
-func pickEccentric(scores map[hin.EntityID]float64, theta float64) (hin.EntityID, bool) {
-	if len(scores) == 0 {
+// runner-up exceeds theta standard deviations of the score distribution,
+// and clears the scorer for the next vertex. The moments are summed in
+// first-touch order, which follows the sorted adjacency lists, so the
+// result is a pure function of the graphs and the mapping.
+func (sc *scorer) pickEccentric(theta float64) (hin.EntityID, bool) {
+	defer sc.reset()
+	if len(sc.touched) == 0 {
 		return hin.NoEntity, false
 	}
 	var best, second float64
 	bestID := hin.NoEntity
 	var sum, sumSq float64
-	for id, s := range scores {
+	for _, id := range sc.touched {
+		s := sc.score[id]
 		sum += s
 		sumSq += s * s
 		if s > best || (s == best && (bestID == hin.NoEntity || id < bestID)) {
@@ -168,7 +194,7 @@ func pickEccentric(scores map[hin.EntityID]float64, theta float64) (hin.EntityID
 			second = s
 		}
 	}
-	n := float64(len(scores))
+	n := float64(len(sc.touched))
 	if n == 1 {
 		return bestID, best > 0
 	}
@@ -185,10 +211,16 @@ func pickEccentric(scores map[hin.EntityID]float64, theta float64) (hin.EntityID
 	return bestID, true
 }
 
+func (sc *scorer) reset() {
+	for _, id := range sc.touched {
+		sc.score[id] = 0
+	}
+	sc.touched = sc.touched[:0]
+}
+
 // reverseAgrees scores target candidates for auxiliary node av and checks
 // the winner is tv, mirroring NS09's symmetric verification.
-func reverseAgrees(tv int, av hin.EntityID, mapping, inv []hin.EntityID, tAdj, aAdj [][]hin.EntityID, theta float64) bool {
-	scores := make(map[hin.EntityID]float64)
+func reverseAgrees(tv int, av hin.EntityID, mapping, inv []hin.EntityID, tAdj, aAdj [][]hin.EntityID, tScores *scorer, theta float64) bool {
 	for _, ab := range aAdj[av] {
 		tm := inv[ab]
 		if tm == hin.NoEntity {
@@ -198,10 +230,10 @@ func reverseAgrees(tv int, av hin.EntityID, mapping, inv []hin.EntityID, tAdj, a
 			if mapping[tb] != hin.NoEntity {
 				continue
 			}
-			scores[tb] += 1 / math.Sqrt(float64(len(tAdj[tb]))+1)
+			tScores.add(tb, 1/math.Sqrt(float64(len(tAdj[tb]))+1))
 		}
 	}
-	best, ok := pickEccentric(scores, theta)
+	best, ok := tScores.pickEccentric(theta)
 	return ok && best == hin.EntityID(tv)
 }
 

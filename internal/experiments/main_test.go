@@ -1,0 +1,9 @@
+package experiments
+
+import (
+	"testing"
+
+	"github.com/hinpriv/dehin/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

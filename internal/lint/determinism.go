@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -20,12 +21,15 @@ import (
 //   - ranging over a map while appending to a slice or writing output,
 //     which leaks Go's randomized iteration order into results. Collecting
 //     the map's keys themselves (for sorting) is exempt - that is the
-//     canonical fix.
+//     canonical fix;
+//   - ranging over a map while accumulating into a float or complex
+//     (+=, -=, *=, /=): floating-point arithmetic is not associative, so
+//     the result's low bits follow the iteration order.
 const checkDeterminism = "determinism"
 
 var Determinism = &Analyzer{
 	Name: checkDeterminism,
-	Doc:  "forbid wall clocks, global rand, env reads, and map-order-dependent output in deterministic packages",
+	Doc:  "forbid wall clocks, global rand, env reads, and map-order-dependent output or float sums in deterministic packages",
 	Run:  runDeterminism,
 }
 
@@ -81,8 +85,9 @@ func runDeterminism(p *Package, cfg *Config) []Diagnostic {
 	return out
 }
 
-// checkMapRange flags appends and output writes inside a map-keyed range,
-// whose iteration order is deliberately randomized by the runtime.
+// checkMapRange flags appends, output writes and float accumulation
+// inside a map-keyed range, whose iteration order is deliberately
+// randomized by the runtime.
 func checkMapRange(p *Package, rs *ast.RangeStmt) []Diagnostic {
 	tv, ok := p.Info.Types[rs.X]
 	if !ok {
@@ -107,6 +112,18 @@ func checkMapRange(p *Package, rs *ast.RangeStmt) []Diagnostic {
 		})
 	}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			switch as.Tok {
+			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+				if t := p.Info.TypeOf(as.Lhs[0]); t != nil {
+					if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&(types.IsFloat|types.IsComplex) != 0 {
+						report(as, "%s on a %s inside map iteration accumulates in random map order, and float rounding depends on the order; iterate sorted keys or a slice",
+							as.Tok, t)
+					}
+				}
+			}
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true

@@ -23,13 +23,11 @@
 //     (see shardsafety.go).
 //   - errdrop: a call's error result may not be silently discarded (see
 //     errdrop.go).
-//   - pairing: a configured acquire (a snapshot reference, an mmap pin,
-//     an attack-admission slot) must reach its release on every path out
-//     of the function, checked by forward dataflow over the function's
-//     control-flow graph (see pairing.go, cfg.go, dataflow.go).
-//   - goleak: every go statement outside the commands needs a join
-//     reachable in the control-flow graph of the same function (see
-//     goleak.go).
+//
+// Resource lifecycles (snapshot references, mmap pins, attack-admission
+// slots) and goroutine lifetimes are not checked here: the serve tests
+// assert the server is idle after every request, and internal/leakcheck
+// fails a test binary whose goroutines outlive its tests.
 //
 // The suite is written purely against the standard library (go/parser,
 // go/ast, go/types with the source-mode go/importer) and the go command,
@@ -80,14 +78,10 @@ type Analyzer struct {
 	Run func(p *Package, cfg *Config) []Diagnostic
 }
 
-// Analyzers returns the full suite in its canonical order: the PR 5
-// checks first (syntactic, plus the compiler-backed hotpath), then the
-// flow-sensitive lifecycle checks built on the CFG/dataflow layer
-// (cfg.go, dataflow.go).
+// Analyzers returns the full suite in its canonical order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Determinism, NilSafe, HotPath, LogDiscipline,
-		Pairing, ShardSafety, GoLeak, ErrDrop,
+		Determinism, NilSafe, HotPath, LogDiscipline, ShardSafety, ErrDrop,
 	}
 }
 
@@ -106,16 +100,7 @@ type Config struct {
 	// LogExemptPkgs lists the packages allowed to bypass obs.Logger (the
 	// logging layer itself).
 	LogExemptPkgs []string
-	// Pairs declares the acquire/release lifecycles the pairing analyzer
-	// tracks (see pairing.go for the qualified-name format).
-	Pairs []ResourcePair
-	// MustCall pins release-endpoint implementations: each listed
-	// function's body must still contain its inner release calls.
-	MustCall []CallContract
-	// GoExemptPkgs lists path segments whose packages skip the goleak
-	// check ("cmd": binaries own process-lifetime goroutines).
-	GoExemptPkgs []string
-	// ErrDropExempt lists callees (qualified-name format, see pairing.go)
+	// ErrDropExempt lists callees (qualified-name format, see qname.go)
 	// whose dropped errors are not findings: the best-effort cleanup
 	// families where the surrounding code has already chosen which error
 	// to surface.
@@ -136,43 +121,6 @@ func DefaultConfig() *Config {
 		},
 		NilSafePkgs:   []string{"internal/obs", "internal/obs/trace", "internal/serve"},
 		LogExemptPkgs: []string{"internal/obs", "internal/obs/trace"},
-		// The serving layer's three lifecycles (SERVICE.md): snapshot
-		// references, mmap pins, and attack-admission slots. Removing a
-		// release on any handler path — or the Unpin inside release
-		// itself — must turn the lint gate red.
-		Pairs: []ResourcePair{
-			{
-				Name:           "snapshot reference",
-				Acquire:        "internal/serve:Server.acquire",
-				ResourceResult: 0,
-				Releases: []string{
-					"internal/serve:Server.release",
-					"internal/serve:snapshot.unref",
-				},
-			},
-			{
-				Name:           "file pin",
-				Acquire:        "internal/hin:CSRFile.Pin",
-				ResourceResult: -1,
-				Releases:       []string{"internal/hin:CSRFile.Unpin"},
-			},
-			{
-				Name:           "attack admission slot",
-				Acquire:        "internal/serve:Server.admitAttack",
-				ResourceResult: 0,
-				Releases:       []string{"()"},
-			},
-		},
-		MustCall: []CallContract{
-			{
-				Func: "internal/serve:Server.release",
-				Callees: []string{
-					"internal/hin:CSRFile.Unpin",
-					"internal/serve:snapshot.unref",
-				},
-			},
-		},
-		GoExemptPkgs: []string{"cmd"},
 		// Best-effort cleanup: error-path f.Close()/os.Remove before
 		// returning the original error, response-body closes, and process
 		// teardown signals. Durable closes stay checked because they are

@@ -129,49 +129,10 @@ func TestLogDisciplineFixture(t *testing.T) {
 	runFixture(t, "logdiscipline", &Config{}, LogDiscipline)
 }
 
-func TestPairingFixture(t *testing.T) {
-	// The fixture mirrors the serve layer's three lifecycles on local
-	// types: a result resource (Pool.Get/Put), a receiver resource
-	// (File.Pin/Unpin), and a returned release func (Pool.Admit), plus a
-	// MustCall contract on the fixture's release endpoints.
-	cfg := &Config{
-		Pairs: []ResourcePair{
-			{Name: "snap", Acquire: "fixture/pairing:Pool.Get", ResourceResult: 0,
-				Releases: []string{"fixture/pairing:Pool.Put"}},
-			{Name: "pin", Acquire: "fixture/pairing:File.Pin", ResourceResult: -1,
-				Releases: []string{"fixture/pairing:File.Unpin"}},
-			{Name: "slot", Acquire: "fixture/pairing:Pool.Admit", ResourceResult: 0,
-				Releases: []string{"()"}},
-		},
-		MustCall: []CallContract{
-			{Func: "fixture/pairing:leakyPut", Callees: []string{"fixture/pairing:File.Unpin"}},
-			{Func: "fixture/pairing:Pool.Put", Callees: []string{"fixture/pairing:File.Unpin"}},
-		},
-	}
-	runFixture(t, "pairing", cfg, Pairing)
-}
-
 func TestShardSafetyFixture(t *testing.T) {
 	// shardsafety keys on the par call sites and go statements themselves;
 	// no package scoping involved.
 	runFixture(t, "shardsafety", &Config{}, ShardSafety)
-}
-
-func TestGoLeakFixture(t *testing.T) {
-	runFixture(t, "goleak", &Config{}, GoLeak)
-}
-
-// TestGoLeakExempt proves GoExemptPkgs scoping: the same fixture is
-// silent when a path segment of its import path is exempted.
-func TestGoLeakExempt(t *testing.T) {
-	p, err := testLoader().LoadDir(filepath.Join("testdata", "goleak"), "fixture/goleak")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := &Config{GoExemptPkgs: []string{"fixture"}}
-	if diags := p.Lint(cfg, []*Analyzer{GoLeak}); len(diags) != 0 {
-		t.Errorf("exempt package should produce no goleak findings, got %v", diags)
-	}
 }
 
 func TestErrDropFixture(t *testing.T) {

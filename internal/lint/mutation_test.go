@@ -10,11 +10,12 @@ import (
 
 // The mutation tests are the lint gate's proof of strength: they copy
 // real packages, re-introduce the exact regressions the analyzers exist
-// to stop — an unpaired acquire in a serve handler, a release endpoint
-// that forgot its inner Unpin, an out-of-shard write in risk's sweep, and
-// a Sprintf, a boxed value or a per-query slice in the DeHIN query core —
-// and assert the default-config suite reports them with a file:line
-// diagnostic. The copies live under testdata (invisible to go
+// to stop — an out-of-shard write in risk's sweep, a Sprintf, a boxed
+// value or a per-query slice in the DeHIN query core, and a float sum in
+// map order in the NS09 baseline — and assert the default-config suite
+// reports them with a file:line diagnostic. The serving layer's lifecycle
+// leaks are mutation-tested at run time instead (mutation_test.go at the
+// module root). The copies live under testdata (invisible to go
 // list, inside the module so the source importer resolves their real
 // imports) with import paths whose suffixes match the default specs.
 
@@ -96,44 +97,14 @@ func TestMutationControl(t *testing.T) {
 		t.Skip("package copies re-type-check the module; skipped with -short")
 	}
 	for _, c := range []struct{ pkgRel, importPath string }{
-		{"internal/serve", "mut/internal/serve"},
 		{"internal/risk", "mut/internal/risk"},
 		{"internal/dehin", "mut/internal/dehin"},
+		{"internal/baseline", "mut/internal/baseline"},
 	} {
 		if diags := lintMutant(t, c.pkgRel, c.importPath, nil); len(diags) != 0 {
 			t.Errorf("control copy of %s must lint clean, got %v", c.pkgRel, diags)
 		}
 	}
-}
-
-// TestMutationUnpairedAcquire deletes one handler's deferred release:
-// the pairing analyzer must report the acquire as leaking.
-func TestMutationUnpairedAcquire(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package copies re-type-check the module; skipped with -short")
-	}
-	diags := lintMutant(t, "internal/serve", "mut/internal/serve", func(name string, src []byte) []byte {
-		if name != "api.go" {
-			return src
-		}
-		return replaceOnce(t, src, "\tdefer s.release(sn)\n", "")
-	})
-	requireFinding(t, diags, "pairing", "api.go", "snapshot reference acquired by Server.acquire is not released on every path")
-}
-
-// TestMutationMissingUnpin deletes the Unpin inside Server.release: the
-// MustCall contract must report the hollowed-out release endpoint.
-func TestMutationMissingUnpin(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package copies re-type-check the module; skipped with -short")
-	}
-	diags := lintMutant(t, "internal/serve", "mut/internal/serve", func(name string, src []byte) []byte {
-		if name != "server.go" {
-			return src
-		}
-		return replaceOnce(t, src, "\t\tsn.file.Unpin()\n", "")
-	})
-	requireFinding(t, diags, "pairing", "server.go", "no longer calls CSRFile.Unpin")
 }
 
 // TestMutationOutOfShardWrite injects a write at the exclusive bound
@@ -181,4 +152,26 @@ func TestMutationHotPath(t *testing.T) {
 			requireFinding(t, diags, "hotpath", "attack.go", c.want+" (in //hin:hot deanonymizeCore)")
 		})
 	}
+}
+
+// TestMutationMapOrderFloatSum injects a float sum over a map range into
+// the NS09 baseline: the determinism check must flag the accumulation.
+func TestMutationMapOrderFloatSum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("package copies re-type-check the module; skipped with -short")
+	}
+	diags := lintMutant(t, "internal/baseline", "mut/internal/baseline", func(name string, src []byte) []byte {
+		if name != "baseline.go" {
+			return src
+		}
+		return append(src, `
+func mapOrderSum(scores map[hin.EntityID]float64) (sum float64) {
+	for _, s := range scores {
+		sum += s
+	}
+	return sum
+}
+`...)
+	})
+	requireFinding(t, diags, "determinism", "baseline.go", "+= on a float64 inside map iteration")
 }

@@ -70,6 +70,24 @@ func BuildLeak(m map[string]int) string {
 	return b.String()
 }
 
+// SumLeak accumulates floats in map iteration order.
+func SumLeak(m map[string]float64) (sum, prod float64) {
+	prod = 1
+	for _, v := range m {
+		sum += v  // want "\+= on a float64 inside map iteration accumulates in random map order"
+		prod *= v // want "\*= on a float64 inside map iteration"
+	}
+	return sum, prod
+}
+
+// CountKeys accumulates integers, which is exact in any order.
+func CountKeys(m map[string]int) (n int) {
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
 // Allowed is the suppressed case: the directive silences the finding.
 func Allowed() time.Time {
 	//hin:allow determinism -- fixture: reporting-only timestamp

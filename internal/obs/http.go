@@ -66,7 +66,6 @@ func Serve(addr string, r *Registry) (net.Listener, error) {
 		return nil, err
 	}
 	srv := &http.Server{Handler: NewMux(r)}
-	//hin:allow goleak -- process-lifetime debug server: it ends when the returned listener is closed
 	go func() { _ = srv.Serve(ln) }() //hin:allow errdrop -- Serve always returns ErrServerClosed after Listener.Close
 	return ln, nil
 }

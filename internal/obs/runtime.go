@@ -66,7 +66,7 @@ func StartRuntime(r *Registry, interval time.Duration) *RuntimeCollector {
 	}
 	c.stop = make(chan struct{})
 	c.done = make(chan struct{})
-	//hin:allow goleak -- poller is joined by Stop, which closes c.stop and waits on c.done
+	// The poller is joined by Stop, which closes c.stop and waits on c.done.
 	go func() {
 		defer close(c.done)
 		t := time.NewTicker(interval)

@@ -9,37 +9,6 @@ import (
 	"github.com/hinpriv/dehin/internal/tqq"
 )
 
-// TestEntropyEdgeCases pins the entropy lens at its degenerate inputs: an
-// empty dataset carries no information (and no denominator), a singleton is
-// fully identified, a single equivalence class hides everyone equally, and
-// a uniform two-class split is exactly one bit.
-func TestEntropyEdgeCases(t *testing.T) {
-	cases := []struct {
-		name       string
-		vals       []int
-		entropy    float64
-		max        float64
-		normalized float64
-	}{
-		{"empty", nil, 0, 0, 0},
-		{"single", []int{7}, 0, 0, 1},
-		{"all-identical", []int{3, 3, 3, 3}, 0, 2, 0},
-		{"all-distinct", []int{1, 2, 3, 4}, 2, 2, 1},
-		{"two-even-classes", []int{1, 1, 2, 2}, 1, 2, 0.5},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			e, max := PartitionEntropy(c.vals)
-			if math.Abs(e-c.entropy) > 1e-12 || math.Abs(max-c.max) > 1e-12 {
-				t.Fatalf("PartitionEntropy = (%g, %g), want (%g, %g)", e, max, c.entropy, c.max)
-			}
-			if n := NormalizedEntropy(c.vals); math.Abs(n-c.normalized) > 1e-12 {
-				t.Fatalf("NormalizedEntropy = %g, want %g", n, c.normalized)
-			}
-		})
-	}
-}
-
 // TestRiskEdgeCases covers Definition 7/8 at the boundary: no tuples, a
 // single tuple (the "single candidate" case - risk 1), and a dataset where
 // every tuple shares one value (risk 1/N, the k-anonymity floor).

@@ -16,7 +16,8 @@ type SignatureConfig struct {
 	// neighbors along the selected link types, and so on.
 	MaxDistance int
 	// LinkTypes are the target network schema link types to utilize;
-	// Table 1 sweeps the 15 non-empty subsets of {f,m,c,r}.
+	// empty means all of them, as in dehin.Config. Table 1 sweeps the 15
+	// non-empty subsets of {f,m,c,r}.
 	LinkTypes []hin.LinkTypeID
 	// EntityAttrs are the scalar attribute indices contributing to the
 	// distance-0 value. The paper's Section 6.1 uses only the number of

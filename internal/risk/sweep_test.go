@@ -63,6 +63,35 @@ func TestSignaturesWorkerFingerprint(t *testing.T) {
 	}
 }
 
+// An empty LinkTypes means every schema link type, as in dehin.Config:
+// it refines exactly as the explicit full list does.
+func TestEmptyLinkTypesMeansAll(t *testing.T) {
+	g := sweepTestGraph(t, 600, 5)
+	cfg := SignatureConfig{MaxDistance: 2, EntityAttrs: []int{tqq.AttrNumTags}}
+	empty, err := Signatures(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.LinkTypes = allLinkTypes()
+	all, err := Signatures(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxDistance = 0
+	attrsOnly, err := Signatures(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Cardinality(all) <= Cardinality(attrsOnly) {
+		t.Fatalf("refinement split nothing: %d classes at distance 2, %d at 0", Cardinality(all), Cardinality(attrsOnly))
+	}
+	for v := range all {
+		if empty[v] != all[v] {
+			t.Fatalf("entity %d: empty LinkTypes gives %x, all link types %x", v, empty[v], all[v])
+		}
+	}
+}
+
 // NetworkSweep must agree bit-for-bit with the per-distance calls it
 // replaces, at every distance.
 func TestNetworkSweepMatchesPerDistanceCalls(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -31,7 +30,7 @@ const (
 	diffFingerprint = "1a8c53e0655ba5006061ad2de143a913a17b6dabf6884b9f2a600b842e94a2f6"
 )
 
-func rawRequest(t *testing.T, ts *httptest.Server, method, path string, body []byte) (int, []byte) {
+func rawRequest(t *testing.T, ts *testServer, method, path string, body []byte) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -53,6 +52,7 @@ func rawRequest(t *testing.T, ts *httptest.Server, method, path string, body []b
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireIdle(t, ts.s)
 	return resp.StatusCode, got
 }
 
@@ -98,8 +98,8 @@ func TestDifferentialAgainstLibrary(t *testing.T) {
 	if err := s.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	defer closeIdle(t, s)
+	ts := newTestServer(s)
 	defer ts.Close()
 
 	lts := allLinkTypes(g.Schema())
@@ -186,12 +186,8 @@ func TestDifferentialAgainstLibrary(t *testing.T) {
 		for j, v := range cands {
 			resp.Matches[j] = dehinMatch{User: int32(v), Label: g.Label(v)}
 		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want := wantBody(t, resp)
-		status, got := rawRequest(t, ts, "POST", "/v1/dehin", body)
+		status, got := rawRequest(t, ts, "POST", "/v1/dehin", mustMarshal(t, req))
 		if status != 200 || !bytes.Equal(got, want) {
 			t.Fatalf("dehin(user=%d) = %d %q, library predicts %q", u, status, got, want)
 		}

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // flightServer starts a test server with a flight recorder at the given
 // slow threshold (1ns captures everything, 1h captures only errors).
-func flightServer(t *testing.T, slow time.Duration) (*Server, *trace.Flight, *httptest.Server) {
+func flightServer(t *testing.T, slow time.Duration) (*Server, *trace.Flight, *testServer) {
 	t.Helper()
 	f := trace.NewFlight(trace.FlightConfig{Capacity: 16, SlowThreshold: slow})
 	cfg := testConfig()
@@ -28,8 +27,8 @@ func flightServer(t *testing.T, slow time.Duration) (*Server, *trace.Flight, *ht
 	if err := s.LoadBackend(testGraph(t, 300, 5)); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { closeIdle(t, s) })
+	ts := newTestServer(s)
 	t.Cleanup(ts.Close)
 	return s, f, ts
 }
@@ -42,7 +41,7 @@ type flightEnvelope struct {
 	Records         []trace.RequestRecord `json:"records"`
 }
 
-func fetchFlight(t *testing.T, ts *httptest.Server) flightEnvelope {
+func fetchFlight(t *testing.T, ts *testServer) flightEnvelope {
 	t.Helper()
 	var env flightEnvelope
 	getJSON(t, ts, "/debug/requests?format=json", 200, &env)
@@ -55,7 +54,7 @@ func fetchFlight(t *testing.T, ts *httptest.Server) flightEnvelope {
 func TestHealthz(t *testing.T) {
 	cfg := testConfig()
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
+	ts := newTestServer(s)
 	defer ts.Close()
 
 	// No snapshot yet: unavailable.
@@ -68,7 +67,7 @@ func TestHealthz(t *testing.T) {
 	if err := s.LoadBackend(testGraph(t, 200, 9)); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeIdle(t, s)
 	getJSON(t, ts, "/v1/healthz", 200, &h)
 	if h.Status != "ok" || h.Epoch != 1 || h.AgeS < 0 || h.AgeS > 60 {
 		t.Fatalf("healthz = %+v", h)
@@ -175,8 +174,8 @@ func TestDebugRequestsDisabled(t *testing.T) {
 	if err := s.LoadBackend(testGraph(t, 200, 3)); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	defer closeIdle(t, s)
+	ts := newTestServer(s)
 	defer ts.Close()
 	getJSON(t, ts, "/debug/requests", 404, nil)
 	getJSON(t, ts, "/debug/requests?format=json", 404, nil)
@@ -230,6 +229,7 @@ func TestDebugRequestsTextGolden(t *testing.T) {
 	if !strings.Contains(string(durBody), "finished (threshold") {
 		t.Fatalf("durations header missing:\n%s", durBody)
 	}
+	requireIdle(t, s)
 }
 
 // mustGraph returns the currently served graph (test convenience for

@@ -1,10 +1,9 @@
 package serve
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"github.com/hinpriv/dehin/internal/hin"
@@ -14,7 +13,10 @@ import (
 // FuzzServeDehin posts arbitrary bodies to /v1/dehin on a small served
 // graph. Every request must answer valid JSON with a status in {200, 400,
 // 413, 429, 503} and never panic; a 200 must also report a candidate list
-// consistent with its counts and the MaxCandidates cap.
+// consistent with its counts and the MaxCandidates cap. The server must be
+// idle before and after every input: a snapshot reference or attack slot
+// that one input leaks fails that input, or at the latest the next one,
+// before a run of leaked slots can block admission forever.
 func FuzzServeDehin(f *testing.F) {
 	ds, err := tqq.Generate(tqq.DefaultConfig(300, 2))
 	if err != nil {
@@ -28,7 +30,7 @@ func FuzzServeDehin(f *testing.F) {
 	if err := s.LoadBackend(g); err != nil {
 		f.Fatal(err)
 	}
-	defer s.Close()
+	f.Cleanup(func() { closeIdle(f, s) })
 	h := s.Handler()
 
 	seeds := []dehinRequest{
@@ -41,17 +43,14 @@ func FuzzServeDehin(f *testing.F) {
 		seeds = append(seeds, snippetFromUser(g, u))
 	}
 	for _, req := range seeds {
-		body, err := json.Marshal(req)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(body)
+		f.Add(mustMarshal(f, req))
 	}
 	f.Add([]byte("{nope"))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/dehin", bytes.NewReader(body)))
+		requireIdle(t, s)
+		rec := serveDehin(context.Background(), h, body)
+		requireIdle(t, s)
 		switch rec.Code {
 		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
 			http.StatusTooManyRequests, http.StatusServiceUnavailable:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -47,7 +46,7 @@ func TestReloadUnderFire(t *testing.T) {
 	if err := s.Load(paths[0]); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := newTestServer(s)
 	defer ts.Close()
 
 	const (
@@ -127,11 +126,11 @@ func TestReloadUnderFire(t *testing.T) {
 	if got := s.Epoch(); got != reloads+1 {
 		t.Fatalf("final epoch = %d, want %d", got, reloads+1)
 	}
-	// Every retired epoch must drain and close; Close reporting leftover
-	// references would mean a leaked acquire.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Every request has been answered: the current epoch holds only its
+	// own reference, every retired epoch drains and closes its file, and
+	// Close reporting leftover references would mean a leaked acquire.
+	requireIdle(t, s)
+	closeIdle(t, s)
 	if m := s.cfg.Metrics.Snapshot(); m.Counter("serve_snapshots_retired_total") != reloads+1 {
 		t.Fatalf("retired %d snapshots, want %d", m.Counter("serve_snapshots_retired_total"), reloads+1)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/hinpriv/dehin/internal/dehin"
 	"github.com/hinpriv/dehin/internal/hin"
@@ -50,7 +52,7 @@ func testGraph(t *testing.T, users int, seed uint64) *hin.Graph {
 	return ds.Graph
 }
 
-func getJSON(t *testing.T, ts *httptest.Server, path string, want int, out any) {
+func getJSON(t *testing.T, ts *testServer, path string, want int, out any) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)
 	if err != nil {
@@ -61,6 +63,7 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, want int, out any) 
 	if resp.StatusCode != want {
 		t.Fatalf("GET %s = %d, want %d: %s", path, resp.StatusCode, want, body)
 	}
+	requireIdle(t, ts.s)
 	if out != nil {
 		if err := json.Unmarshal(body, out); err != nil {
 			t.Fatalf("GET %s: decoding %q: %v", path, body, err)
@@ -68,13 +71,18 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, want int, out any) 
 	}
 }
 
-func postJSON(t *testing.T, ts *httptest.Server, path string, reqBody any, want int, out any) {
+func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
-	buf, err := json.Marshal(reqBody)
+	buf, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+	return buf
+}
+
+func postJSON(t *testing.T, ts *testServer, path string, reqBody any, want int, out any) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(mustMarshal(t, reqBody)))
 	if err != nil {
 		t.Fatalf("POST %s: %v", path, err)
 	}
@@ -83,6 +91,7 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, reqBody any, want 
 	if resp.StatusCode != want {
 		t.Fatalf("POST %s = %d, want %d: %s", path, resp.StatusCode, want, body)
 	}
+	requireIdle(t, ts.s)
 	if out != nil {
 		if err := json.Unmarshal(body, out); err != nil {
 			t.Fatalf("POST %s: decoding %q: %v", path, body, err)
@@ -97,8 +106,8 @@ func TestEndpointsAgainstLibrary(t *testing.T) {
 	if err := s.LoadBackend(g); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	defer closeIdle(t, s)
+	ts := newTestServer(s)
 	defer ts.Close()
 
 	// Snapshot info reflects the loaded graph and epoch 1.
@@ -189,13 +198,8 @@ func TestEndpointsAgainstLibrary(t *testing.T) {
 	}
 
 	// Malformed snippet bodies.
-	resp, err := http.Post(ts.URL+"/v1/dehin", "application/json", bytes.NewReader([]byte("{nope")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("malformed dehin body = %d", resp.StatusCode)
+	if status, _ := rawRequest(t, ts, "POST", "/v1/dehin", []byte("{nope")); status != 400 {
+		t.Fatalf("malformed dehin body = %d", status)
 	}
 	postJSON(t, ts, "/v1/dehin", dehinRequest{}, 400, nil)
 	postJSON(t, ts, "/v1/dehin", dehinRequest{
@@ -264,7 +268,7 @@ func TestReloadSwapsEpochAndRetiresFile(t *testing.T) {
 	if err := s.Load(p1); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := newTestServer(s)
 	defer ts.Close()
 
 	var info snapshotResponse
@@ -299,11 +303,9 @@ func TestReloadSwapsEpochAndRetiresFile(t *testing.T) {
 		t.Fatalf("empty-source reload info = %+v", info)
 	}
 
-	// Close drains every epoch; afterwards requests answer 503 and
-	// further loads fail.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Close drains every epoch and closes every retired file; afterwards
+	// requests answer 503 and further loads fail.
+	closeIdle(t, s)
 	getJSON(t, ts, "/v1/risk?user=1", 503, nil)
 	if err := s.Load(p1); err == nil {
 		t.Fatal("Load after Close succeeded")
@@ -342,8 +344,8 @@ func TestFailedReloadKeepsServing(t *testing.T) {
 	if err := s.Load(good); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	defer closeIdle(t, s)
+	ts := newTestServer(s)
 	defer ts.Close()
 
 	answers := func() []string {
@@ -353,14 +355,9 @@ func TestFailedReloadKeepsServing(t *testing.T) {
 			"/v1/risk?user=0&distance=1", "/v1/risk?user=17&distance=2",
 			"/v1/risk?user=299&distance=0", "/v1/snapshot",
 		} {
-			resp, err := http.Get(ts.URL + path)
-			if err != nil {
-				t.Fatalf("GET %s: %v", path, err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != 200 {
-				t.Fatalf("GET %s = %d, %v: %s", path, resp.StatusCode, err, body)
+			status, body := rawRequest(t, ts, "GET", path, nil)
+			if status != 200 {
+				t.Fatalf("GET %s = %d: %s", path, status, body)
 			}
 			out = append(out, string(body))
 		}
@@ -417,15 +414,17 @@ func TestAttackAdmissionRejectsWhenSaturated(t *testing.T) {
 	if err := s.LoadBackend(testGraph(t, 200, 3)); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+	defer closeIdle(t, s)
+	ts := newTestServer(s)
 	defer ts.Close()
 
 	snip := dehinRequest{Entities: []dehinEntity{{Type: "User", Attrs: []int64{1985, 1, 10, 2}}}}
 
 	// Occupy the single slot directly, then observe the fast 429.
 	s.attackSlots <- struct{}{}
-	postJSON(t, ts, "/v1/dehin", snip, 429, nil)
+	if rec := serveDehin(context.Background(), ts.Config.Handler, mustMarshal(t, snip)); rec.Code != 429 {
+		t.Fatalf("dehin with the slot taken = %d: %s", rec.Code, rec.Body)
+	}
 	if got := s.met.rejected.Value(); got != 1 {
 		t.Fatalf("rejected counter = %d", got)
 	}
@@ -435,6 +434,54 @@ func TestAttackAdmissionRejectsWhenSaturated(t *testing.T) {
 	postJSON(t, ts, "/v1/dehin", snip, 200, &dr)
 	if dr.Epoch != 1 {
 		t.Fatalf("dehin epoch = %d", dr.Epoch)
+	}
+}
+
+// TestAttackAdmissionQueue drives both ends of a wait for an attack slot:
+// a queued request whose context is cancelled answers 503, and one that
+// is still waiting when the slot frees is admitted and answers 200.
+func TestAttackAdmissionQueue(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxAttackInFlight = 1
+	cfg.MaxAttackQueue = 1
+	s := New(cfg)
+	if err := s.LoadBackend(testGraph(t, 200, 3)); err != nil {
+		t.Fatal(err)
+	}
+	defer closeIdle(t, s)
+	h := s.Handler()
+	body := mustMarshal(t, dehinRequest{Entities: []dehinEntity{{Type: "User", Attrs: []int64{1985, 1, 10, 2}}}})
+
+	// waitQueued returns once a request waits for the held slot.
+	waitQueued := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); s.queued.Load() != 1; {
+			if time.Now().After(deadline) {
+				t.Fatal("request never queued for the attack slot")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s.attackSlots <- struct{}{} // hold the only slot
+	answered := make(chan *httptest.ResponseRecorder)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { answered <- serveDehin(ctx, h, body) }()
+	waitQueued()
+	cancel()
+	if rec := <-answered; rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled while queued = %d: %s", rec.Code, rec.Body)
+	}
+
+	go func() { answered <- serveDehin(context.Background(), h, body) }()
+	waitQueued()
+	<-s.attackSlots
+	if rec := <-answered; rec.Code != http.StatusOK {
+		t.Fatalf("admitted from the queue = %d: %s", rec.Code, rec.Body)
+	}
+	requireIdle(t, s)
+	if got := cfg.Metrics.Snapshot().Gauge("serve_attack_queue_depth"); got != 0 {
+		t.Fatalf("serve_attack_queue_depth = %d at idle", got)
 	}
 }
 

@@ -53,19 +53,9 @@ type snapshot struct {
 // grid is one sweep (risk.SignatureGrid), so building a snapshot costs the
 // same as a single MaxDistance risk run plus the attack index.
 func newSnapshot(epoch uint64, source string, g hin.GraphBackend, file *hin.CSRFile, cfg Config) (*snapshot, error) {
-	// An empty LinkTypes config means "utilize every schema link type".
-	// The risk sweep takes the selection literally (Table 1 passes
-	// explicit subsets; an empty subset really means no refinement), so
-	// the default is resolved here, per snapshot, against the schema.
-	lts := cfg.LinkTypes
-	if len(lts) == 0 {
-		for i := 0; i < g.Schema().NumLinkTypes(); i++ {
-			lts = append(lts, hin.LinkTypeID(i))
-		}
-	}
 	grid, err := risk.SignatureGrid(g, risk.SignatureConfig{
 		MaxDistance: cfg.MaxDistance,
-		LinkTypes:   lts,
+		LinkTypes:   cfg.LinkTypes,
 		EntityAttrs: cfg.EntityAttrs,
 		Workers:     cfg.Workers,
 		Metrics:     cfg.Metrics,
@@ -113,7 +103,7 @@ func newSnapshot(epoch uint64, source string, g hin.GraphBackend, file *hin.CSRF
 	}
 	attack, err := dehin.NewAttack(g, dehin.Config{
 		MaxDistance: cfg.AttackDistance,
-		LinkTypes:   lts,
+		LinkTypes:   cfg.LinkTypes,
 		Profile:     cfg.Profile,
 		UseIndex:    true,
 		Parallelism: cfg.Workers,
