@@ -51,18 +51,16 @@ var logger = obs.NewLogger(os.Stderr, slog.LevelInfo)
 
 func main() {
 	var (
-		url         = flag.String("url", "", "base URL of a running hinriskd (mutually exclusive with -launch)")
-		launch      = flag.String("launch", "", "hinriskd command line to start and drive")
-		duration    = flag.Duration("duration", 30*time.Second, "load duration")
-		qps         = flag.Float64("qps", 0, "offered aggregate QPS (0 = closed loop)")
-		conc        = flag.Int("conc", 8, "concurrent workers")
-		seed        = flag.Uint64("seed", 1, "query-mix seed")
-		mix         = flag.String("mix", "risk=90,topk=4,snapshot=3,dehin=3", "endpoint weights")
-		out         = flag.String("out", "", "write a benchjson report here")
-		failOnErr   = flag.Bool("fail-on-error", true, "exit non-zero if any request fails")
-		checkEpochs = flag.Bool("check-epochs", true, "decode bodies and fail responses without an epoch")
-		waitReady   = flag.Duration("wait-ready", 0, "poll /v1/healthz for up to this long before starting the schedule")
-		checkObs    = flag.Bool("check-obs", false, "after the run, scrape /metrics and /debug/requests and fail if the serve/runtime families are missing or malformed")
+		url       = flag.String("url", "", "base URL of a running hinriskd (mutually exclusive with -launch)")
+		launch    = flag.String("launch", "", "hinriskd command line to start and drive")
+		duration  = flag.Duration("duration", 30*time.Second, "load duration")
+		qps       = flag.Float64("qps", 0, "offered aggregate QPS (0 = closed loop)")
+		conc      = flag.Int("conc", 8, "concurrent workers")
+		seed      = flag.Uint64("seed", 1, "query-mix seed")
+		mix       = flag.String("mix", "risk=90,topk=4,snapshot=3,dehin=3", "endpoint weights")
+		out       = flag.String("out", "", "write a benchjson report here")
+		waitReady = flag.Duration("wait-ready", 0, "poll /v1/healthz for up to this long before starting the schedule")
+		checkObs  = flag.Bool("check-obs", false, "after the run, scrape /metrics and /debug/requests and fail if the serve/runtime families are missing or malformed")
 	)
 	flag.Parse()
 	if (*url == "") == (*launch == "") {
@@ -101,7 +99,7 @@ func main() {
 	res := run(loadSpec{
 		base: base, users: users, maxDistance: maxDistance,
 		duration: *duration, qps: *qps, conc: *conc, seed: *seed,
-		weights: weights, checkEpochs: *checkEpochs,
+		weights: weights,
 	})
 
 	printReport(res)
@@ -121,7 +119,7 @@ func main() {
 		stopServer()
 		stopServer = nil
 	}
-	if *failOnErr && res.errors() > 0 {
+	if res.errors() > 0 {
 		fatalf("%d request(s) failed", res.errors())
 	}
 }
@@ -350,7 +348,6 @@ type loadSpec struct {
 	conc        int
 	seed        uint64
 	weights     map[string]int
-	checkEpochs bool
 }
 
 // kindStats collects one endpoint's raw latencies (exact quantiles beat
@@ -444,27 +441,25 @@ func pickKind(rng *randx.RNG, weights map[string]int, total int) string {
 	return kinds[0]
 }
 
-// request is one prepared query: method, URL, optional body, and whether
-// the response body must carry an epoch.
+// request is one prepared query: method, URL and optional body.
 type request struct {
-	method     string
-	url        string
-	body       []byte
-	checkEpoch bool
+	method string
+	url    string
+	body   []byte
 }
 
 func buildRequest(rng *randx.RNG, spec loadSpec, kind string) request {
 	switch kind {
 	case "risk":
-		return request{method: "GET", checkEpoch: spec.checkEpochs,
+		return request{method: "GET",
 			url: fmt.Sprintf("%s/v1/risk?user=%d&distance=%d",
 				spec.base, rng.Intn(spec.users), rng.Intn(spec.maxDistance+1))}
 	case "topk":
-		return request{method: "GET", checkEpoch: spec.checkEpochs,
+		return request{method: "GET",
 			url: fmt.Sprintf("%s/v1/topk?k=%d&distance=%d",
 				spec.base, rng.IntRange(1, 50), rng.Intn(spec.maxDistance+1))}
 	case "snapshot":
-		return request{method: "GET", checkEpoch: spec.checkEpochs, url: spec.base + "/v1/snapshot"}
+		return request{method: "GET", url: spec.base + "/v1/snapshot"}
 	default: // dehin: a profile-only snippet with plausible t.qq-ish attrs
 		//hin:allow errdrop -- marshaling a literal map of strings and ints cannot fail
 		body, _ := json.Marshal(map[string]any{
@@ -475,14 +470,13 @@ func buildRequest(rng *randx.RNG, spec loadSpec, kind string) request {
 					int64(rng.Intn(1000)), int64(rng.Intn(11))},
 			}},
 		})
-		return request{method: "POST", url: spec.base + "/v1/dehin",
-			body: body, checkEpoch: spec.checkEpochs}
+		return request{method: "POST", url: spec.base + "/v1/dehin", body: body}
 	}
 }
 
-// fire issues one request and reports success: HTTP 200 and, when epoch
-// checking is on, a decodable body with a non-zero epoch (the reload soak
-// relies on this to prove no request ever saw a torn or retired state).
+// fire issues one request and reports success: HTTP 200 and a decodable
+// body with a non-zero epoch (the reload soak relies on this to prove no
+// request ever saw a torn or retired state).
 func fire(client *http.Client, r request) bool {
 	var (
 		resp *http.Response
@@ -501,15 +495,10 @@ func fire(client *http.Client, r request) bool {
 	if err != nil || resp.StatusCode != 200 {
 		return false
 	}
-	if r.checkEpoch {
-		var e struct {
-			Epoch uint64 `json:"epoch"`
-		}
-		if json.Unmarshal(body, &e) != nil || e.Epoch == 0 {
-			return false
-		}
+	var e struct {
+		Epoch uint64 `json:"epoch"`
 	}
-	return true
+	return json.Unmarshal(body, &e) == nil && e.Epoch != 0
 }
 
 func (r loadResult) errors() int64 {

@@ -67,7 +67,6 @@ func main() {
 		topkMax  = flag.Int("topk-max", 1000, "largest accepted /v1/topk k")
 		inflight = flag.Int("inflight", 0, "max concurrent /v1/dehin attacks (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 64, "max queued /v1/dehin requests before 429 (negative = none)")
-		workers  = flag.Int("workers", 0, "snapshot build worker pool size (0 = GOMAXPROCS)")
 
 		flightN    = flag.Int("flight", 0, "flight recorder capacity: retain the last N slow/failed request span trees (0 = off)")
 		flightSlow = flag.Duration("flight-slow", 100*time.Millisecond, "flight recorder slow threshold; 2xx requests at or above it are retained")
@@ -98,7 +97,6 @@ func main() {
 		MaxTopK:           *topkMax,
 		MaxAttackInFlight: *inflight,
 		MaxAttackQueue:    *queue,
-		Workers:           *workers,
 		Metrics:           reg,
 		Log:               logger,
 		Flight:            flight,

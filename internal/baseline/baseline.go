@@ -42,17 +42,18 @@ type PropagationResult struct {
 	Rounds int
 }
 
-// Propagation runs the structural attack. Both graphs must share a schema;
-// adjacency is used undirected and untyped (union over all link types), as
-// in the original attack on homogeneous social graphs.
-func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationResult, error) {
+// Propagation runs the structural attack against the auxiliary graph's
+// UndirectedAdj, which callers build once and share across targets.
+// Adjacency is used undirected and untyped (union over all link types),
+// as in the original attack on homogeneous social graphs.
+func Propagation(target *hin.Graph, aAdj [][]hin.EntityID, cfg PropagationConfig) (*PropagationResult, error) {
 	if cfg.Theta < 0 {
 		return nil, fmt.Errorf("baseline: negative Theta")
 	}
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 10
 	}
-	tn, an := target.NumEntities(), aux.NumEntities()
+	tn, an := target.NumEntities(), len(aAdj)
 	mapping := make([]hin.EntityID, tn)
 	for i := range mapping {
 		mapping[i] = hin.NoEntity
@@ -78,8 +79,7 @@ func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationRes
 		}
 	}
 
-	tAdj := undirectedAdj(target)
-	aAdj := undirectedAdj(aux)
+	tAdj := UndirectedAdj(target)
 	// One scorer per side, reused for every vertex: auxiliary candidates
 	// for the forward scoring, target candidates for the reverse check.
 	aScores, tScores := newScorer(an), newScorer(tn)
@@ -128,9 +128,9 @@ func Propagation(target, aux *hin.Graph, cfg PropagationConfig) (*PropagationRes
 	return res, nil
 }
 
-// undirectedAdj merges all link types in both directions into plain
-// adjacency lists (deduplicated).
-func undirectedAdj(g *hin.Graph) [][]hin.EntityID {
+// UndirectedAdj merges all of g's link types in both directions into
+// plain adjacency lists, each sorted and deduplicated.
+func UndirectedAdj(g *hin.Graph) [][]hin.EntityID {
 	n := g.NumEntities()
 	adj := make([][]hin.EntityID, n)
 	for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {

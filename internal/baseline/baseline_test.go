@@ -9,8 +9,9 @@ import (
 )
 
 // propagationFixture samples a dense community as target (identity-mapped
-// into the dataset) and returns seeds from the ground truth.
-func propagationFixture(t *testing.T, seedCount int) (tgt *tqq.Target, aux *hin.Graph, seeds map[hin.EntityID]hin.EntityID) {
+// into the dataset) and returns the dataset's undirected adjacency and
+// seeds from the ground truth.
+func propagationFixture(t *testing.T, seedCount int) (tgt *tqq.Target, aux [][]hin.EntityID, seeds map[hin.EntityID]hin.EntityID) {
 	t.Helper()
 	cfg := tqq.DefaultConfig(1200, 19)
 	cfg.Communities = []tqq.CommunitySpec{{Size: 200, Density: 0.02}}
@@ -27,7 +28,7 @@ func propagationFixture(t *testing.T, seedCount int) (tgt *tqq.Target, aux *hin.
 	for _, i := range rng.SampleWithoutReplacement(tgt.Graph.NumEntities(), seedCount) {
 		seeds[hin.EntityID(i)] = tgt.Orig[i]
 	}
-	return tgt, d.Graph, seeds
+	return tgt, UndirectedAdj(d.Graph), seeds
 }
 
 func TestPropagationWithSeeds(t *testing.T) {

@@ -110,11 +110,7 @@ func NewAttack(aux hin.GraphBackend, cfg Config) (*Attack, error) {
 	if cfg.NeighborTolerance < 0 || cfg.NeighborTolerance >= 1 {
 		return nil, fmt.Errorf("dehin: NeighborTolerance %g out of [0,1)", cfg.NeighborTolerance)
 	}
-	if len(cfg.LinkTypes) == 0 {
-		for i := 0; i < aux.Schema().NumLinkTypes(); i++ {
-			cfg.LinkTypes = append(cfg.LinkTypes, hin.LinkTypeID(i))
-		}
-	}
+	cfg.LinkTypes = aux.Schema().LinkTypesOrAll(cfg.LinkTypes)
 	for _, lt := range cfg.LinkTypes {
 		if int(lt) >= aux.Schema().NumLinkTypes() {
 			return nil, fmt.Errorf("dehin: link type %d out of range", lt)

@@ -40,6 +40,17 @@ func RunGrowthAblation(w *Workbench) (*GrowthAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every attack on the grown crawl shares one candidate index.
+	grownIdx, err := dehin.NewIndex(grown.Graph, dehin.TQQProfile())
+	if err != nil {
+		return nil, err
+	}
+	attackGrown := func(cfg dehin.Config) (*dehin.Attack, error) {
+		cfg.Profile = dehin.TQQProfile()
+		cfg.SharedIndex = grownIdx
+		cfg.Parallelism = p.Parallelism
+		return dehin.NewAttack(grown.Graph, cfg)
+	}
 	res := &GrowthAblationResult{Params: p, Distances: p.Distances}
 	for _, n := range p.Distances {
 		sync, err := w.Attack(dehin.Config{
@@ -50,32 +61,31 @@ func RunGrowthAblation(w *Workbench) (*GrowthAblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		prec, red, err := averageRun(sync, targets, nil)
+		prec, red, err := averageRun(sync, targets)
 		if err != nil {
 			return nil, err
 		}
 		res.Synchronized = append(res.Synchronized, Cell{prec, red})
 
-		tol, err := AttackOn(grown.Graph, dehin.Config{MaxDistance: n, Parallelism: p.Parallelism})
+		tol, err := attackGrown(dehin.Config{MaxDistance: n})
 		if err != nil {
 			return nil, err
 		}
-		prec, red, err = averageRun(tol, targets, nil)
+		prec, red, err = averageRun(tol, targets)
 		if err != nil {
 			return nil, err
 		}
 		res.GrownTolerant = append(res.GrownTolerant, Cell{prec, red})
 
-		exact, err := AttackOn(grown.Graph, dehin.Config{
+		exact, err := attackGrown(dehin.Config{
 			MaxDistance: n,
 			EntityMatch: dehin.TQQProfile().ExactMatcher(),
 			LinkMatch:   dehin.ExactLinkMatcher,
-			Parallelism: p.Parallelism,
 		})
 		if err != nil {
 			return nil, err
 		}
-		prec, red, err = averageRun(exact, targets, nil)
+		prec, red, err = averageRun(exact, targets)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +142,8 @@ func RunBaselineAblation(w *Workbench) (*BaselineAblationResult, error) {
 }
 
 // baselineAblation reads both DeHIN columns from the pass's Table 2 and
-// runs only the propagation attack.
+// runs only the propagation attack, on one auxiliary adjacency built for
+// every target.
 func (s *shared) baselineAblation() (*BaselineAblationResult, error) {
 	p := s.w.Params
 	n0, n1 := slices.Index(p.Distances, 0), slices.Index(p.Distances, 1)
@@ -145,6 +156,7 @@ func (s *shared) baselineAblation() (*BaselineAblationResult, error) {
 	}
 	res := &BaselineAblationResult{Params: p, Densities: p.Densities}
 	rng := randx.New(p.Seed + 4242)
+	auxAdj := baseline.UndirectedAdj(s.w.Dataset.Graph)
 	for di := range p.Densities {
 		targets, err := s.w.Targets(di)
 		if err != nil {
@@ -160,7 +172,7 @@ func (s *shared) baselineAblation() (*BaselineAblationResult, error) {
 			for _, i := range rng.SampleWithoutReplacement(rt.Graph.NumEntities(), seedCount) {
 				seeds[hin.EntityID(i)] = rt.Truth[i]
 			}
-			pres, err := baseline.Propagation(rt.Graph, s.w.Dataset.Graph, baseline.PropagationConfig{
+			pres, err := baseline.Propagation(rt.Graph, auxAdj, baseline.PropagationConfig{
 				Seeds: seeds,
 				Theta: 0.5,
 			})

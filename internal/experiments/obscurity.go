@@ -30,8 +30,7 @@ func RunObscurity(w *Workbench) (*ObscurityResult, error) {
 
 // obscurity reads the plain column from the pass's Table 2 and the CGA
 // column from its Table 4 - the same re-configured attack on the same
-// cached completions - and runs only the re-configured attack on KDDA
-// targets.
+// completions - and runs only the re-configured attack on KDDA targets.
 func (s *shared) obscurity() (*ObscurityResult, error) {
 	p := s.w.Params
 	maxN := slices.Max(p.Distances)
@@ -58,7 +57,7 @@ func (s *shared) obscurity() (*ObscurityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pKDDA, _, err := averageRun(reconfig, targets, nil)
+		pKDDA, _, err := averageRun(reconfig, targets)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -71,9 +72,11 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestWorkbenchCacheConcurrency hammers the artifact cache from many
-// goroutines (run under -race via the verify target). Each artifact must
-// be computed exactly once and every caller must observe the same shared
-// instance.
+// goroutines (run under -race via the verify target). Each release and
+// attack must be computed exactly once and every caller must observe the
+// same shared instance. CGA completions are not cached: every
+// CompletedTargets call completes afresh, and every call returns equal
+// graphs.
 func TestWorkbenchCacheConcurrency(t *testing.T) {
 	p := parTestParams()
 	w, err := NewWorkbench(p)
@@ -94,9 +97,19 @@ func TestWorkbenchCacheConcurrency(t *testing.T) {
 	const goroutines = 16
 	baseTargets := make([][]*ReleasedTarget, len(p.Densities))
 	baseAttacks := make([]*dehin.Attack, len(cfgs))
+	// baseCompleted[vw][di]: one completion per weight mode and density.
+	var baseCompleted [2][][]*ReleasedTarget
 	for di := range baseTargets {
 		if baseTargets[di], err = w.Targets(di); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for vw := range baseCompleted {
+		baseCompleted[vw] = make([][]*ReleasedTarget, len(p.Densities))
+		for di := range p.Densities {
+			if baseCompleted[vw][di], err = w.CompletedTargets(di, vw == 1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for i, cfg := range cfgs {
@@ -122,9 +135,19 @@ func TestWorkbenchCacheConcurrency(t *testing.T) {
 						t.Errorf("goroutine %d: target (%d,%d) not the cached instance", g, di, ti)
 					}
 				}
-				if _, err := w.CompletedTargets(di, g%2 == 1); err != nil {
+				cs, err := w.CompletedTargets(di, g%2 == 1)
+				if err != nil {
 					errCh <- err
 					return
+				}
+				for ti, ct := range cs {
+					base := baseCompleted[g%2][di][ti]
+					if ct == base {
+						t.Errorf("goroutine %d: completion (%d,%d) is a shared instance", g, di, ti)
+					}
+					if !reflect.DeepEqual(ct, base) {
+						t.Errorf("goroutine %d: completion (%d,%d) differs from an earlier call's", g, di, ti)
+					}
 				}
 			}
 			for i, cfg := range cfgs {
@@ -149,16 +172,16 @@ func TestWorkbenchCacheConcurrency(t *testing.T) {
 	if s.TargetMisses != warm.TargetMisses {
 		t.Fatalf("targets re-released under concurrency: %d misses, want %d", s.TargetMisses, warm.TargetMisses)
 	}
-	// Both weight modes were requested for every community: 2*nComms
-	// completions, computed once each.
-	if want := int64(2 * nComms); s.CGAMisses != want {
-		t.Fatalf("CGA completions computed %d times, want %d", s.CGAMisses, want)
+	// Every call completed every target of its density: two base calls
+	// and one per goroutine, per density.
+	if want := int64((2 + goroutines) * nComms); s.CGAMisses != want || s.CGAHits != 0 {
+		t.Fatalf("CGA completions: %d hit / %d miss, want 0 / %d", s.CGAHits, s.CGAMisses, want)
 	}
 	if want := int64(len(cfgs)); s.AttackMisses != want {
 		t.Fatalf("attacks constructed %d times, want %d", s.AttackMisses, want)
 	}
-	if s.TargetHits == 0 || s.AttackHits == 0 || s.CGAHits == 0 {
-		t.Fatalf("expected cache hits in every class, got %+v", s)
+	if s.TargetHits == 0 || s.AttackHits == 0 {
+		t.Fatalf("expected target and attack cache hits, got %+v", s)
 	}
 }
 

@@ -139,10 +139,6 @@ func RunBottleneck(w *Workbench) (*BottleneckResult, error) {
 			maxN = n
 		}
 	}
-	var lts []hin.LinkTypeID
-	for i := 0; i < w.Dataset.Graph.Schema().NumLinkTypes(); i++ {
-		lts = append(lts, hin.LinkTypeID(i))
-	}
 	res := &BottleneckResult{Params: p, Density: p.Densities[di]}
 	for n := 0; n <= maxN; n++ {
 		res.Distances = append(res.Distances, n)
@@ -154,7 +150,6 @@ func RunBottleneck(w *Workbench) (*BottleneckResult, error) {
 	for _, rt := range targets {
 		cv, err := risk.ConvergenceProfile(rt.Graph, risk.SignatureConfig{
 			MaxDistance: maxN,
-			LinkTypes:   lts,
 			EntityAttrs: []int{tqq.AttrNumTags},
 			Workers:     p.Workers,
 		})
@@ -168,8 +163,8 @@ func RunBottleneck(w *Workbench) (*BottleneckResult, error) {
 		for v := 0; v < rt.Graph.NumEntities(); v++ {
 			total++
 			deg := 0
-			for _, lt := range lts {
-				deg += rt.Graph.OutDegree(lt, hin.EntityID(v))
+			for lt := range rt.Graph.Schema().NumLinkTypes() {
+				deg += rt.Graph.OutDegree(hin.LinkTypeID(lt), hin.EntityID(v))
 			}
 			if deg == 0 {
 				leafs++

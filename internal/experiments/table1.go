@@ -57,7 +57,8 @@ func RunTable1(w *Workbench) (*Table1Result, error) {
 			maxDist = n
 		}
 	}
-	for _, s := range subsets {
+	r0 := 0.0
+	for si, s := range subsets {
 		res.Subsets = append(res.Subsets, s.Name)
 		row := make([]float64, len(distances))
 		// One sweep per target covers every distance column at once
@@ -76,23 +77,16 @@ func RunTable1(w *Workbench) (*Table1Result, error) {
 			for ni, n := range distances {
 				row[ni] += sw.Risk[n]
 			}
+			// Distance 0 reads profiles only, so every subset's sweep
+			// has the same Risk[0]; take the first subset's.
+			if si == 0 {
+				r0 += sw.Risk[0]
+			}
 		}
 		for ni := range row {
 			row[ni] /= float64(len(targets))
 		}
 		res.Risk = append(res.Risk, row)
-	}
-	r0 := 0.0
-	for _, rt := range targets {
-		r, err := risk.NetworkRisk(rt.Graph, risk.SignatureConfig{
-			MaxDistance: 0,
-			EntityAttrs: []int{tqq.AttrNumTags},
-			Workers:     p.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r0 += r
 	}
 	res.RiskAtZero = r0 / float64(len(targets))
 	return res, nil

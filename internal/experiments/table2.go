@@ -51,7 +51,7 @@ func RunTable2(w *Workbench) (*Table2Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			p, r, err := averageRun(a, targets, nil)
+			p, r, err := averageRun(a, targets)
 			if err != nil {
 				return nil, err
 			}

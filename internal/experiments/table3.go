@@ -47,7 +47,7 @@ func RunTable3(w *Workbench) (*Table3Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			prec, red, err := averageRun(a, targets, nil)
+			prec, red, err := averageRun(a, targets)
 			if err != nil {
 				return nil, err
 			}
@@ -59,7 +59,7 @@ func RunTable3(w *Workbench) (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prec, red, err := averageRun(a0, targets, nil)
+	prec, red, err := averageRun(a0, targets)
 	if err != nil {
 		return nil, err
 	}

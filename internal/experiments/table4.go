@@ -23,8 +23,8 @@ func RunTable4(w *Workbench) (*Table4Result, error) {
 }
 
 // runCGASweep powers Table 4 (varyWeights=false) and the VW-CGA series of
-// Figure 8 (varyWeights=true). Completions come from the workbench cache,
-// shared with the utility experiment.
+// Figure 8 (varyWeights=true). It completes one density's targets at a
+// time and drops them once every distance has attacked them.
 func runCGASweep(w *Workbench, varyWeights bool) (*Table4Result, error) {
 	p := w.Params
 	res := &Table4Result{Params: p, Densities: p.Densities, Distances: p.Distances}
@@ -44,7 +44,7 @@ func runCGASweep(w *Workbench, varyWeights bool) (*Table4Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			prec, red, err := averageRun(a, completed, nil)
+			prec, red, err := averageRun(a, completed)
 			if err != nil {
 				return nil, err
 			}

@@ -43,9 +43,9 @@ func RunUtility(w *Workbench) (*UtilityResult, error) {
 		}
 	}
 	strengthMax := w.GenConfig().StrengthMax
-	// The CGA / VW-CGA rows reuse the workbench's cached completions -
-	// the exact graphs Table 4 and Figure 8 attack - so the frontier is
-	// measured on the artifacts the privacy numbers came from.
+	// The CGA / VW-CGA rows complete the densest targets with the seeds
+	// Table 4 and Figure 8 use, so the frontier is measured on the same
+	// graphs the privacy numbers came from.
 	cga, err := w.CompletedTargets(di, false)
 	if err != nil {
 		return nil, err

@@ -20,15 +20,15 @@ import (
 // network with SamplesPerDensity planted communities per density, the
 // released (KDDA-anonymized) target graphs, and a shared candidate index.
 //
-// Everything derived from the fixture is memoized in a thread-safe
-// artifact cache - released targets per community, CGA-completed targets
-// per (community, weight mode), and constructed dehin.Attack values per
-// configuration - so table2/table3/ablations never recompute what table1
-// already produced, and concurrent experiments share one copy. All cached
-// artifacts are pure functions of (Params, key): releases draw from
-// per-community streams and completions from per-target seeds, never from
-// a shared sequential stream, so the cache contents are independent of
-// which experiment asks first.
+// Released targets per community and constructed dehin.Attack values per
+// configuration are memoized in a thread-safe artifact cache, so the
+// experiments never recompute what another already produced, and
+// concurrent experiments share one copy. CGA completions are not cached:
+// each has one reader (its density's sweep, or utility), so one lives
+// only while it is attacked. Every artifact is a pure function of
+// (Params, key): releases draw from per-community streams and completions
+// from per-target seeds, never from a shared sequential stream, so the
+// results are independent of which experiment asks first.
 type Workbench struct {
 	Params  Params
 	Dataset *tqq.Dataset
@@ -37,14 +37,14 @@ type Workbench struct {
 	// byDensity[i] lists the community indices of Params.Densities[i].
 	byDensity [][]int
 
-	targets   []slot[*ReleasedTarget]    // released targets, one slot per community
-	completed [2][]slot[*ReleasedTarget] // CGA completions: [varyWeights][community]
-	mu        sync.Mutex
-	attacks   map[string]*slot[*dehin.Attack]
+	targets []slot[*ReleasedTarget] // released targets, one slot per community
+	mu      sync.Mutex
+	attacks map[string]*slot[*dehin.Attack]
 
 	// obs is never nil: Params.Metrics when provided, else a private
 	// registry, so the cache counters (and Stats) work with or without an
-	// exposed metrics endpoint.
+	// exposed metrics endpoint. cgaCache only counts completions as
+	// misses; its hit counter stays 0.
 	obs                                *obs.Registry
 	targetCache, cgaCache, attackCache cacheClass
 	// tr mirrors Params.Trace (nil = tracing off): cache fills record
@@ -120,7 +120,8 @@ func cached[T any](w *Workbench, c cacheClass, s *slot[T], key int64, fill func(
 
 // CacheStats is a point-in-time snapshot of the workbench artifact cache.
 // A miss is a computation; a hit is a request served from a completed (or
-// in-flight) slot.
+// in-flight) slot. Completions are never cached, so CGAMisses counts them
+// and CGAHits is always 0.
 type CacheStats struct {
 	TargetHits, TargetMisses int64
 	CGAHits, CGAMisses       int64
@@ -203,9 +204,6 @@ func NewWorkbench(p Params) (*Workbench, error) {
 		attackCache: newCacheClass(reg, "attack"),
 		tr:          p.Trace,
 	}
-	for vw := range w.completed {
-		w.completed[vw] = make([]slot[*ReleasedTarget], len(cfg.Communities))
-	}
 	// Warm every release now; experiments then only ever hit the cache.
 	nc := len(cfg.Communities)
 	warm := w.tr.Start("workbench.warm")
@@ -265,40 +263,38 @@ func (w *Workbench) target(ci int) (*ReleasedTarget, error) {
 // CompletedTargets returns the di-th density's released targets hardened
 // with Complete Graph Anonymity (varying fake weights when varyWeights).
 // Completion seeds are a pure function of the target's (density, sample)
-// position, so Table 4, Figure 8, the utility frontier, and the obscurity
-// comparison all share one completion per target. Results are cached.
+// position, so every call completes the same graphs afresh. Nothing is
+// cached: a completion lives only while its caller holds it, and each
+// counts one cga miss.
 func (w *Workbench) CompletedTargets(di int, varyWeights bool) ([]*ReleasedTarget, error) {
 	if di < 0 || di >= len(w.byDensity) {
 		return nil, fmt.Errorf("experiments: density index %d out of range", di)
 	}
-	vw := 0
+	vw := int64(0)
 	if varyWeights {
 		vw = 1
 	}
 	strengthMax := w.GenConfig().StrengthMax
 	out := make([]*ReleasedTarget, 0, len(w.byDensity[di]))
 	for ti, ci := range w.byDensity[di] {
-		ct, err := cached(w, w.cgaCache, &w.completed[vw][ci], int64(ci), func(sp trace.Span) (*ReleasedTarget, error) {
-			sp.Attr("community", int64(ci))
-			sp.Attr("vary_weights", int64(vw))
-			rt, err := w.target(ci)
-			if err != nil {
-				return nil, err
-			}
-			cg, err := anonymize.CompleteGraph(rt.Graph, anonymize.CGAOptions{
-				VaryWeights: varyWeights,
-				StrengthMax: strengthMax,
-				Seed:        w.Params.Seed + uint64(di*100+ti),
-			})
-			if err != nil {
-				return nil, err
-			}
-			return &ReleasedTarget{Graph: cg, Truth: rt.Truth}, nil
-		})
+		rt, err := w.target(ci)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ct)
+		w.cgaCache.misses.Add(1)
+		sp := w.tr.Start(w.cgaCache.fill)
+		sp.Attr("community", int64(ci))
+		sp.Attr("vary_weights", vw)
+		cg, err := anonymize.CompleteGraph(rt.Graph, anonymize.CGAOptions{
+			VaryWeights: varyWeights,
+			StrengthMax: strengthMax,
+			Seed:        w.Params.Seed + uint64(di*100+ti),
+		})
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, &ReleasedTarget{Graph: cg, Truth: rt.Truth})
 	}
 	return out, nil
 }
@@ -383,29 +379,14 @@ func attackKey(cfg dehin.Config) string {
 	return b.String()
 }
 
-// AttackOn is Attack against an alternative auxiliary graph (e.g. a grown
-// crawl), building a fresh index.
-func AttackOn(aux hin.GraphBackend, cfg dehin.Config) (*dehin.Attack, error) {
-	cfg.Profile = dehin.TQQProfile()
-	cfg.UseIndex = true
-	return dehin.NewAttack(aux, cfg)
-}
-
 // averageRun attacks every released target with the given attack and
 // averages precision and reduction rate.
-func averageRun(a *dehin.Attack, targets []*ReleasedTarget, transform func(*hin.Graph) (*hin.Graph, error)) (precision, reduction float64, err error) {
+func averageRun(a *dehin.Attack, targets []*ReleasedTarget) (precision, reduction float64, err error) {
 	if len(targets) == 0 {
 		return 0, 0, fmt.Errorf("experiments: no targets")
 	}
 	for _, rt := range targets {
-		g := rt.Graph
-		if transform != nil {
-			g, err = transform(g)
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-		res, err := a.Run(g, rt.Truth)
+		res, err := a.Run(rt.Graph, rt.Truth)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -150,6 +150,21 @@ func (s *Schema) NumEntityTypes() int { return len(s.entityTypes) }
 // NumLinkTypes returns |L| of Definition 2.
 func (s *Schema) NumLinkTypes() int { return len(s.linkTypes) }
 
+// LinkTypesOrAll resolves a utilized link-type list: lts itself, or every
+// link type in id order when lts is empty. It is the one place the
+// "empty means all" default of dehin.Config.LinkTypes and
+// risk.SignatureConfig.LinkTypes is worked out.
+func (s *Schema) LinkTypesOrAll(lts []LinkTypeID) []LinkTypeID {
+	if len(lts) > 0 {
+		return lts
+	}
+	all := make([]LinkTypeID, len(s.linkTypes))
+	for i := range all {
+		all[i] = LinkTypeID(i)
+	}
+	return all
+}
+
 // Heterogeneous reports whether the schema describes a heterogeneous
 // information network per Definition 2 (|E| > 1 or |L| > 1).
 func (s *Schema) Heterogeneous() bool {

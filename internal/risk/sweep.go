@@ -71,13 +71,7 @@ func sweep(g hin.GraphBackend, cfg SignatureConfig, observe func(d int, sigs []u
 	next := make([]uint64, n)
 	scratch := make([]sweepScratch, par.Workers(cfg.Workers, par.Shards(n, sweepShard)))
 	lanes := par.Lanes(cfg.Trace, cfg.Workers, par.Shards(n, sweepShard))
-	lts := cfg.LinkTypes
-	if len(lts) == 0 {
-		lts = make([]hin.LinkTypeID, g.Schema().NumLinkTypes())
-		for i := range lts {
-			lts[i] = hin.LinkTypeID(i)
-		}
-	}
+	lts := g.Schema().LinkTypesOrAll(cfg.LinkTypes)
 	for d := 1; d <= cfg.MaxDistance; d++ {
 		round := root.Child("round")
 		round.Attr("distance", int64(d))

@@ -162,8 +162,8 @@ func (em endpointMetrics) observe(code int) {
 }
 
 // handle wraps an endpoint body with the cross-cutting concerns: request
-// body capping, latency histogram, status counters, a trace span, the
-// flight recorder's per-request span tree, and JSON encoding of whatever
+// body capping, latency histogram, status counters, the flight
+// recorder's per-request span tree, and JSON encoding of whatever
 // (status, body) the endpoint returns. The endpoint receives the request
 // plus its flight recording handle (nil when the recorder is off; every
 // method on it no-ops).
@@ -172,7 +172,6 @@ func (s *Server) handle(name string, fn func(r *http.Request, fr *trace.FlightRe
 	spanName := "serve." + name
 	return func(w http.ResponseWriter, r *http.Request) {
 		tm := em.latency.Time()
-		sp := s.trace.Start(spanName)
 		fr := s.flight.StartRequest(r.Method, r.URL.Path, r.URL.RawQuery)
 		root := fr.Root(spanName)
 		if r.Body != nil {
@@ -183,8 +182,6 @@ func (s *Server) handle(name string, fn func(r *http.Request, fr *trace.FlightRe
 		writeJSON(w, code, body)
 		es.End()
 		root.Attr("code", int64(code))
-		sp.Attr("code", int64(code))
-		sp.End()
 		if fr.Finish(code) {
 			s.met.flightCap.Inc()
 		}
@@ -361,15 +358,9 @@ func (s *Server) handleHealthz(r *http.Request, fr *trace.FlightReq) (int, any) 
 
 func (s *Server) snapshotInfo(sn *snapshot) snapshotResponse {
 	schema := sn.g.Schema()
-	lts := make([]string, 0, schema.NumLinkTypes())
-	if len(s.cfg.LinkTypes) == 0 {
-		for i := 0; i < schema.NumLinkTypes(); i++ {
-			lts = append(lts, schema.LinkType(hin.LinkTypeID(i)).Name)
-		}
-	} else {
-		for _, lt := range s.cfg.LinkTypes {
-			lts = append(lts, schema.LinkType(lt).Name)
-		}
+	lts := make([]string, len(sn.linkTypes))
+	for i, lt := range sn.linkTypes {
+		lts[i] = schema.LinkType(lt).Name
 	}
 	return snapshotResponse{
 		Epoch:          sn.epoch,

@@ -135,3 +135,45 @@ func TestReloadUnderFire(t *testing.T) {
 		t.Fatalf("retired %d snapshots, want %d", m.Counter("serve_snapshots_retired_total"), reloads+1)
 	}
 }
+
+// TestCloseWaitsForConcurrentRelease pins Close's drain: while a request
+// holds a reference to the current epoch, Close keeps waiting, and the
+// release that drains the epoch wakes it promptly with the file closed
+// cleanly.
+func TestCloseWaitsForConcurrentRelease(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.hincsr")
+	if err := hin.WriteCSRFile(path, testGraph(t, 300, 5)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	s := New(cfg)
+	if err := s.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := s.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v while a reference was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if s.cur.Load() != nil {
+		t.Fatal("Close has not retired the current epoch")
+	}
+	s.release(sn)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close still waiting 1s after the last reference was released")
+	}
+	if n := cfg.Metrics.Snapshot().Counter("serve_snapshot_close_errors_total"); n != 0 {
+		t.Fatalf("serve_snapshot_close_errors_total = %d, want 0", n)
+	}
+}

@@ -296,6 +296,15 @@ func TestReloadSwapsEpochAndRetiresFile(t *testing.T) {
 		t.Fatal("retired snapshot unreadable while referenced")
 	}
 	s.release(sn)
+	// That release drained epoch 1. A reader that loaded its pointer
+	// before the reload and only now takes its reference must be
+	// refused, or the epoch would leave the live count twice.
+	if sn.ref() {
+		t.Fatal("took a reference on drained epoch 1")
+	}
+	if n := s.live.Load(); n != 1 {
+		t.Fatalf("%d live snapshots after epoch 1 drained, want 1", n)
+	}
 
 	// An empty source re-opens the current file.
 	postJSON(t, ts, "/v1/reload", reloadRequest{}, 200, &info)

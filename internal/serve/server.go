@@ -69,14 +69,9 @@ type Config struct {
 	MaxAttackInFlight int
 	MaxAttackQueue    int
 
-	// Workers bounds snapshot-build parallelism (sweep and attack index).
-	// 0 means GOMAXPROCS.
-	Workers int
-
-	// Metrics, Trace, and Log attach observability; all three follow the
-	// obs nil-disables contract.
+	// Metrics and Log attach observability; both follow the obs
+	// nil-disables contract.
 	Metrics *obs.Registry
-	Trace   *trace.Tracer
 	Log     *obs.Logger
 
 	// Flight, when non-nil, attaches the tail-based request flight
@@ -136,13 +131,15 @@ type Server struct {
 	cfg    Config
 	log    *obs.Logger
 	met    serverMetrics
-	trace  *trace.Tracer
 	flight *trace.Flight
 
 	cur    atomic.Pointer[snapshot]
 	epoch  atomic.Uint64 // last assigned epoch number
 	live   atomic.Int64  // snapshots not yet fully drained+closed
 	closed atomic.Bool
+	// drained is closed by the unref that drains the last live snapshot
+	// once Close has begun; Close blocks on it.
+	drained chan struct{}
 
 	reloadMu sync.Mutex // serializes Load/LoadBackend/Reload/Close
 
@@ -160,8 +157,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		log:         cfg.Log,
-		trace:       cfg.Trace,
 		flight:      cfg.Flight,
+		drained:     make(chan struct{}),
 		attackSlots: make(chan struct{}, cfg.MaxAttackInFlight),
 	}
 	if m := cfg.Metrics; m != nil {
@@ -186,19 +183,22 @@ func New(cfg Config) *Server {
 var errNoSnapshot = errors.New("serve: no snapshot loaded")
 
 // acquire takes a reference on the current snapshot and pins its backing
-// file. The load→Add→recheck loop is the classic refcount handshake: a
-// successful recheck proves the pointer still held this snapshot after
-// our increment, so the increment strictly precedes any retirement
-// decrement and the count can never resurrect from zero. On recheck
-// failure the speculative reference is dropped (possibly closing a
-// snapshot retired mid-handshake) and the loop retries on the new value.
+// file. The load→ref→recheck loop is the classic refcount handshake: ref
+// never raises a count from zero, so a snapshot that drained while we
+// were loading it is skipped rather than resurrected, and a successful
+// recheck proves the pointer still held this snapshot after our
+// increment. On recheck failure the speculative reference is dropped
+// (possibly closing a snapshot retired mid-handshake) and the loop
+// retries on the new value.
 func (s *Server) acquire() (*snapshot, error) {
 	for {
 		sn := s.cur.Load()
 		if sn == nil {
 			return nil, errNoSnapshot
 		}
-		sn.refs.Add(1)
+		if !sn.ref() {
+			continue
+		}
 		if s.cur.Load() != sn {
 			sn.unref(s)
 			continue
@@ -248,7 +248,7 @@ func (s *Server) Load(path string) error {
 		return errors.New("serve: server closed")
 	}
 	epoch := s.epoch.Add(1)
-	cf, err := hin.OpenCSRFileOpt(path, hin.CSRFileOptions{Workers: s.cfg.Workers})
+	cf, err := hin.OpenCSRFile(path)
 	if err != nil {
 		s.met.reloadErrs.Inc()
 		return fmt.Errorf("serve: open %s: %w", path, err)
@@ -337,14 +337,19 @@ func (s *Server) Close() error {
 	if old := s.cur.Swap(nil); old != nil {
 		old.unref(s)
 	}
-	deadline := time.Now().Add(closeDrainTimeout)
-	for s.live.Load() > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("serve: %d snapshot(s) still referenced after %v", s.live.Load(), closeDrainTimeout)
-		}
-		time.Sleep(100 * time.Microsecond)
+	// With no snapshot current, live only falls; if it is not already
+	// zero, the unref that takes it there closes drained.
+	if s.live.Load() == 0 {
+		return nil
 	}
-	return nil
+	timeout := time.NewTimer(closeDrainTimeout)
+	defer timeout.Stop()
+	select {
+	case <-s.drained:
+		return nil
+	case <-timeout.C:
+		return fmt.Errorf("serve: %d snapshot(s) still referenced after %v", s.live.Load(), closeDrainTimeout)
+	}
 }
 
 // Handler returns the server's full HTTP surface: the obs operational mux

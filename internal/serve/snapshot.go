@@ -30,6 +30,9 @@ type snapshot struct {
 	source string // file path, or "(memory)" for LoadBackend epochs
 	g      hin.GraphBackend
 	file   *hin.CSRFile // nil when the graph is not file-backed
+	// linkTypes is Config.LinkTypes resolved against g's schema: the list
+	// both the signature grid and the attack were built with.
+	linkTypes []hin.LinkTypeID
 
 	// class[d][v] is the size of v's signature equivalence class at
 	// distance d; per-entity risk is 1/class[d][v] (Definition 7).
@@ -53,25 +56,25 @@ type snapshot struct {
 // grid is one sweep (risk.SignatureGrid), so building a snapshot costs the
 // same as a single MaxDistance risk run plus the attack index.
 func newSnapshot(epoch uint64, source string, g hin.GraphBackend, file *hin.CSRFile, cfg Config) (*snapshot, error) {
+	lts := g.Schema().LinkTypesOrAll(cfg.LinkTypes)
 	grid, err := risk.SignatureGrid(g, risk.SignatureConfig{
 		MaxDistance: cfg.MaxDistance,
-		LinkTypes:   cfg.LinkTypes,
+		LinkTypes:   lts,
 		EntityAttrs: cfg.EntityAttrs,
-		Workers:     cfg.Workers,
 		Metrics:     cfg.Metrics,
-		Trace:       cfg.Trace,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: signature grid: %w", err)
 	}
 	sn := &snapshot{
-		epoch:  epoch,
-		source: source,
-		g:      g,
-		file:   file,
-		class:  make([][]int32, len(grid)),
-		order:  make([][]int32, len(grid)),
-		risk:   make([]float64, len(grid)),
+		epoch:     epoch,
+		source:    source,
+		g:         g,
+		file:      file,
+		linkTypes: lts,
+		class:     make([][]int32, len(grid)),
+		order:     make([][]int32, len(grid)),
+		risk:      make([]float64, len(grid)),
 	}
 	n := g.NumEntities()
 	for d, sigs := range grid {
@@ -103,10 +106,9 @@ func newSnapshot(epoch uint64, source string, g hin.GraphBackend, file *hin.CSRF
 	}
 	attack, err := dehin.NewAttack(g, dehin.Config{
 		MaxDistance: cfg.AttackDistance,
-		LinkTypes:   cfg.LinkTypes,
+		LinkTypes:   lts,
 		Profile:     cfg.Profile,
 		UseIndex:    true,
-		Parallelism: cfg.Workers,
 		Metrics:     cfg.Metrics,
 	})
 	if err != nil {
@@ -118,21 +120,39 @@ func newSnapshot(epoch uint64, source string, g hin.GraphBackend, file *hin.CSRF
 	return sn, nil
 }
 
+// ref takes one reference unless the count has already drained to zero,
+// in which case the snapshot is retired for good and ref reports false.
+func (sn *snapshot) ref() bool {
+	for {
+		n := sn.refs.Load()
+		if n == 0 {
+			return false
+		}
+		if sn.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
 // unref drops one reference. The holder that observes zero is by
 // construction the last: the snapshot is already retired (the current
 // snapshot always holds the Server.cur reference, so a live epoch cannot
-// drain), every reader has unpinned, and nobody can acquire it again — so
-// closing the file here is race-free, and exactly one goroutine does it.
+// drain), every reader has unpinned, and ref never raises a drained count
+// again — so closing the file here is race-free, and exactly one
+// goroutine does it. The unref that drains the last live snapshot after
+// Close has begun wakes Close.
 func (sn *snapshot) unref(s *Server) {
 	if sn.refs.Add(-1) != 0 {
 		return
 	}
 	s.met.retired.Inc()
-	s.live.Add(-1)
 	if sn.file != nil {
 		if err := sn.file.Close(); err != nil {
 			s.met.closeErrors.Inc()
 			s.log.Error("serve: closing retired snapshot", "epoch", sn.epoch, "err", err)
 		}
+	}
+	if s.live.Add(-1) == 0 && s.closed.Load() {
+		close(s.drained)
 	}
 }
