@@ -117,7 +117,13 @@ func main() {
 		fatalf("attack: %v", err)
 	}
 	start := time.Now()
-	res, err := attack.Run(anon.Graph, truth)
+	// -ranked re-queries the graph the attack matched, so prepare it once
+	// and keep it.
+	prepared, err := attack.PrepareTarget(anon.Graph)
+	if err != nil {
+		fatalf("prepare: %v", err)
+	}
+	res, err := attack.RunPrepared(prepared, truth)
 	if err != nil {
 		fatalf("run: %v", err)
 	}
@@ -130,10 +136,6 @@ func main() {
 	fmt.Printf("elapsed: %v\n", elapsed.Round(time.Millisecond))
 
 	if *ranked > 0 {
-		prepared, err := attack.PrepareTarget(anon.Graph)
-		if err != nil {
-			fatalf("prepare: %v", err)
-		}
 		for tv, o := range res.PerTarget {
 			if o.Candidates <= 1 {
 				continue

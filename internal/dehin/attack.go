@@ -189,6 +189,9 @@ func (a *Attack) PrepareTarget(target hin.GraphBackend) (hin.GraphBackend, error
 	if !a.cfg.RemoveMajorityStrength {
 		return target, nil
 	}
+	if a.met != nil {
+		a.met.strips.Inc()
+	}
 	g, err := RemoveMajorityStrengthEdges(target)
 	if err != nil {
 		return nil, err
@@ -509,31 +512,15 @@ func degree(g hin.GraphBackend, lt hin.LinkTypeID, v hin.EntityID, in bool) int 
 // which is what completing the follow graph costs the defender's victim
 // (Section 6.2).
 func RemoveMajorityStrengthEdges(g hin.GraphBackend) (*hin.Graph, error) {
-	n := g.NumEntities()
-	rows := make([]hin.Rows, g.Schema().NumLinkTypes())
-	buf := &hin.EdgeBuf{}
-	for lt := range rows {
-		ltid := hin.LinkTypeID(lt)
-		maj, count, ok := hin.MajorityStrength(g, ltid)
-		kept := g.NumEdges(ltid) - count
-		r := hin.Rows{
-			Off: make([]int64, n+1),
-			To:  make([]hin.EntityID, 0, kept),
-			W:   make([]int32, 0, kept),
+	nlt := g.Schema().NumLinkTypes()
+	drop := make([]int32, nlt) // 0, which no edge carries, keeps an edgeless link type
+	dropped := make([]int64, nlt)
+	for lt := range drop {
+		if w, count, ok := hin.MajorityStrength(g, hin.LinkTypeID(lt)); ok {
+			drop[lt], dropped[lt] = w, count
 		}
-		for v := 0; v < n; v++ {
-			tos, ws := g.OutEdgesBuf(buf, ltid, hin.EntityID(v))
-			for j, to := range tos {
-				if !ok || ws[j] != maj {
-					r.To = append(r.To, to)
-					r.W = append(r.W, ws[j])
-				}
-			}
-			r.Off[v+1] = int64(len(r.To))
-		}
-		rows[lt] = r
 	}
-	return hin.WithOutRows(g, rows)
+	return hin.WithoutStrength(g, drop, dropped)
 }
 
 // Query-span sampling policy for Run (see Config.Trace): trace every
@@ -567,21 +554,30 @@ type Result struct {
 
 // Run executes the attack on every entity of the released target graph.
 // truth[i] names the auxiliary entity actually behind target entity i and
-// is used only for scoring. PrepareTarget preprocessing is applied
-// automatically.
+// is used only for scoring. It is PrepareTarget followed by RunPrepared.
+func (a *Attack) Run(target hin.GraphBackend, truth []hin.EntityID) (Result, error) {
+	prepared, err := a.PrepareTarget(target)
+	if err != nil {
+		return Result{}, err
+	}
+	return a.RunPrepared(prepared, truth)
+}
+
+// RunPrepared is Run on a target graph that PrepareTarget has already
+// prepared. The preparation depends on nothing but RemoveMajorityStrength,
+// so one prepared graph serves every attack that shares that setting: all
+// the re-configured (n > 0) attacks of a CGA sweep share the one stripped
+// copy of each completion. The result equals Run's on the release; a graph
+// that was not prepared is attacked as it stands.
 //
 // Work is distributed by chunked work stealing (a par.Sweep) over targets
 // ordered by descending utilized degree: expensive hub entities are handed
 // out first and a worker stuck on one cannot strand queued work behind it,
 // so the tail of a Run stays balanced. A zero-entity target yields zero
 // metrics (not NaN) and no error.
-func (a *Attack) Run(target hin.GraphBackend, truth []hin.EntityID) (Result, error) {
-	if len(truth) != target.NumEntities() {
-		return Result{}, fmt.Errorf("dehin: truth size %d != %d targets", len(truth), target.NumEntities())
-	}
-	prepared, err := a.PrepareTarget(target)
-	if err != nil {
-		return Result{}, err
+func (a *Attack) RunPrepared(prepared hin.GraphBackend, truth []hin.EntityID) (Result, error) {
+	if len(truth) != prepared.NumEntities() {
+		return Result{}, fmt.Errorf("dehin: truth size %d != %d targets", len(truth), prepared.NumEntities())
 	}
 	if a.met != nil {
 		a.met.runs.Inc()

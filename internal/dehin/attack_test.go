@@ -1,6 +1,7 @@
 package dehin
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/hinpriv/dehin/internal/anonymize"
@@ -523,6 +524,64 @@ func TestRunErrors(t *testing.T) {
 	aux := buildAux(t)
 	a := newTQQAttack(t, aux, Config{MaxDistance: 1})
 	if _, err := a.Run(buildTarget(t), []hin.EntityID{0}); err == nil {
+		t.Fatal("truth size mismatch accepted")
+	}
+}
+
+// Run is PrepareTarget then RunPrepared: on a CGA release the two give
+// equal results, every per-target outcome included, for the plain attack
+// (whose preparation is the identity) and for the re-configured one.
+func TestRunPreparedMatchesRun(t *testing.T) {
+	cfg := tqq.DefaultConfig(1500, 55)
+	cfg.Communities = []tqq.CommunitySpec{{Size: 150, Density: 0.01}}
+	d, err := tqq.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := tqq.CommunityTarget(d, 0, randx.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cga, err := anonymize.CompleteGraph(tgt.Graph, anonymize.CGAOptions{
+		StrengthMax: cfg.StrengthMax, Seed: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []Config{
+		{MaxDistance: 2},
+		{MaxDistance: 2, RemoveMajorityStrength: true, FallbackProfileOnly: true},
+	} {
+		a := newTQQAttack(t, d.Graph, c)
+		want, err := a.Run(cga, tgt.Orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared, err := a.PrepareTarget(cga)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stripped := prepared != hin.GraphBackend(cga); stripped != c.RemoveMajorityStrength {
+			t.Fatalf("%+v: PrepareTarget stripped the release: %t", c, stripped)
+		}
+		got, err := a.RunPrepared(prepared, tgt.Orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: RunPrepared(PrepareTarget(t)) = %.4f/%.4f, Run(t) = %.4f/%.4f",
+				c, got.Precision, got.ReductionRate, want.Precision, want.ReductionRate)
+		}
+	}
+}
+
+func TestRunPreparedErrors(t *testing.T) {
+	a := newTQQAttack(t, buildAux(t), Config{MaxDistance: 1, RemoveMajorityStrength: true})
+	prepared, err := a.PrepareTarget(buildTarget(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.RunPrepared(prepared, []hin.EntityID{0}); err == nil {
 		t.Fatal("truth size mismatch accepted")
 	}
 }

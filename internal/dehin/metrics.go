@@ -21,6 +21,7 @@ type attackMetrics struct {
 	matcherRuns *obs.Counter
 	fallbacks   *obs.Counter
 	runs        *obs.Counter
+	strips      *obs.Counter
 	runNs       *obs.Histogram
 }
 
@@ -37,6 +38,7 @@ func newAttackMetrics(r *obs.Registry) *attackMetrics {
 		matcherRuns: r.Counter("dehin_attack_matcher_runs_total"),
 		fallbacks:   r.Counter("dehin_attack_profile_fallbacks_total"),
 		runs:        r.Counter("dehin_attack_runs_total"),
+		strips:      r.Counter("dehin_attack_target_strips_total"),
 		runNs:       r.Histogram("dehin_attack_run_ns"),
 	}
 }

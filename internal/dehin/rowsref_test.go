@@ -111,3 +111,41 @@ func TestRemoveMajorityStrengthEdgesMatchesBuilderReference(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRemoveMajorityStrength strips the majority strengths from one
+// 500-user release (experiments.DefaultParams' target size, at its densest
+// density) completed with constant fake weights (cga) and with varying
+// ones (vwcga): the preparation every re-configured attack on a Complete
+// Graph Anonymity release pays once per target.
+func BenchmarkRemoveMajorityStrength(b *testing.B) {
+	cfg := tqq.DefaultConfig(3000, 1)
+	cfg.Communities = []tqq.CommunitySpec{{Size: 500, Density: 0.01}}
+	d, err := tqq.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tgt, err := tqq.CommunityTarget(d, 0, randx.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, vw := range []bool{false, true} {
+		name := "cga"
+		if vw {
+			name = "vwcga"
+		}
+		g, err := anonymize.CompleteGraph(tgt.Graph, anonymize.CGAOptions{
+			VaryWeights: vw, StrengthMax: cfg.StrengthMax, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RemoveMajorityStrengthEdges(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

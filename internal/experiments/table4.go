@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/hinpriv/dehin/internal/dehin"
+	"github.com/hinpriv/dehin/internal/hin"
 )
 
 // Table4Result reproduces Table 4: the re-configured DeHIN (majority-
@@ -24,7 +25,10 @@ func RunTable4(w *Workbench) (*Table4Result, error) {
 
 // runCGASweep powers Table 4 (varyWeights=false) and the VW-CGA series of
 // Figure 8 (varyWeights=true). It completes one density's targets at a
-// time and drops them once every distance has attacked them.
+// time and drops them once every distance has attacked them. The n > 0
+// attacks all strip majority strengths, so the first of them prepares
+// each completion once and every n > 0 attack runs on that copy, which
+// dies with its density's loop too.
 func runCGASweep(w *Workbench, varyWeights bool) (*Table4Result, error) {
 	p := w.Params
 	res := &Table4Result{Params: p, Densities: p.Densities, Distances: p.Distances}
@@ -33,6 +37,7 @@ func runCGASweep(w *Workbench, varyWeights bool) (*Table4Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		var stripped []hin.GraphBackend
 		row := make([]Cell, len(p.Distances))
 		for ni, n := range p.Distances {
 			cfg := dehin.Config{
@@ -44,7 +49,22 @@ func runCGASweep(w *Workbench, varyWeights bool) (*Table4Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			prec, red, err := averageRun(a, completed)
+			var prec, red float64
+			if n == 0 {
+				prec, red, err = averageRun(a, completed)
+			} else {
+				if stripped == nil {
+					stripped = make([]hin.GraphBackend, len(completed))
+					for i, rt := range completed {
+						if stripped[i], err = a.PrepareTarget(rt.Graph); err != nil {
+							return nil, err
+						}
+					}
+				}
+				prec, red, err = average(len(completed), func(i int) (dehin.Result, error) {
+					return a.RunPrepared(stripped[i], completed[i].Truth)
+				})
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -81,15 +101,19 @@ func RunFigure8(w *Workbench) (*Figure8Result, error) {
 
 // figure8 assembles Figure 8 from the pass's Table 2 and CGA sweeps.
 func (s *shared) figure8() (*Figure8Result, error) {
+	// Ask first for the VW-CGA sweep, the one only Figure 8 reads. Table
+	// 2's and Table 4's slots come earlier in the suite and compute theirs,
+	// so asking for Table 4 first would idle this worker until that sweep
+	// ends instead of running the two CGA sweeps side by side.
+	vw, err := s.vwcga()
+	if err != nil {
+		return nil, err
+	}
 	t2, err := s.table2()
 	if err != nil {
 		return nil, err
 	}
 	cga, err := s.table4()
-	if err != nil {
-		return nil, err
-	}
-	vw, err := s.vwcga()
 	if err != nil {
 		return nil, err
 	}

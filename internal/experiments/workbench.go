@@ -382,17 +382,24 @@ func attackKey(cfg dehin.Config) string {
 // averageRun attacks every released target with the given attack and
 // averages precision and reduction rate.
 func averageRun(a *dehin.Attack, targets []*ReleasedTarget) (precision, reduction float64, err error) {
-	if len(targets) == 0 {
+	return average(len(targets), func(i int) (dehin.Result, error) {
+		return a.Run(targets[i].Graph, targets[i].Truth)
+	})
+}
+
+// average runs attack(i) for each of n targets in index order and
+// averages the results' precision and reduction rate.
+func average(n int, attack func(i int) (dehin.Result, error)) (precision, reduction float64, err error) {
+	if n == 0 {
 		return 0, 0, fmt.Errorf("experiments: no targets")
 	}
-	for _, rt := range targets {
-		res, err := a.Run(rt.Graph, rt.Truth)
+	for i := 0; i < n; i++ {
+		res, err := attack(i)
 		if err != nil {
 			return 0, 0, err
 		}
 		precision += res.Precision
 		reduction += res.ReductionRate
 	}
-	n := float64(len(targets))
-	return precision / n, reduction / n, nil
+	return precision / float64(n), reduction / float64(n), nil
 }

@@ -33,20 +33,7 @@ func WithOutRows(src GraphBackend, rows []Rows) (*Graph, error) {
 	if len(rows) != schema.NumLinkTypes() {
 		return nil, fmt.Errorf("hin: %d adjacency rows for %d link types", len(rows), schema.NumLinkTypes())
 	}
-	var g *Graph
-	if sg, ok := src.(*Graph); ok {
-		g = &Graph{
-			schema:   schema,
-			n:        sg.n,
-			etype:    sg.etype,
-			label:    sg.label,
-			attrOff:  sg.attrOff,
-			attrData: sg.attrData,
-			sets:     sg.sets,
-		}
-	} else {
-		g = copyEntities(src)
-	}
+	g := withEntities(src)
 	g.fwd = make([]csr, len(rows))
 	g.rev = make([]csr, len(rows))
 	for lt, r := range rows {
@@ -58,6 +45,83 @@ func WithOutRows(src GraphBackend, rows []Rows) (*Graph, error) {
 		g.rev[lt] = transpose(g.n, &c)
 	}
 	return g, nil
+}
+
+// WithoutStrength returns src without, per link type lt, the edges of
+// strength drop[lt]; a drop of 0, which no edge carries, keeps the link
+// type whole. dropped[lt] must be the number of lt edges that carry
+// drop[lt]: it sizes the kept rows, so every edge is read once per
+// direction, and a count the rows contradict is an error. The entities
+// come from src as in WithOutRows: a *Graph source shares its columns.
+//
+// Unlike WithOutRows, the filter neither checks nor transposes: what a
+// filter keeps of a valid row is valid, and of a sorted row sorted, so it
+// filters src's forward rows and its reverse rows as they stand.
+func WithoutStrength(src GraphBackend, drop []int32, dropped []int64) (*Graph, error) {
+	nlt := src.Schema().NumLinkTypes()
+	if len(drop) != nlt || len(dropped) != nlt {
+		return nil, fmt.Errorf("hin: %d dropped strengths and %d counts for %d link types", len(drop), len(dropped), nlt)
+	}
+	g := withEntities(src)
+	g.fwd = make([]csr, nlt)
+	g.rev = make([]csr, nlt)
+	buf := &EdgeBuf{}
+	for lt, w := range drop {
+		ltid := LinkTypeID(lt)
+		kept := src.NumEdges(ltid) - dropped[lt]
+		fwd := filterRows(src, buf, ltid, false, w, max(kept, 0))
+		if int64(len(fwd.to)) != kept {
+			return nil, fmt.Errorf("hin: link %q: %d edges of strength %d counted, %d found",
+				src.Schema().LinkType(ltid).Name, dropped[lt], w, src.NumEdges(ltid)-int64(len(fwd.to)))
+		}
+		g.fwd[lt] = fwd
+		g.rev[lt] = filterRows(src, buf, ltid, true, w, kept)
+	}
+	return g, nil
+}
+
+// filterRows copies src's rows of link type lt in one direction (the
+// reverse rows when in is set) without the edges of strength drop, into
+// rows sized for kept edges.
+func filterRows(src GraphBackend, buf *EdgeBuf, lt LinkTypeID, in bool, drop int32, kept int64) csr {
+	n := src.NumEntities()
+	c := csr{off: make([]int64, n+1), to: make([]EntityID, 0, kept), w: make([]int32, 0, kept)}
+	for v := 0; v < n; v++ {
+		var tos []EntityID
+		var ws []int32
+		if in {
+			tos, ws = src.InEdgesBuf(buf, lt, EntityID(v))
+		} else {
+			tos, ws = src.OutEdgesBuf(buf, lt, EntityID(v))
+		}
+		for j, w := range ws {
+			if w != drop {
+				c.to = append(c.to, tos[j])
+				c.w = append(c.w, w)
+			}
+		}
+		c.off[v+1] = int64(len(c.to))
+	}
+	return c
+}
+
+// withEntities returns a Graph with src's entities and no adjacency yet. A
+// *Graph source shares its immutable entity columns with it; any other
+// backend's are copied.
+func withEntities(src GraphBackend) *Graph {
+	sg, ok := src.(*Graph)
+	if !ok {
+		return copyEntities(src)
+	}
+	return &Graph{
+		schema:   sg.schema,
+		n:        sg.n,
+		etype:    sg.etype,
+		label:    sg.label,
+		attrOff:  sg.attrOff,
+		attrData: sg.attrData,
+		sets:     sg.sets,
+	}
 }
 
 // copyEntities copies the entity columns of any backend into a Graph with

@@ -263,10 +263,110 @@ func TestWithOutRowsRejects(t *testing.T) {
 	}
 }
 
+// keptRows is outRows(g) without, per link type lt, the edges of strength
+// drop[lt]; dropped[lt] counts the edges left out.
+func keptRows(g GraphBackend, drop []int32) (rows []Rows, dropped []int64) {
+	rows = outRows(g)
+	dropped = make([]int64, len(rows))
+	for lt, r := range rows {
+		k := Rows{Off: make([]int64, len(r.Off))}
+		for v := 0; v+1 < len(r.Off); v++ {
+			for i := r.Off[v]; i < r.Off[v+1]; i++ {
+				if r.W[i] == drop[lt] {
+					dropped[lt]++
+					continue
+				}
+				k.To = append(k.To, r.To[i])
+				k.W = append(k.W, r.W[i])
+			}
+			k.Off[v+1] = int64(len(k.To))
+		}
+		rows[lt] = k
+	}
+	return rows, dropped
+}
+
+// The strength filter builds what WithOutRows builds from the forward
+// rows it keeps, from either backend: keeping every edge, dropping one
+// strength, and dropping every edge.
+func TestWithoutStrengthMatchesWithOutRows(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		rng := randx.New(seed)
+		users := rng.IntRange(1, 30)
+		g := randomMultigraph(t, seed, users, rng.Intn(4), rng.Intn(6*users))
+		// ones is g with every strength 1, so a drop of 1 takes every edge.
+		rows := outRows(g)
+		for _, r := range rows {
+			for i := range r.W {
+				r.W[i] = 1
+			}
+		}
+		ones, err := WithOutRows(g, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			g    *Graph
+			drop []int32
+		}{
+			{"drop 0 keeps every edge", g, []int32{0, 0, 0, 0}},
+			{"one strength", g, []int32{0, int32(rng.IntRange(1, 6)), 0, 0}},
+			{"every edge", ones, []int32{1, 1, 1, 1}},
+		} {
+			for _, src := range []GraphBackend{tc.g, FromGraph(tc.g)} {
+				kept, dropped := keptRows(src, tc.drop)
+				want, err := WithOutRows(src, kept)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := WithoutStrength(src, tc.drop, dropped)
+				if err != nil {
+					t.Fatalf("seed %d %s %T: %v", seed, tc.name, src, err)
+				}
+				if !bytes.Equal(csrImage(t, got), csrImage(t, want)) {
+					t.Fatalf("seed %d %s %T: filtered graph differs from WithOutRows", seed, tc.name, src)
+				}
+				if tc.name == "every edge" && got.NumEdgesTotal() != 0 {
+					t.Fatalf("seed %d %T: %d edges left after dropping all", seed, src, got.NumEdgesTotal())
+				}
+			}
+		}
+	}
+}
+
+func TestWithoutStrengthRejects(t *testing.T) {
+	g := randomMultigraph(t, 3, 20, 2, 200)
+	_, dropped := keptRows(g, []int32{1, 2, 2, 1})
+	for _, tc := range []struct {
+		name    string
+		drop    []int32
+		dropped []int64
+		want    string
+	}{
+		{"short drop", []int32{1, 2, 2}, dropped, "3 dropped strengths and 4 counts for 4 link types"},
+		{"long drop", []int32{1, 2, 2, 1, 0}, dropped, "5 dropped strengths"},
+		{"short counts", []int32{1, 2, 2, 1}, dropped[:2], "2 counts"},
+		{"count too low", []int32{1, 2, 2, 1}, []int64{dropped[0], dropped[1] - 1, dropped[2], dropped[3]}, "counted"},
+		{"count too high", []int32{1, 2, 2, 1}, []int64{dropped[0], dropped[1], dropped[2] + 1, dropped[3]}, "counted"},
+		{"count past every edge", []int32{1, 2, 2, 1}, []int64{dropped[0], g.NumEdges(1) + 1, dropped[2], dropped[3]}, "counted"},
+	} {
+		for _, src := range []GraphBackend{g, FromGraph(g)} {
+			got, err := WithoutStrength(src, tc.drop, tc.dropped)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s %T: got (%v, %v), want error containing %q", tc.name, src, got, err, tc.want)
+			}
+		}
+	}
+}
+
 // FuzzWithOutRows decodes arbitrary bytes into adjacency rows over a fixed
 // six-entity graph (users 0..4, tag 5). Every input must either be
 // rejected with an error or build a graph whose rows strictly ascend and
-// whose reverse side is the transposition of its forward side.
+// whose reverse side is the transposition of its forward side. An accepted
+// graph is then filtered by WithoutStrength, dropping per link type the
+// strength named by one of the input's last bytes, and must equal
+// WithOutRows over the rows the filter keeps.
 func FuzzWithOutRows(f *testing.F) {
 	b := NewBuilder(rowsSchema(f))
 	for i := 0; i < 5; i++ {
@@ -290,10 +390,41 @@ func FuzzWithOutRows(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows := decodeFuzzRows(data, base.Schema().NumLinkTypes(), n)
-		if g, err := WithOutRows(base, rows); err == nil {
-			checkTransposed(t, g)
+		g, err := WithOutRows(base, rows)
+		if err != nil {
+			return
 		}
+		checkTransposed(t, g)
+		drop := make([]int32, len(rows))
+		for lt := range drop {
+			if k := len(data) - 1 - lt; k >= 0 {
+				drop[lt] = int32(data[k] % 4)
+			}
+		}
+		kept, dropped := keptRows(g, drop)
+		want, err := WithOutRows(g, kept)
+		if err != nil {
+			t.Fatalf("kept rows rejected: %v", err)
+		}
+		got, err := WithoutStrength(g, drop, dropped)
+		if err != nil {
+			t.Fatalf("drop %v: %v", drop, err)
+		}
+		sameAdjacency(t, got, want)
 	})
+}
+
+// sameAdjacency fails unless a and b hold equal rows in both directions.
+func sameAdjacency(t *testing.T, a, b *Graph) {
+	t.Helper()
+	for lt := range a.fwd {
+		for _, pair := range [][2]*csr{{&a.fwd[lt], &b.fwd[lt]}, {&a.rev[lt], &b.rev[lt]}} {
+			x, y := pair[0], pair[1]
+			if !slices.Equal(x.off, y.off) || !slices.Equal(x.to, y.to) || !slices.Equal(x.w, y.w) {
+				t.Fatalf("link %d: rows %v / %v, want %v / %v", lt, x.to, x.w, y.to, y.w)
+			}
+		}
+	}
 }
 
 // decodeFuzzRows reads one signed byte at a time (zero once data runs

@@ -146,26 +146,49 @@ func StrengthCardinality(g GraphBackend, lt LinkTypeID) int {
 // experiment suite strips has strengths <= 60.
 const denseStrengths = 256
 
+// strengthLanes is how many interleaved arrays MajorityStrength counts
+// into. Consecutive edges of a row go to different lanes, so a run of
+// equal strengths - a CGA completion is little else - increments
+// independent counters instead of waiting on one.
+const strengthLanes = 4
+
 // MajorityStrength returns the most frequent edge strength of link type lt
 // and its count; a tie goes to the smallest strength. The re-configured
 // DeHIN of Section 6.2 removes all links carrying the network-wide majority
 // strength to strip Complete Graph Anonymity's fake edges. ok is false if
 // the link type has no edges.
 func MajorityStrength(g GraphBackend, lt LinkTypeID) (w int32, count int64, ok bool) {
-	var dense [denseStrengths]int64
+	var dense [strengthLanes][denseStrengths]int64
 	sparse := make(map[int32]int64) // strengths outside [0, denseStrengths)
 	buf := &EdgeBuf{}
 	for v := 0; v < g.NumEntities(); v++ {
 		_, ws := g.OutEdgesBuf(buf, lt, EntityID(v))
-		for _, x := range ws {
-			if uint32(x) < denseStrengths {
-				dense[x]++
+		i := 0
+		for ; i+strengthLanes <= len(ws); i += strengthLanes {
+			x0, x1, x2, x3 := ws[i], ws[i+1], ws[i+2], ws[i+3]
+			// One test for four: the OR is in [0, 256) only if each is,
+			// and then uint8 indexes the 256 counters unchecked.
+			if uint32(x0|x1|x2|x3) >= denseStrengths {
+				break
+			}
+			dense[0][uint8(x0)]++
+			dense[1][uint8(x1)]++
+			dense[2][uint8(x2)]++
+			dense[3][uint8(x3)]++
+		}
+		for ; i < len(ws); i++ {
+			if x := ws[i]; uint32(x) < denseStrengths {
+				dense[i%strengthLanes][x]++
 			} else {
 				sparse[x]++
 			}
 		}
 	}
-	for x, c := range dense {
+	for x := range denseStrengths {
+		var c int64
+		for l := range dense {
+			c += dense[l][x]
+		}
 		if c > count {
 			w, count, ok = int32(x), c, true
 		}

@@ -2,7 +2,10 @@ package hin
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"github.com/hinpriv/dehin/internal/randx"
 )
 
 func targetSchema4(t *testing.T) *Schema {
@@ -243,6 +246,69 @@ func TestMajorityStrengthTieBreaksLow(t *testing.T) {
 		if !ok || w != tc.w || c != tc.count {
 			t.Errorf("tie must break to the smaller strength: majority of %v = %d x%d %v, want %d x%d",
 				tc.weights, w, c, ok, tc.w, tc.count)
+		}
+	}
+}
+
+// MajorityStrength counts an edge into the lane of its position in its
+// row. Rotating the strengths moves each through every lane, and the tie
+// must still go to the smallest strength, counted at or above the dense
+// bound of 256 too.
+func TestMajorityStrengthAcrossLanes(t *testing.T) {
+	for _, tc := range []struct {
+		weights []int32
+		w       int32
+		count   int64
+	}{
+		{[]int32{5, 5, 3, 3}, 3, 2},
+		{[]int32{7, 2, 7, 2, 7, 2, 1}, 2, 3},
+		{[]int32{9, 9, 9, 9, 4, 4, 4, 4, 9, 4}, 4, 5},
+		{[]int32{256, 9, 256, 9, 257, 257}, 9, 2},
+		{[]int32{300, 256, 300, 256, 12}, 256, 2},
+		{[]int32{256, 256, 256, 255, 255, 255, 255, 256}, 255, 4},
+		{[]int32{256, 256, 256, 1, 255}, 256, 3},
+	} {
+		for r := range tc.weights {
+			rot := append(slices.Clone(tc.weights[r:]), tc.weights[:r]...)
+			w, c, ok := majorityOf(t, rot)
+			if !ok || w != tc.w || c != tc.count {
+				t.Errorf("majority of %v = %d x%d %v, want %d x%d", rot, w, c, ok, tc.w, tc.count)
+			}
+		}
+	}
+}
+
+// On random rows with strengths drawn up to twice the dense bound,
+// MajorityStrength agrees with a plain count.
+func TestMajorityStrengthMatchesCount(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := randx.New(seed)
+		users := rng.IntRange(2, 40)
+		g := randomMultigraph(t, seed, users, 1, rng.Intn(20*users))
+		rows := outRows(g)
+		top := int32(rng.IntRange(1, 2*denseStrengths))
+		for i := range rows[2].W {
+			rows[2].W[i] = int32(rng.IntRange(1, int(top)))
+		}
+		g, err := WithOutRows(g, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[int32]int64{}
+		for _, x := range rows[2].W {
+			counts[x]++
+		}
+		var want int32
+		for x, c := range counts {
+			if c > counts[want] || c == counts[want] && x < want {
+				want = x
+			}
+		}
+		for _, src := range []GraphBackend{g, FromGraph(g)} {
+			w, c, ok := MajorityStrength(src, 2)
+			if ok != (len(counts) > 0) || ok && (w != want || c != counts[want]) {
+				t.Fatalf("seed %d %T: majority %d x%d %v, want %d x%d", seed, src, w, c, ok, want, counts[want])
+			}
 		}
 	}
 }
