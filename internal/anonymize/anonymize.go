@@ -176,8 +176,8 @@ func CompleteGraph(g *hin.Graph, opt CGAOptions) (*hin.Graph, error) {
 		}
 	}
 	rng := randx.New(opt.Seed)
-	rows := make([]hin.Rows, schema.NumLinkTypes())
-	for lt := range rows {
+	strengths := make([][]int32, schema.NumLinkTypes())
+	for lt := range strengths {
 		ltid := hin.LinkTypeID(lt)
 		decl := schema.LinkType(ltid)
 		// A completion is a function of the seed through this draw
@@ -188,35 +188,29 @@ func CompleteGraph(g *hin.Graph, opt CGAOptions) (*hin.Graph, error) {
 		if !decl.AllowSelf {
 			size -= n
 		}
-		r := hin.Rows{
-			Off: make([]int64, n+1),
-			To:  make([]hin.EntityID, 0, size),
-			W:   make([]int32, 0, size),
-		}
+		w := make([]int32, 0, size)
 		for u := 0; u < n; u++ {
 			// Real edges keep their strengths; fake edges fill the gaps.
 			// tos is sorted, so one walk over v merges the two in order.
 			tos, ws := g.OutEdges(ltid, hin.EntityID(u))
 			j := 0
 			for v := 0; v < n; v++ {
-				w := int32(1)
+				s := int32(1)
 				switch {
 				case j < len(tos) && int(tos[j]) == v:
-					w = ws[j]
+					s = ws[j]
 					j++
 				case v == u && !decl.AllowSelf:
 					continue
 				case decl.Weighted && opt.VaryWeights:
-					w = int32(rng.IntRange(1, opt.StrengthMax))
+					s = int32(rng.IntRange(1, opt.StrengthMax))
 				case decl.Weighted:
-					w = constant
+					s = constant
 				}
-				r.To = append(r.To, hin.EntityID(v))
-				r.W = append(r.W, w)
+				w = append(w, s)
 			}
-			r.Off[u+1] = int64(len(r.To))
 		}
-		rows[lt] = r
+		strengths[lt] = w
 	}
-	return hin.WithOutRows(g, rows)
+	return hin.Complete(g, strengths)
 }

@@ -1,6 +1,7 @@
 package anonymize
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/hinpriv/dehin/internal/hin"
@@ -173,6 +174,21 @@ func TestCompleteGraphErrors(t *testing.T) {
 	cg, _ := b.Build()
 	if _, err := CompleteGraph(cg, CGAOptions{StrengthMax: 10}); err == nil {
 		t.Fatal("cross-type link accepted")
+	}
+	// A link type joining A to A cannot complete over a B entity.
+	mixed := hin.MustSchema(
+		[]hin.EntityType{{Name: "A"}, {Name: "B"}},
+		[]hin.LinkType{{Name: "x", From: "A", To: "A", Weighted: true}},
+	)
+	b = hin.NewBuilder(mixed)
+	b.AddEntity(0, "")
+	b.AddEntity(1, "")
+	mg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompleteGraph(mg, CGAOptions{StrengthMax: 10}); err == nil || !strings.Contains(err.Error(), `link "x"`) {
+		t.Fatalf("B entity on an A-to-A link: got %v, want an error naming the link", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"github.com/hinpriv/dehin/internal/hin"
 	"github.com/hinpriv/dehin/internal/randx"
+	"github.com/hinpriv/dehin/internal/tqq"
 )
 
 // completeGraphRef is CompleteGraph as it was written on hin.Builder, one
@@ -238,5 +239,37 @@ func TestGeneralizeStrengthsMatchesBuilderReference(t *testing.T) {
 			}
 			assertSameGraph(t, fmt.Sprintf("k=%d", k), want, got)
 		}
+	}
+}
+
+// BenchmarkCompleteGraph completes one 500-user release
+// (experiments.DefaultParams' target size, at its densest density) with
+// constant fake weights (cga) and with varying ones (vwcga): the release
+// BenchmarkRemoveMajorityStrength in internal/dehin strips.
+func BenchmarkCompleteGraph(b *testing.B) {
+	cfg := tqq.DefaultConfig(3000, 1)
+	cfg.Communities = []tqq.CommunitySpec{{Size: 500, Density: 0.01}}
+	d, err := tqq.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tgt, err := tqq.CommunityTarget(d, 0, randx.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, vw := range []bool{false, true} {
+		name := "cga"
+		if vw {
+			name = "vwcga"
+		}
+		opt := CGAOptions{VaryWeights: vw, StrengthMax: cfg.StrengthMax, Seed: 1}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := CompleteGraph(tgt.Graph, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

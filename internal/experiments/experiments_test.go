@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -457,6 +458,20 @@ func TestRegistryAndRunUnknown(t *testing.T) {
 	}
 	if _, err := Run("nope", QuickParams()); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// The slots RunAllTimed renders as it streams are suite ids, so a renamed
+// slot cannot fall back to a worker unnoticed.
+func TestRenderOnlySlots(t *testing.T) {
+	var got []string
+	for _, e := range suite {
+		if renderOnly(e.id) {
+			got = append(got, e.id)
+		}
+	}
+	if want := []string{"figure7", "figure9", "ablation-homog"}; !slices.Equal(got, want) {
+		t.Fatalf("render-only slots %v, want %v", got, want)
 	}
 }
 

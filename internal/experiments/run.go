@@ -85,6 +85,17 @@ var suite = []struct {
 	{"obscurity", func(s *shared) (*Table, error) { return render(s.obscurity()) }},
 }
 
+// renderOnly reports whether suite slot id only renders a sweep that an
+// earlier slot computes: RunAllTimed runs these as it streams, not on a
+// worker.
+func renderOnly(id string) bool {
+	switch id {
+	case "figure7", "figure9", "ablation-homog":
+		return true
+	}
+	return false
+}
+
 // Names lists the experiment ids, sorted.
 func Names() []string {
 	out := make([]string, len(suite))
@@ -173,7 +184,8 @@ func RunAllTimed(sink io.Writer, p Params) ([]*Table, []ExperimentTiming, CacheS
 	// together and which serialized behind a shared sweep.
 	root := p.Trace.Start("experiments.run_all")
 	root.Attr("slots", int64(len(suite)))
-	go par.Run(p.Workers, len(suite), func(_, i int) {
+	// runSlot runs suite slot i on its own lane and publishes its result.
+	runSlot := func(i int) {
 		sp := root.Fork(suite[i].id)
 		//hin:allow determinism -- per-slot wall time feeds the -timing report and histograms only; experiment tables never see it
 		start := time.Now()
@@ -189,13 +201,27 @@ func RunAllTimed(sink io.Writer, p Params) ([]*Table, []ExperimentTiming, CacheS
 			"id", suite[i].id, "elapsed", elapsed)
 		results[i] = slotResult{tbl: tbl, err: err, elapsed: elapsed}
 		close(done[i])
-	})
+	}
+	// Workers take the slots that compute, in suite order. A render-only
+	// slot runs below when the stream reaches it, by which time the
+	// earlier slot whose sweep it renders is done; a worker that took it
+	// would idle on that sweep while computing slots queued.
+	var compute []int
+	for i, e := range suite {
+		if !renderOnly(e.id) {
+			compute = append(compute, i)
+		}
+	}
+	go par.Run(p.Workers, len(compute), func(_, k int) { runSlot(compute[k]) })
 
 	defer root.End()
 	var out []*Table
 	timings := make([]ExperimentTiming, 0, len(suite))
 	var firstErr error
 	for i, e := range suite {
+		if renderOnly(e.id) {
+			runSlot(i)
+		}
 		<-done[i]
 		r := results[i]
 		timings = append(timings, ExperimentTiming{ID: e.id, Elapsed: r.elapsed})

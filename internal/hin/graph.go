@@ -36,8 +36,10 @@ type setCol struct {
 // Graph is an immutable heterogeneous information network instance: typed
 // entities with scalar and set attributes, and per-link-type weighted
 // adjacency in both directions. Construct one with a Builder from an edge
-// stream, or with WithOutRows for a transform that keeps every entity of
-// an existing graph and rewrites only its edges.
+// stream; the transforms that keep every entity of an existing graph and
+// rewrite only its edges each have their own constructor: WithOutRows
+// takes arbitrary rows, WithoutStrength drops one strength per link type,
+// and Complete builds complete link types from their strengths.
 type Graph struct {
 	schema *Schema
 	n      int

@@ -14,8 +14,9 @@ type Rows struct {
 // WithOutRows returns a graph with src's entities - types, labels, scalar
 // attributes and set attributes - and rows[lt] as the forward adjacency of
 // link type lt. It is the constructor for transforms that keep every
-// entity and rewrite only the edges (stripping, completing or bucketing
-// strengths); Builder is for graphs assembled from an edge stream.
+// entity and rewrite edges into arbitrary rows (bucketing strengths);
+// Builder is for graphs assembled from an edge stream, WithoutStrength
+// for dropping a strength and Complete for completed link types.
 //
 // The rows must be in final form: Off has length n+1, starts at 0, does
 // not decrease and ends at len(To) == len(W); every destination is in
@@ -78,6 +79,110 @@ func WithoutStrength(src GraphBackend, drop []int32, dropped []int64) (*Graph, e
 		g.rev[lt] = filterRows(src, buf, ltid, true, w, kept)
 	}
 	return g, nil
+}
+
+// Complete returns a graph with src's entities (as in WithOutRows) in which
+// every link type is complete: u has an edge to every v ≠ u, ascending, and
+// to itself too where the link type allows self-loops. strengths[lt] holds
+// link type lt's strengths row by row, n−1 per entity (n with self-loops);
+// the graph takes ownership of them.
+//
+// Complete writes the destinations itself, so it checks only what the
+// caller supplies: a matrix of the right length per link type, strengths
+// that are positive, and 1 on an unweighted type, and entities of the link
+// type's endpoint type (once per entity, not per edge). A violation is an
+// error. A row's sources are its destinations, so a link type's forward and
+// reverse rows share one offset and one destination array, as do link types
+// with the same self-loop setting; the reverse strengths are the matrix
+// transposed by tiles.
+func Complete(src GraphBackend, strengths [][]int32) (*Graph, error) {
+	schema := src.Schema()
+	if len(strengths) != schema.NumLinkTypes() {
+		return nil, fmt.Errorf("hin: %d strength matrices for %d link types", len(strengths), schema.NumLinkTypes())
+	}
+	g := withEntities(src)
+	g.fwd = make([]csr, len(strengths))
+	g.rev = make([]csr, len(strengths))
+	var dests [2]csr // offsets and destinations, without and with self-loops
+	for lt, w := range strengths {
+		ltid := LinkTypeID(lt)
+		self := schema.LinkType(ltid).AllowSelf
+		if err := g.checkComplete(ltid, w); err != nil {
+			return nil, err
+		}
+		d := &dests[0]
+		if self {
+			d = &dests[1]
+		}
+		if d.off == nil {
+			d.off, d.to = completeRows(g.n, self)
+		}
+		g.fwd[lt] = csr{off: d.off, to: d.to, w: w}
+		g.rev[lt] = csr{off: d.off, to: d.to, w: transposeComplete(g.n, self, w)}
+	}
+	return g, nil
+}
+
+// completeWidth is the row length of a complete link type over n entities.
+func completeWidth(n int, self bool) int {
+	if self || n == 0 {
+		return n
+	}
+	return n - 1
+}
+
+// completeRows returns the offsets and destinations of a complete link
+// type over n entities.
+func completeRows(n int, self bool) ([]int64, []EntityID) {
+	m := completeWidth(n, self)
+	off := make([]int64, n+1)
+	to := make([]EntityID, 0, n*m)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if v != u || self {
+				to = append(to, EntityID(v))
+			}
+		}
+		off[u+1] = int64(len(to))
+	}
+	return off, to
+}
+
+// completeTile is the side of the square tiles transposeComplete copies:
+// 16 KiB of strengths on each side of the copy.
+const completeTile = 64
+
+// transposeComplete returns the reverse strengths of a complete link type
+// with forward strengths w: v's in-row lists, for every source u in
+// ascending order, the strength of u -> v. It copies w by square tiles so
+// that the reads along a tile's rows and the writes down its columns both
+// stream through the cache.
+func transposeComplete(n int, self bool, w []int32) []int32 {
+	m := completeWidth(n, self)
+	// Without self-loops a row skips its own column: u's row holds v at
+	// v when v < u and at v−1 when v > u, and likewise v's row holds u. A
+	// self-loop is copied with the v ≥ u half.
+	skip := 1
+	if self {
+		skip = 0
+	}
+	rw := make([]int32, len(w))
+	for u0 := 0; u0 < n; u0 += completeTile {
+		u1 := min(u0+completeTile, n)
+		for v0 := 0; v0 < n; v0 += completeTile {
+			v1 := min(v0+completeTile, n)
+			for u := u0; u < u1; u++ {
+				row := w[u*m : u*m+m]
+				for v := v0; v < min(v1, u); v++ {
+					rw[v*m+u-skip] = row[v]
+				}
+				for v := max(v0, u+skip); v < v1; v++ {
+					rw[v*m+u] = row[v-skip]
+				}
+			}
+		}
+	}
+	return rw
 }
 
 // filterRows copies src's rows of link type lt in one direction (the
@@ -196,6 +301,42 @@ func (g *Graph) checkRows(lt LinkTypeID, c *csr) error {
 			}
 			prev = to
 		}
+	}
+	return nil
+}
+
+// checkComplete validates link type lt's strength matrix w against g's
+// entities (Complete lists the rules). WithOutRows' per-edge endpoint rule
+// reduces here to one type check per entity, since every entity is both a
+// source and a destination once rows have edges.
+func (g *Graph) checkComplete(lt LinkTypeID, w []int32) error {
+	decl := g.schema.LinkType(lt)
+	m := completeWidth(g.n, decl.AllowSelf)
+	if len(w) != g.n*m {
+		return fmt.Errorf("hin: link %q: %d strengths for %d entities, want %d", decl.Name, len(w), g.n, g.n*m)
+	}
+	if m > 0 {
+		ends := g.schema.linkEnds[lt]
+		for v, t := range g.etype {
+			if t != ends[0] || t != ends[1] {
+				return fmt.Errorf("hin: link %q joins %q to %q, entity %d has %q",
+					decl.Name, decl.From, decl.To, v, g.schema.entityTypes[t].Name)
+			}
+		}
+	}
+	weighted := decl.Weighted
+	for i, s := range w {
+		if s > 0 && (weighted || s == 1) {
+			continue
+		}
+		u, v := i/m, i%m
+		if !decl.AllowSelf && v >= u {
+			v++
+		}
+		if s <= 0 {
+			return fmt.Errorf("hin: link %q: edge %d -> %d: strength must be positive, got %d", decl.Name, u, v, s)
+		}
+		return fmt.Errorf("hin: unweighted link %q requires strength 1, got %d (edge %d -> %d)", decl.Name, s, u, v)
 	}
 	return nil
 }

@@ -263,6 +263,174 @@ func TestWithOutRowsRejects(t *testing.T) {
 	}
 }
 
+// completeSchema has a weighted link type that allows self-loops, a plain
+// weighted one and an unweighted one, all among users, and an entity type
+// that no link type joins.
+func completeSchema(t testing.TB) *Schema {
+	t.Helper()
+	s, err := NewSchema(
+		[]EntityType{{Name: "User", Attrs: []string{"yob"}, SetAttrs: []string{"tags"}}, {Name: "Page"}},
+		[]LinkType{
+			{Name: "loop", From: "User", To: "User", Weighted: true, AllowSelf: true},
+			{Name: "mention", From: "User", To: "User", Weighted: true},
+			{Name: "follow", From: "User", To: "User"},
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// completeUsers is a completeSchema graph of n users with attributes, a
+// few tag sets and no edges, then the given extra entity types.
+func completeUsers(t testing.TB, seed uint64, n int, extra ...EntityTypeID) *Graph {
+	t.Helper()
+	rng := randx.New(seed)
+	b := NewBuilder(completeSchema(t))
+	for i := 0; i < n; i++ {
+		v := b.AddEntity(0, fmt.Sprintf("u%d", i), int64(1900+rng.Intn(100)))
+		if rng.Intn(3) == 0 {
+			b.SetSet("tags", v, []int32{int32(rng.Intn(9))})
+		}
+	}
+	for _, et := range extra {
+		b.AddEntity(et, "x")
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// randomStrengths draws a strength matrix per link type of src's schema
+// for a completion of its n entities: 1..9 on weighted types, 1 otherwise.
+func randomStrengths(src GraphBackend, seed uint64) [][]int32 {
+	rng := randx.New(seed)
+	n := src.NumEntities()
+	out := make([][]int32, src.Schema().NumLinkTypes())
+	for lt := range out {
+		decl := src.Schema().LinkType(LinkTypeID(lt))
+		w := make([]int32, n*completeWidth(n, decl.AllowSelf))
+		for i := range w {
+			w[i] = 1
+			if decl.Weighted {
+				w[i] = int32(rng.IntRange(1, 9))
+			}
+		}
+		out[lt] = w
+	}
+	return out
+}
+
+// completeAsRows spells strengths out as the complete rows WithOutRows
+// takes: u's row lists every v (but u, without self-loops) ascending.
+func completeAsRows(s *Schema, n int, strengths [][]int32) []Rows {
+	rows := make([]Rows, len(strengths))
+	for lt, w := range strengths {
+		self := s.LinkType(LinkTypeID(lt)).AllowSelf
+		r := Rows{Off: make([]int64, n+1), W: slices.Clone(w)}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if v != u || self {
+					r.To = append(r.To, EntityID(v))
+				}
+			}
+			r.Off[u+1] = int64(len(r.To))
+		}
+		rows[lt] = r
+	}
+	return rows
+}
+
+// Complete builds what WithOutRows builds from the same complete rows, from
+// either backend, for sizes on both sides of transposeComplete's tile
+// edges; its rows share their offset and destination arrays.
+func TestCompleteMatchesWithOutRows(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 129} {
+		g := completeUsers(t, uint64(n), n)
+		for _, src := range []GraphBackend{g, FromGraph(g)} {
+			strengths := randomStrengths(src, uint64(n)+7)
+			want, err := WithOutRows(src, completeAsRows(src.Schema(), n, strengths))
+			if err != nil {
+				t.Fatalf("n=%d %T: reference rows rejected: %v", n, src, err)
+			}
+			got, err := Complete(src, strengths)
+			if err != nil {
+				t.Fatalf("n=%d %T: %v", n, src, err)
+			}
+			if !bytes.Equal(csrImage(t, got), csrImage(t, want)) {
+				t.Fatalf("n=%d %T: completed graph differs from WithOutRows", n, src)
+			}
+			if n >= 2 {
+				checkSharedRows(t, got)
+			}
+		}
+	}
+}
+
+// checkSharedRows fails unless each completeSchema link type's forward
+// and reverse rows share one offset and one destination array, which
+// mention and follow (no self-loops) share too, apart from loop's.
+func checkSharedRows(t *testing.T, g *Graph) {
+	t.Helper()
+	const loop, mention, follow = 0, 1, 2
+	same := func(a, b *csr) bool {
+		return &a.off[0] == &b.off[0] && &a.to[0] == &b.to[0]
+	}
+	for lt := range g.fwd {
+		if !same(&g.fwd[lt], &g.rev[lt]) {
+			t.Fatalf("link %d: forward and reverse rows have their own destinations", lt)
+		}
+	}
+	if !same(&g.fwd[mention], &g.fwd[follow]) {
+		t.Fatal("mention and follow have their own destinations")
+	}
+	if same(&g.fwd[loop], &g.fwd[mention]) {
+		t.Fatal("loop shares the destinations of a link type without self-loops")
+	}
+}
+
+func TestCompleteRejects(t *testing.T) {
+	const loop, mention, follow = 0, 1, 2
+	g := completeUsers(t, 1, 3)
+	page := completeUsers(t, 1, 2, 1) // users 0..1, page 2
+	if _, err := Complete(g, randomStrengths(g, 1)); err != nil {
+		t.Fatalf("valid strengths rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		g    *Graph
+		edit func([][]int32) [][]int32
+		want string
+	}{
+		{"too few matrices", g, func(s [][]int32) [][]int32 { return s[:2] }, "2 strength matrices for 3 link types"},
+		{"too many matrices", g, func(s [][]int32) [][]int32 { return append(s, s[0]) }, "4 strength matrices for 3 link types"},
+		{"short matrix", g, func(s [][]int32) [][]int32 { s[mention] = s[mention][1:]; return s }, `link "mention": 5 strengths for 3 entities, want 6`},
+		{"self-loop matrix on a link without", g, func(s [][]int32) [][]int32 { s[follow] = s[loop]; return s }, `link "follow": 9 strengths for 3 entities, want 6`},
+		{"strength 0", g, func(s [][]int32) [][]int32 { s[loop][4] = 0; return s }, `link "loop": edge 1 -> 1: strength must be positive, got 0`},
+		{"strength -1", g, func(s [][]int32) [][]int32 { s[mention][3] = -1; return s }, `link "mention": edge 1 -> 2: strength must be positive, got -1`},
+		{"strength 2 on the unweighted type", g, func(s [][]int32) [][]int32 { s[follow][0] = 2; return s }, `unweighted link "follow" requires strength 1, got 2 (edge 0 -> 1)`},
+		{"entity of another type", page, func(s [][]int32) [][]int32 { return s }, `link "loop" joins "User" to "User", entity 2 has "Page"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			for _, src := range []GraphBackend{tc.g, FromGraph(tc.g)} {
+				got, err := Complete(src, tc.edit(randomStrengths(src, 1)))
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%T: got (%v, %v), want error containing %q", src, got, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
 // keptRows is outRows(g) without, per link type lt, the edges of strength
 // drop[lt]; dropped[lt] counts the edges left out.
 func keptRows(g GraphBackend, drop []int32) (rows []Rows, dropped []int64) {
