@@ -153,6 +153,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAdjRowCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
 	$(GO) test -fuzz FuzzOpenCSRFile -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
 	$(GO) test -fuzz FuzzWithOutRows -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
+	$(GO) test -fuzz FuzzBuilderLinks -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
 	$(GO) test -fuzz FuzzServeDehin -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve
 
 bench:

@@ -43,7 +43,7 @@ func main() {
 		samples  = flag.Int("samples", 0, "override samples per density")
 		dens     = flag.String("densities", "", "override densities, comma-separated")
 		par      = flag.Int("parallelism", 0, "attack parallelism (0 = all cores)")
-		parallel = flag.Int("parallel", 0, "pipeline workers: generator shards, release warm-up, concurrent experiments (0 = all cores, 1 = serial)")
+		parallel = flag.Int("parallel", 0, "pipeline workers: generator shards, release warm-up, concurrent experiments (0 = all cores, 1 = one at a time)")
 		timing   = flag.Bool("timing", false, "print per-experiment wall time and cache hit/miss counts to stderr")
 		outDir   = flag.String("out", "", "also write each table as CSV into this directory")
 		metrics  = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090 or 127.0.0.1:0)")

@@ -37,9 +37,9 @@ func tablesHash(tables []*Table) string {
 }
 
 // TestRunAllDeterministicAcrossWorkers is the suite-level determinism
-// guarantee: RunAll renders byte-identical tables whether the pipeline is
-// fully serial (Workers=1), wide (Workers=8), or GOMAXPROCS-bound at
-// either extreme.
+// guarantee: RunAll renders byte-identical tables whether the pipeline's
+// own pools are serial (Workers=1), wide (Workers=8), or GOMAXPROCS-bound
+// at either extreme.
 func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) string {
 		p := parTestParams()

@@ -40,10 +40,12 @@ type Params struct {
 	// Parallelism bounds attack concurrency; 0 means GOMAXPROCS.
 	Parallelism int
 	// Workers bounds pipeline concurrency outside the attack inner loop:
-	// the sharded generator, the workbench release warm-up pool, and how
-	// many experiments RunAll computes at once. 0 means GOMAXPROCS; 1
-	// forces the fully serial pipeline. Results are identical for every
-	// value.
+	// the sharded generator's sampling, the workbench release warm-up
+	// pool, and how many experiments RunAll computes at once. 0 means
+	// GOMAXPROCS; 1 runs each of these one task at a time. The pools that
+	// size themselves to GOMAXPROCS, the generated graph's build
+	// (hin.Builder.Build) and the profile index (dehin.NewIndex), are not
+	// bounded by it. Results are identical for every value.
 	Workers int
 	// Metrics, when non-nil, attaches the whole pipeline to an obs
 	// registry: generator stage timings, workbench cache traffic, attack

@@ -3,7 +3,8 @@ package hin
 import (
 	"fmt"
 	"slices"
-	"sort"
+
+	"github.com/hinpriv/dehin/internal/par"
 )
 
 // Builder accumulates entities and edges and freezes them into an immutable
@@ -20,24 +21,36 @@ type Builder struct {
 	attrOff  []int64
 	attrData []int64
 
-	sets map[string]map[EntityID][]int32
+	sets map[string][][]int32 // per set name, entity v's sorted values at [v]
 
-	eFrom [][]EntityID // per link type
-	eTo   [][]EntityID
-	eW    [][]int32
+	links [][][]Link // per link type, the batches AddLinks was handed
+	own   [][]Link   // per link type, the batch AddEdge appends to; Build adds it to links
 
 	built bool
 }
+
+// Link is one directed edge handed to a Builder: its endpoints and its
+// strength (1 on unweighted link types).
+type Link struct {
+	From, To EntityID
+	W        int32
+}
+
+// parallelBuildLinks is the edge count from which Build builds its link
+// types on a worker pool. Smaller graphs, such as hinriskd's per-request
+// snippets and the sampled 500-user releases, build on the caller's
+// goroutine: their builds are short, and a server building many at once
+// has no idle core for a pool per build to use.
+const parallelBuildLinks = 1 << 16
 
 // NewBuilder returns a Builder for the given schema.
 func NewBuilder(schema *Schema) *Builder {
 	return &Builder{
 		schema:  schema,
 		attrOff: []int64{0},
-		sets:    make(map[string]map[EntityID][]int32),
-		eFrom:   make([][]EntityID, schema.NumLinkTypes()),
-		eTo:     make([][]EntityID, schema.NumLinkTypes()),
-		eW:      make([][]int32, schema.NumLinkTypes()),
+		sets:    make(map[string][][]int32),
+		links:   make([][][]Link, schema.NumLinkTypes()),
+		own:     make([][]Link, schema.NumLinkTypes()),
 	}
 }
 
@@ -76,16 +89,16 @@ func (b *Builder) SetSet(name string, v EntityID, vals []int32) {
 			b.schema.EntityType(b.etype[v]).Name, name))
 	}
 	col := b.sets[name]
-	if col == nil {
-		col = make(map[EntityID][]int32)
+	if len(col) <= int(v) {
+		col = append(col, make([][]int32, len(b.etype)-len(col))...)
 		b.sets[name] = col
 	}
 	if len(vals) == 0 {
-		delete(col, v)
+		col[v] = nil
 		return
 	}
-	cp := append([]int32(nil), vals...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	cp := slices.Clone(vals)
+	slices.Sort(cp)
 	col[v] = cp
 }
 
@@ -96,31 +109,64 @@ func (b *Builder) AddEdge(lt LinkTypeID, from, to EntityID, w int32) error {
 	if int(lt) >= b.schema.NumLinkTypes() {
 		return fmt.Errorf("hin: unknown link type %d", lt)
 	}
-	if from < 0 || int(from) >= len(b.etype) {
-		return fmt.Errorf("hin: edge source %d out of range", from)
-	}
-	if to < 0 || int(to) >= len(b.etype) {
-		return fmt.Errorf("hin: edge destination %d out of range", to)
-	}
-	if err := b.schema.checkEdge(lt, b.etype[from], b.etype[to], from, to, w); err != nil {
+	l := Link{From: from, To: to, W: w}
+	if err := b.checkLink(lt, l); err != nil {
 		return err
 	}
-	b.eFrom[lt] = append(b.eFrom[lt], from)
-	b.eTo[lt] = append(b.eTo[lt], to)
-	b.eW[lt] = append(b.eW[lt], w)
+	b.own[lt] = append(b.own[lt], l)
 	return nil
+}
+
+// AddLinks adds a batch of directed edges of link type lt, each checked as
+// AddEdge checks one and merged at Build in the same way. A batch with an
+// invalid link is rejected whole, with AddEdge's error for the first such
+// link, and adds nothing. An accepted batch is kept as it is, not copied:
+// the caller hands the slice over and must not modify it afterwards.
+func (b *Builder) AddLinks(lt LinkTypeID, links []Link) error {
+	if int(lt) >= b.schema.NumLinkTypes() {
+		return fmt.Errorf("hin: unknown link type %d", lt)
+	}
+	for _, l := range links {
+		if err := b.checkLink(lt, l); err != nil {
+			return err
+		}
+	}
+	if len(links) > 0 {
+		b.links[lt] = append(b.links[lt], links)
+	}
+	return nil
+}
+
+// checkLink validates one edge of a known link type against the entities
+// added so far.
+func (b *Builder) checkLink(lt LinkTypeID, l Link) error {
+	if l.From < 0 || int(l.From) >= len(b.etype) {
+		return fmt.Errorf("hin: edge source %d out of range", l.From)
+	}
+	if l.To < 0 || int(l.To) >= len(b.etype) {
+		return fmt.Errorf("hin: edge destination %d out of range", l.To)
+	}
+	return b.schema.checkEdge(lt, b.etype[l.From], b.etype[l.To], l.From, l.To, l.W)
 }
 
 // Build freezes the accumulated entities and edges into a Graph. Duplicate
 // edges of the same link type are merged by summing strengths (unweighted
 // duplicates collapse to a single strength-1 edge). The reverse adjacency
 // is the transposition of the merged forward rows, as in WithOutRows.
+//
+// Each link type is built on its own, so from parallelBuildLinks edges on
+// they are built on a pool of GOMAXPROCS workers, one link type per task;
+// the builder drops a link type's batches as its task starts, so they can
+// be collected once its rows are packed. The graph does not depend on the
+// pool, and when several link types fail, the error is the lowest link
+// type's.
 func (b *Builder) Build() (*Graph, error) {
 	if b.built {
 		return nil, fmt.Errorf("hin: Builder already built")
 	}
 	b.built = true
 	n := len(b.etype)
+	nlt := b.schema.NumLinkTypes()
 	g := &Graph{
 		schema:   b.schema,
 		n:        n,
@@ -129,43 +175,62 @@ func (b *Builder) Build() (*Graph, error) {
 		attrOff:  b.attrOff,
 		attrData: b.attrData,
 		sets:     make(map[string]*setCol, len(b.sets)),
-		fwd:      make([]csr, b.schema.NumLinkTypes()),
-		rev:      make([]csr, b.schema.NumLinkTypes()),
+		fwd:      make([]csr, nlt),
+		rev:      make([]csr, nlt),
 	}
 	for name, vals := range b.sets {
 		col := &setCol{off: make([]int64, n+1)}
-		var total int64
-		for v := 0; v < n; v++ {
-			total += int64(len(vals[EntityID(v)]))
-			col.off[v+1] = total
-		}
-		col.data = make([]int32, 0, total)
-		for v := 0; v < n; v++ {
-			//hin:allow determinism -- each column is rebuilt per set name in ascending entity order; the order b.sets is visited never reaches col.data
-			col.data = append(col.data, vals[EntityID(v)]...)
+		for v := range n {
+			if v < len(vals) {
+				//hin:allow determinism -- each column is rebuilt per set name in ascending entity order; the order b.sets is visited never reaches col.data
+				col.data = append(col.data, vals[v]...)
+			}
+			col.off[v+1] = int64(len(col.data))
 		}
 		g.sets[name] = col
 	}
-	for lt := range b.eFrom {
-		merged := !b.schema.LinkType(LinkTypeID(lt)).Weighted
-		fwd, err := buildCSR(n, b.eFrom[lt], b.eTo[lt], b.eW[lt], merged)
-		if err != nil {
-			return nil, err
+	total := 0
+	for lt := range nlt {
+		b.links[lt] = append(b.links[lt], b.own[lt])
+		b.own[lt] = nil
+		for _, batch := range b.links[lt] {
+			total += len(batch)
 		}
-		b.eFrom[lt], b.eTo[lt], b.eW[lt] = nil, nil, nil
+	}
+	workers := 0
+	if total < parallelBuildLinks {
+		workers = 1
+	}
+	var first par.FirstErr
+	par.Run(workers, nlt, func(_, lt int) {
+		collapse := !b.schema.LinkType(LinkTypeID(lt)).Weighted
+		batches := b.links[lt]
+		b.links[lt] = nil // the batches die once buildCSR has packed them
+		fwd, err := buildCSR(n, batches, collapse)
+		if err != nil {
+			first.Set(lt, err)
+			return
+		}
 		g.fwd[lt] = fwd
 		g.rev[lt] = transpose(n, &fwd)
+	})
+	if err := first.Err(); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
 
-// buildCSR assembles a CSR adjacency from parallel edge slices, sorting
-// each row and merging duplicate destinations by summing weights. If
-// collapse is true, merged weights are clamped to 1 (unweighted links).
-func buildCSR(n int, from, to []EntityID, w []int32, collapse bool) (csr, error) {
+// buildCSR assembles a CSR adjacency over n entities from batches of edges,
+// sorting each row and merging duplicate destinations by summing weights.
+// If collapse is true, merged weights are clamped to 1 (unweighted links).
+func buildCSR(n int, batches [][]Link, collapse bool) (csr, error) {
 	off := make([]int64, n+1)
-	for _, f := range from {
-		off[f+1]++
+	m := 0
+	for _, batch := range batches {
+		for _, l := range batch {
+			off[l.From+1]++
+		}
+		m += len(batch)
 	}
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
@@ -173,14 +238,16 @@ func buildCSR(n int, from, to []EntityID, w []int32, collapse bool) (csr, error)
 	// Each edge packs into one key, destination above strength:
 	// destinations are >= 0 and strengths >= 1, so key order is
 	// destination order and equal destinations sit next to each other.
-	keys := make([]uint64, len(to))
-	cursor := make([]int64, n)
-	for i, f := range from {
-		keys[off[f]+cursor[f]] = uint64(to[i])<<32 | uint64(uint32(w[i]))
-		cursor[f]++
+	keys := make([]uint64, m)
+	next := slices.Clone(off[:n])
+	for _, batch := range batches {
+		for _, l := range batch {
+			keys[next[l.From]] = uint64(l.To)<<32 | uint64(uint32(l.W))
+			next[l.From]++
+		}
 	}
-	outTo := make([]EntityID, 0, len(to))
-	outW := make([]int32, 0, len(w))
+	outTo := make([]EntityID, 0, m)
+	outW := make([]int32, 0, m)
 	newOff := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		row := keys[off[v]:off[v+1]]

@@ -36,10 +36,14 @@ type HistSnapshot struct {
 // bucket bounds cap the error at a factor of 2, which is plenty for
 // latency triage (is p99 microseconds or milliseconds?); exact ranks
 // would require recording raw observations, which the fixed-size
-// histogram deliberately does not.
+// histogram deliberately does not. A series of one observation is the
+// exception: its Sum is that observation, which is then every quantile.
 func (h HistSnapshot) Quantile(q float64) int64 {
 	if h.Count == 0 {
 		return 0
+	}
+	if h.Count == 1 {
+		return h.Sum
 	}
 	if q < 0 {
 		q = 0

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -78,5 +80,43 @@ func TestQuantileExposition(t *testing.T) {
 	}
 	if hs.P99 < hs.P50 {
 		t.Errorf("p99 %d < p50 %d", hs.P99, hs.P50)
+	}
+}
+
+// TestQuantileSingleObservation checks that a series holding one
+// observation reports that observation exactly at p50, p95 and p99, in the
+// snapshot and in both expositions, rather than a point interpolated
+// inside its power-of-two bucket.
+func TestQuantileSingleObservation(t *testing.T) {
+	const took = 427_000_000 // a 427 ms experiment slot
+	r := New()
+	r.Histogram("run_ns", "id", "table2").Observe(took)
+	const id = `run_ns{id="table2"}`
+	hs := r.Snapshot().Histograms[id]
+	if hs.P50 != took || hs.P95 != took || hs.P99 != took {
+		t.Errorf("snapshot p50/p95/p99 = %d/%d/%d, want %d", hs.P50, hs.P95, hs.P99, took)
+	}
+
+	var js strings.Builder
+	if err := r.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var s Snapshot
+	if err := json.Unmarshal([]byte(js.String()), &s); err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Histograms[id]; h.P50 != took || h.P95 != took || h.P99 != took {
+		t.Errorf("JSON p50/p95/p99 = %d/%d/%d, want %d", h.P50, h.P95, h.P99, took)
+	}
+
+	var prom strings.Builder
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"p50", "p95", "p99"} {
+		want := fmt.Sprintf("run_ns_%s{id=\"table2\"} %d\n", q, took)
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, prom.String())
+		}
 	}
 }

@@ -66,6 +66,39 @@ func (p *PowerLaw) Mean() float64 {
 	return mean
 }
 
+// Geometric samples the number of trials until the first success of
+// probability p (support 1, 2, ...) by inverting the CDF. It computes
+// log1p(-p) once, so a sampler shared across many draws takes one
+// logarithm per draw instead of two; RNG.Geometric draws through it.
+type Geometric struct {
+	p    float64
+	logq float64 // log1p(-p)
+}
+
+// NewGeometric builds a geometric sampler with success probability p. It
+// returns an error unless 0 < p <= 1.
+func NewGeometric(p float64) (*Geometric, error) {
+	if !(p > 0 && p <= 1) {
+		return nil, fmt.Errorf("randx: geometric p must be in (0, 1], got %g", p)
+	}
+	return &Geometric{p: p, logq: math.Log1p(-p)}, nil
+}
+
+// Sample draws one value using g. With p == 1 it is always 1 and consumes
+// no randomness.
+func (d *Geometric) Sample(g *RNG) int {
+	if d.p == 1 {
+		return 1
+	}
+	u := g.r.Float64()
+	// Inverse CDF: smallest k with 1-(1-p)^k >= u.
+	k := int(math.Ceil(math.Log1p(-u) / d.logq))
+	if k < 1 {
+		k = 1
+	}
+	return k
+}
+
 // Alias is a Walker alias-method sampler over a finite distribution: O(n)
 // preprocessing, O(1) per draw. It is used for weighted categorical
 // attributes (year of birth, tag popularity, item popularity).

@@ -97,21 +97,14 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Geometric samples from a geometric distribution with success probability
 // p, returning the number of trials until the first success (support 1, 2,
-// ...). It panics unless 0 < p <= 1.
+// ...). It panics unless 0 < p <= 1. A caller drawing many values with
+// one p should build a Geometric sampler once instead.
 func (g *RNG) Geometric(p float64) int {
 	if p <= 0 || p > 1 {
 		panic("randx: Geometric requires 0 < p <= 1")
 	}
-	if p == 1 {
-		return 1
-	}
-	u := g.r.Float64()
-	// Inverse CDF: smallest k with 1-(1-p)^k >= u.
-	k := int(math.Ceil(math.Log1p(-u) / math.Log1p(-p)))
-	if k < 1 {
-		k = 1
-	}
-	return k
+	d := Geometric{p: p, logq: math.Log1p(-p)}
+	return d.Sample(g)
 }
 
 // LogUniformInt samples an integer in [lo, hi] whose logarithm is

@@ -104,6 +104,41 @@ func TestGeometricPanicsOnBadP(t *testing.T) {
 	}
 }
 
+// TestGeometricSamplerMatchesRNG draws from three streams of one seed: a
+// shared Geometric sampler, RNG.Geometric, and the inverse-CDF formula
+// with both logarithms taken per draw. They must agree draw for draw and
+// leave their streams in the same state, at p = 1 too, where no
+// randomness is consumed.
+func TestGeometricSamplerMatchesRNG(t *testing.T) {
+	for _, p := range []float64{0.35, 0.5, 0.9, 1} {
+		d, err := NewGeometric(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b, c := New(17), New(17), New(17)
+		for i := 0; i < 100000; i++ {
+			want := 1
+			if p < 1 {
+				want = max(1, int(math.Ceil(math.Log1p(-c.Float64())/math.Log1p(-p))))
+			}
+			if got, viaRNG := d.Sample(a), b.Geometric(p); got != want || viaRNG != want {
+				t.Fatalf("p=%g draw %d: sampler %d, RNG.Geometric %d, formula %d", p, i, got, viaRNG, want)
+			}
+		}
+		if x, y, z := a.Uint64(), b.Uint64(), c.Uint64(); x != y || y != z {
+			t.Fatalf("p=%g: streams diverged after the draws", p)
+		}
+	}
+}
+
+func TestNewGeometricErrors(t *testing.T) {
+	for _, p := range []float64{0, -1, 1.5, math.NaN()} {
+		if _, err := NewGeometric(p); err == nil {
+			t.Errorf("NewGeometric(%g) accepted", p)
+		}
+	}
+}
+
 func TestLogUniformIntBounds(t *testing.T) {
 	g := New(3)
 	lo, hi := 2, 5000

@@ -30,11 +30,15 @@ type Config struct {
 	// Seed drives all generator randomness.
 	Seed uint64
 
-	// Workers bounds the generator's worker pool; 0 means GOMAXPROCS.
-	// The generated dataset is a function of the Config alone: work is
-	// cut into fixed-size shards whose random streams derive only from
-	// (Seed, shard id), so output is byte-identical for every Workers
-	// value and every GOMAXPROCS setting.
+	// Workers bounds the generator's sampling pool (profiles, edges,
+	// recommendation log); 0 means GOMAXPROCS. It does not bound the
+	// graph build: hin.Builder.Build sizes its own pool, one link type
+	// per worker up to GOMAXPROCS, as dehin.NewIndex does, so Workers = 1
+	// still builds a large network on every core. The generated dataset
+	// is a function of the Config alone: work is cut into fixed-size
+	// shards whose random streams derive only from (Seed, shard id), so
+	// output is byte-identical for every Workers value and every
+	// GOMAXPROCS setting.
 	Workers int
 
 	// YearMin and YearMax bound the year-of-birth attribute; the default
@@ -173,13 +177,6 @@ type Dataset struct {
 // independent of Workers/GOMAXPROCS.
 const genShardUsers = 2048
 
-// edge is one generated directed edge awaiting the deterministic merge
-// into the hin.Builder.
-type edge struct {
-	src, dst hin.EntityID
-	w        int32
-}
-
 // Generate synthesizes a dataset per cfg. It returns an error if the
 // configuration is inconsistent (too few users for the requested
 // communities, bad ranges, or a community density that exceeds 1).
@@ -190,12 +187,14 @@ type edge struct {
 // serially - before any worker runs - from the stage stream, with fixed
 // shard boundaries (genShardUsers) or fixed task identity (community
 // index, link type). Workers only consume pre-derived streams and write
-// to pre-assigned slots. Edges are then handed to the Builder task by
-// task in task order, so the AddEntity/AddEdge sequence is fixed, not an
-// accident of scheduling; Build sorts every row and merges duplicate
-// pairs by summed strength, so the graph would not depend on that order
-// anyway. Generate(cfg) is byte-identical for every Workers and
-// GOMAXPROCS value.
+// to pre-assigned slots. Each task's edge buffer is then handed to the
+// Builder whole (AddLinks, no copy), task by task in task order, so the
+// sequence of entities and edge batches is fixed, not an accident of
+// scheduling; Build sorts every row and merges duplicate pairs by summed
+// strength, so the graph would not depend on that order anyway, and it
+// builds the link types on a pool of its own. Link strengths come from
+// one geometric sampler per run. Generate(cfg) is byte-identical for
+// every Workers and GOMAXPROCS value.
 func Generate(cfg Config) (*Dataset, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
@@ -213,6 +212,10 @@ func Generate(cfg Config) (*Dataset, error) {
 	cfg.Log.Debug("tqq: generate start",
 		"users", cfg.Users, "shards", userShards(cfg.Users),
 		"communities", len(cfg.Communities))
+	geo, err := randx.NewGeometric(cfg.StrengthP)
+	if err != nil {
+		return nil, err
+	}
 	rng := randx.New(cfg.Seed)
 	schema := TargetSchema()
 	b := hin.NewBuilder(schema)
@@ -233,13 +236,13 @@ func Generate(cfg Config) (*Dataset, error) {
 	// stream.
 	var tasks []*edgeTask
 	for i, spec := range cfg.Communities {
-		ctasks, err := planCommunity(schema, spec, comms[i], cfg, rng.Split(uint64(10+i)))
+		ctasks, err := planCommunity(schema, spec, comms[i], cfg, geo, rng.Split(uint64(10+i)))
 		if err != nil {
 			return nil, err
 		}
 		tasks = append(tasks, ctasks...)
 	}
-	tasks = append(tasks, planBackground(schema, cfg, inCommunity, rng.Split(3))...)
+	tasks = append(tasks, planBackground(schema, cfg, geo, inCommunity, rng.Split(3))...)
 
 	stage = root.Child("edges")
 	lanes := par.Lanes(cfg.Trace, cfg.Workers, len(tasks))
@@ -296,8 +299,8 @@ func Generate(cfg Config) (*Dataset, error) {
 // own RNG and emits into its own buffer, merged later in task order.
 type edgeTask struct {
 	lt  hin.LinkTypeID
-	gen func() ([]edge, error)
-	out []edge
+	gen func() ([]hin.Link, error)
+	out []hin.Link
 	err error
 }
 
@@ -461,7 +464,7 @@ func placeCommunities(cfg Config, rng *randx.RNG) ([][]hin.EntityID, []bool, err
 // one edge-sampling task per type, each bound to a stream pre-derived
 // from the community's stream. Budget validation happens here, before any
 // worker runs.
-func planCommunity(schema *hin.Schema, spec CommunitySpec, members []hin.EntityID, cfg Config, rng *randx.RNG) ([]*edgeTask, error) {
+func planCommunity(schema *hin.Schema, spec CommunitySpec, members []hin.EntityID, cfg Config, geo *randx.Geometric, rng *randx.RNG) ([]*edgeTask, error) {
 	nTypes := schema.NumLinkTypes()
 	budget := int64(spec.Density*float64(hin.MaxEdges(schema, spec.Size)) + 0.5)
 	maxPerType := int64(spec.Size) * int64(spec.Size-1)
@@ -478,8 +481,8 @@ func planCommunity(schema *hin.Schema, spec CommunitySpec, members []hin.EntityI
 		r := rng.Split(uint64(lt))
 		tasks = append(tasks, &edgeTask{
 			lt: ltid,
-			gen: func() ([]edge, error) {
-				return plantTypeEdges(schema, ltid, members, share, cfg, r)
+			gen: func() ([]hin.Link, error) {
+				return plantTypeEdges(schema, ltid, members, share, cfg, geo, r)
 			},
 		})
 	}
@@ -494,7 +497,7 @@ func planCommunity(schema *hin.Schema, spec CommunitySpec, members []hin.EntityI
 // the real skew - a mass of degree-1-and-2 users plus a heavy tail - at
 // every density. Each source gets distinct destinations, so no duplicates
 // arise and the edge count is exact after a small random repair.
-func plantTypeEdges(schema *hin.Schema, lt hin.LinkTypeID, members []hin.EntityID, budget int64, cfg Config, rng *randx.RNG) ([]edge, error) {
+func plantTypeEdges(schema *hin.Schema, lt hin.LinkTypeID, members []hin.EntityID, budget int64, cfg Config, geo *randx.Geometric, rng *randx.RNG) ([]hin.Link, error) {
 	if budget == 0 {
 		return nil, nil
 	}
@@ -589,7 +592,7 @@ func plantTypeEdges(schema *hin.Schema, lt hin.LinkTypeID, members []hin.EntityI
 		tries++
 	}
 	weighted := schema.LinkType(lt).Weighted
-	out := make([]edge, 0, budget)
+	out := make([]hin.Link, 0, budget)
 	for i, q := range quota {
 		if q == 0 {
 			continue
@@ -603,9 +606,9 @@ func plantTypeEdges(schema *hin.Schema, lt hin.LinkTypeID, members []hin.EntityI
 			}
 			w := int32(1)
 			if weighted {
-				w = strength(cfg, rng)
+				w = strength(geo, cfg.StrengthMax, rng)
 			}
-			out = append(out, edge{src: src, dst: members[dj], w: w})
+			out = append(out, hin.Link{From: src, To: members[dj], W: w})
 		}
 	}
 	return out, nil
@@ -617,7 +620,7 @@ func plantTypeEdges(schema *hin.Schema, lt hin.LinkTypeID, members []hin.EntityI
 // skipped so planted densities stay exact; community members still get
 // background edges to the outside, which is what makes de-anonymizing
 // against the full auxiliary network non-trivial.
-func planBackground(schema *hin.Schema, cfg Config, inCommunity []bool, rng *randx.RNG) []*edgeTask {
+func planBackground(schema *hin.Schema, cfg Config, geo *randx.Geometric, inCommunity []bool, rng *randx.RNG) []*edgeTask {
 	if cfg.Users < 2 || cfg.BackgroundAvgOutDeg <= 0 {
 		return nil
 	}
@@ -642,8 +645,8 @@ func planBackground(schema *hin.Schema, cfg Config, inCommunity []bool, rng *ran
 			r := rngs[s]
 			tasks = append(tasks, &edgeTask{
 				lt: ltid,
-				gen: func() ([]edge, error) {
-					return genBackgroundShard(cfg, inCommunity, weighted, lo, hi, pl, scale, r), nil
+				gen: func() ([]hin.Link, error) {
+					return genBackgroundShard(cfg, geo, inCommunity, weighted, lo, hi, pl, scale, r), nil
 				},
 			})
 		}
@@ -653,8 +656,8 @@ func planBackground(schema *hin.Schema, cfg Config, inCommunity []bool, rng *ran
 
 // genBackgroundShard draws the background out-edges of users [lo, hi) for
 // one link type from the shard's private stream.
-func genBackgroundShard(cfg Config, inCommunity []bool, weighted bool, lo, hi int, pl *randx.PowerLaw, scale float64, rng *randx.RNG) []edge {
-	out := make([]edge, 0, int(float64(hi-lo)*cfg.BackgroundAvgOutDeg))
+func genBackgroundShard(cfg Config, geo *randx.Geometric, inCommunity []bool, weighted bool, lo, hi int, pl *randx.PowerLaw, scale float64, rng *randx.RNG) []hin.Link {
+	out := make([]hin.Link, 0, int(float64(hi-lo)*cfg.BackgroundAvgOutDeg))
 	for u := lo; u < hi; u++ {
 		deg := int(float64(pl.Sample(rng))*scale + rng.Float64())
 		for e := 0; e < deg; e++ {
@@ -669,28 +672,26 @@ func genBackgroundShard(cfg Config, inCommunity []bool, weighted bool, lo, hi in
 			}
 			w := int32(1)
 			if weighted {
-				w = strength(cfg, rng)
+				w = strength(geo, cfg.StrengthMax, rng)
 			}
 			// Duplicate (u,v) pairs merge at Build; they are rare and
 			// merely nudge strengths, matching organic repeat
 			// interactions.
-			out = append(out, edge{src: hin.EntityID(u), dst: hin.EntityID(v), w: w})
+			out = append(out, hin.Link{From: hin.EntityID(u), To: hin.EntityID(v), W: w})
 		}
 	}
 	return out
 }
 
-// mergeEdges feeds every task's edges into the Builder in task order
+// mergeEdges hands every task's edge buffer to the Builder in task order
 // (community tasks first, then background shards, both in creation order)
-// and drops each task's buffer once it is fed. Build sorts each row and
-// merges duplicate pairs by summing strengths, which is order-independent,
-// so no sort is needed here.
+// and drops the task's reference: the Builder keeps the buffer itself, not
+// a copy. Build sorts each row and merges duplicate pairs by summing
+// strengths, which is order-independent, so no sort is needed here.
 func mergeEdges(b *hin.Builder, tasks []*edgeTask) error {
 	for _, t := range tasks {
-		for _, e := range t.out {
-			if err := b.AddEdge(t.lt, e.src, e.dst, e.w); err != nil {
-				return err
-			}
+		if err := b.AddLinks(t.lt, t.out); err != nil {
+			return err
 		}
 		t.out = nil
 	}
@@ -735,15 +736,11 @@ func powerLawWithMean(maxK int, wantMean float64) (*randx.PowerLaw, error) {
 	return best, nil
 }
 
-// strength draws a link strength: geometric with cap, giving the heavy
-// head (strength 1-3) and occasional strong ties real interaction counts
-// show.
-func strength(cfg Config, rng *randx.RNG) int32 {
-	s := rng.Geometric(cfg.StrengthP)
-	if s > cfg.StrengthMax {
-		s = cfg.StrengthMax
-	}
-	return int32(s)
+// strength draws a link strength: geometric (geo, built once per run from
+// Config.StrengthP) capped at maxStrength, giving the heavy head (strength
+// 1-3) and occasional strong ties real interaction counts show.
+func strength(geo *randx.Geometric, maxStrength int, rng *randx.RNG) int32 {
+	return int32(min(geo.Sample(rng), maxStrength))
 }
 
 // recShard buffers one user shard's recommendation log entries.

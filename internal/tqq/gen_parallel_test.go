@@ -106,6 +106,42 @@ func TestGenerateParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestGeneratePinned pins the generated datasets themselves, where the
+// equivalence tests only compare worker counts with each other: a changed
+// digest means the generator's output moved, and with it every table,
+// golden and benchmark input derived from it. The configurations are
+// TestGenerateParallelEquivalence's multi-shard one, and a 20k-user
+// network with four 1000-user communities at density 0.01 (the shape of
+// perfbench's pipeline workload, with a fifth of its users).
+func TestGeneratePinned(t *testing.T) {
+	multi := DefaultConfig(3*genShardUsers-100, 42)
+	multi.Communities = []CommunitySpec{{Size: 150, Density: 0.01}, {Size: 150, Density: 0.004}}
+	pipeline := DefaultConfig(20000, 1)
+	for range 4 {
+		pipeline.Communities = append(pipeline.Communities, CommunitySpec{Size: 1000, Density: 0.01})
+	}
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		edges int64
+		want  string
+	}{
+		{"multi-shard", multi, 150850, "4aa370a8c6e68d958ad79aa388e4b29fa6ea4e2db39bfb4e298d0c215a33b44a"},
+		{"pipeline-20k", pipeline, 656609, "c458e122552f57925f853e37b266e6320bc113a5eddff64007310aefe31a5abd"},
+	} {
+		d, err := Generate(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := d.Graph.NumEdgesTotal(); got != c.edges {
+			t.Errorf("%s: %d edges, want %d", c.name, got, c.edges)
+		}
+		if got := fmt.Sprintf("%x", fingerprint(d)); got != c.want {
+			t.Errorf("%s: fingerprint %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // TestGenerateShardBoundaries pins the shard layout the equivalence
 // guarantee depends on: shard count is a function of Users alone, so a
 // worker-pool change can never move a shard boundary (and with it every

@@ -52,6 +52,10 @@ func Grow(d *Dataset, cfg Config, gcfg GrowthConfig) (*Dataset, error) {
 	if gcfg.NewUsers < 0 || gcfg.NewEdgeFrac < 0 {
 		return nil, fmt.Errorf("tqq: negative growth")
 	}
+	geo, err := randx.NewGeometric(cfg.StrengthP)
+	if err != nil {
+		return nil, fmt.Errorf("tqq: %w", err)
+	}
 	rng := randx.New(gcfg.Seed)
 	g := d.Graph
 	schema := g.Schema()
@@ -139,7 +143,7 @@ func Grow(d *Dataset, cfg Config, gcfg GrowthConfig) (*Dataset, error) {
 			}
 			w := int32(1)
 			if weighted {
-				w = strength(cfg, erng)
+				w = strength(geo, cfg.StrengthMax, erng)
 			}
 			if err := b.AddEdge(ltid, from, to, w); err != nil {
 				return nil, err
