@@ -154,6 +154,7 @@ fuzz:
 	$(GO) test -fuzz FuzzOpenCSRFile -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
 	$(GO) test -fuzz FuzzWithOutRows -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
 	$(GO) test -fuzz FuzzBuilderLinks -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
+	$(GO) test -fuzz FuzzSignaturesPartition -fuzztime $(FUZZTIME) -run '^$$' ./internal/risk
 	$(GO) test -fuzz FuzzServeDehin -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve
 
 bench:

@@ -216,6 +216,7 @@ var requiredMetricFamilies = []string{
 	"serve_request_ns",
 	"serve_epoch",
 	"serve_snapshot_age_s",
+	"serve_snapshot_build_ns",
 	"serve_flight_captured_total",
 	"runtime_heap_live_bytes",
 	"runtime_heap_goal_bytes",

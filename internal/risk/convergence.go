@@ -25,9 +25,9 @@ type Convergence struct {
 
 // ConvergenceProfile computes the profile. cfg.MaxDistance is the deepest
 // distance analyzed. One refinement sweep serves every distance: the
-// per-round observer snapshots each partition as dense class ids (round-d
-// signatures are independent of MaxDistance, so the snapshot equals what
-// a standalone distance-d run would produce).
+// per-round observer keeps each partition's class sizes (round-d
+// signatures are independent of MaxDistance, so they equal what a
+// standalone distance-d run would produce).
 func ConvergenceProfile(g hin.GraphBackend, cfg SignatureConfig) (*Convergence, error) {
 	if cfg.MaxDistance < 0 {
 		return nil, fmt.Errorf("risk: negative MaxDistance")
@@ -36,60 +36,29 @@ func ConvergenceProfile(g hin.GraphBackend, cfg SignatureConfig) (*Convergence, 
 	if n == 0 {
 		return nil, fmt.Errorf("risk: empty graph")
 	}
-	classes := make([][]int32, cfg.MaxDistance+1)
+	sizes := make([][]int32, cfg.MaxDistance+1)
 	out := &Convergence{
 		Risk:      make([]float64, cfg.MaxDistance+1),
 		Converged: make([]float64, cfg.MaxDistance+1),
 	}
 	_, err := sweep(g, cfg, func(d int, sigs []uint64) {
-		// Class ids are assigned in entity order, so they are
-		// deterministic; counts[id] is the class size.
-		ids := make(map[uint64]int32, len(sigs))
-		cl := make([]int32, n)
-		for v, s := range sigs {
-			id, ok := ids[s]
-			if !ok {
-				id = int32(len(ids))
-				ids[s] = id
-			}
-			cl[v] = id
-		}
-		classes[d] = cl
-		out.Risk[d] = DatasetRisk(sigs, nil)
+		sizes[d], _, out.Risk[d] = ClassSizes(sigs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	final := classes[cfg.MaxDistance]
-	// finalCount[class] = size of the final class of each entity.
-	finalCount := classCounts(final)
+	final := sizes[cfg.MaxDistance]
 	for d := 0; d <= cfg.MaxDistance; d++ {
 		// An entity has converged at d if its class at d has the same
 		// size as its final class (classes only split as d grows, so
 		// equal size means identical membership).
-		count := classCounts(classes[d])
 		converged := 0
-		for v := 0; v < n; v++ {
-			if count[classes[d][v]] == finalCount[final[v]] {
+		for v, k := range sizes[d] {
+			if k == final[v] {
 				converged++
 			}
 		}
 		out.Converged[d] = float64(converged) / float64(n)
 	}
 	return out, nil
-}
-
-// classCounts tallies class sizes for dense class ids.
-func classCounts(cl []int32) []int {
-	max := int32(-1)
-	for _, c := range cl {
-		if c > max {
-			max = c
-		}
-	}
-	counts := make([]int, max+1)
-	for _, c := range cl {
-		counts[c]++
-	}
-	return counts
 }

@@ -14,22 +14,6 @@ import (
 // array: the sweep is byte-identical for any Workers/GOMAXPROCS value.
 const sweepShard = 4096
 
-// pair is one (strength, neighbor signature) element of the sorted
-// multiset feeding a signature hash.
-type pair struct {
-	w int32
-	s uint64
-}
-
-// sweepScratch is one worker's private refinement state, reused across
-// every shard (and round) that worker executes: the sort buffer for
-// neighbor pairs and the adjacency decode cursor. High-water-mark memory;
-// the per-entity steady state allocates nothing.
-type sweepScratch struct {
-	pairs   []pair
-	edgebuf hin.EdgeBuf
-}
-
 // sweep runs the full refinement and returns the final signatures. If
 // observe is non-nil it is called serially after every completed round
 // with (distance, signatures-at-that-distance); the slice is reused by
@@ -69,7 +53,10 @@ func sweep(g hin.GraphBackend, cfg SignatureConfig, observe func(d int, sigs []u
 	}
 
 	next := make([]uint64, n)
-	scratch := make([]sweepScratch, par.Workers(cfg.Workers, par.Shards(n, sweepShard)))
+	// One adjacency decode cursor per worker, reused across every shard
+	// and round that worker executes: the per-entity steady state
+	// allocates nothing.
+	bufs := make([]hin.EdgeBuf, par.Workers(cfg.Workers, par.Shards(n, sweepShard)))
 	lanes := par.Lanes(cfg.Trace, cfg.Workers, par.Shards(n, sweepShard))
 	lts := g.Schema().LinkTypesOrAll(cfg.LinkTypes)
 	for d := 1; d <= cfg.MaxDistance; d++ {
@@ -81,7 +68,7 @@ func sweep(g hin.GraphBackend, cfg SignatureConfig, observe func(d int, sigs []u
 				sp = round.ChildOn(lanes[w], "shard")
 				sp.Attr("lo", int64(lo))
 			}
-			refineShard(g, lts, sig, next, lo, hi, &scratch[w])
+			refineShard(g, lts, sig, next, lo, hi, &bufs[w])
 			if sp.Active() {
 				sp.End()
 			}
@@ -112,96 +99,46 @@ func initShard(g hin.GraphBackend, attrs []int, sig []uint64, lo, hi int) {
 
 // refineShard advances entities [lo, hi) one refinement round: for each
 // entity, hash its previous signature and, per utilized link type, the
-// sorted multiset of (strength, previous neighbor signature) pairs. Reads
-// the full sig array (neighbors cross shards), writes only next[lo:hi].
+// type's tag, the row's degree and the wrapping sum of mixPair over the
+// row's (strength, previous neighbor signature) pairs. Addition commutes,
+// so the sum depends on the row's multiset of pairs and not on its order:
+// no row is sorted. The degree keeps an empty row apart from a non-empty
+// one whose mixes happen to sum to zero. Reads the full sig array
+// (neighbors cross shards), writes only next[lo:hi].
 //
 //hin:hot
-func refineShard(g hin.GraphBackend, lts []hin.LinkTypeID, sig, next []uint64, lo, hi int, sc *sweepScratch) {
+func refineShard(g hin.GraphBackend, lts []hin.LinkTypeID, sig, next []uint64, lo, hi int, buf *hin.EdgeBuf) {
 	for v := lo; v < hi; v++ {
 		h := hashUint64(newHash(), sig[v])
 		for _, lt := range lts {
-			tos, ws := g.OutEdgesBuf(&sc.edgebuf, lt, hin.EntityID(v))
-			ps := sc.pairs[:0]
+			tos, ws := g.OutEdgesBuf(buf, lt, hin.EntityID(v))
+			ws = ws[:len(tos)]
+			var sum uint64
 			for i, to := range tos {
-				ps = append(ps, pair{w: ws[i], s: sig[to]})
+				sum += mixPair(ws[i], sig[to])
 			}
-			sc.pairs = ps
-			sortPairs(ps)
 			h = hashUint64(h, uint64(lt)+0x9d39)
-			for _, p := range ps {
-				h = hashInt64(h, int64(p.w))
-				h = hashUint64(h, p.s)
-			}
+			h = hashUint64(h, uint64(len(tos)))
+			h = hashUint64(h, sum)
 		}
 		next[v] = h
 	}
 }
 
-// pairLess orders pairs by (strength, signature) ascending — the total
-// order that makes the hashed neighbor multiset insertion-order
-// invariant. Equal pairs are fully identical, so sort stability is moot.
+// mixPair maps one (strength, neighbor signature) pair of a row to a
+// pseudo-random word for refineShard's order-free sum: the strength goes
+// in first, by a multiply with the 64-bit golden ratio, then the
+// SplitMix64 finalizer spreads every input bit over the whole word.
 //
 //hin:hot
-func pairLess(a, b pair) bool {
-	if a.w != b.w {
-		return a.w < b.w
-	}
-	return a.s < b.s
-}
-
-// sortPairsCut is the row length below which insertion sort wins; typed
-// adjacency rows are short on average, so this is the common path.
-const sortPairsCut = 32
-
-// sortPairs sorts in place without the closure and interface-boxing
-// allocations of sort.Slice: insertion sort for short rows, heapsort
-// (alloc-free, O(n log n) worst case) for the heavy-hub tail.
-//
-//hin:hot
-func sortPairs(ps []pair) {
-	n := len(ps)
-	if n < 2 {
-		return
-	}
-	if n <= sortPairsCut {
-		for i := 1; i < n; i++ {
-			p := ps[i]
-			j := i - 1
-			for j >= 0 && pairLess(p, ps[j]) {
-				ps[j+1] = ps[j]
-				j--
-			}
-			ps[j+1] = p
-		}
-		return
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownPairs(ps, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		ps[0], ps[i] = ps[i], ps[0]
-		siftDownPairs(ps, 0, i)
-	}
-}
-
-// siftDownPairs restores the max-heap property of ps[:hi] below root.
-//
-//hin:hot
-func siftDownPairs(ps []pair, root, hi int) {
-	for {
-		child := 2*root + 1
-		if child >= hi {
-			return
-		}
-		if child+1 < hi && pairLess(ps[child], ps[child+1]) {
-			child++
-		}
-		if !pairLess(ps[root], ps[child]) {
-			return
-		}
-		ps[root], ps[child] = ps[child], ps[root]
-		root = child
-	}
+func mixPair(w int32, s uint64) uint64 {
+	x := s + uint64(uint32(w))*0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // SweepResult is the combined outcome of one refinement sweep: the final
@@ -232,12 +169,7 @@ func NetworkSweep(g hin.GraphBackend, cfg SignatureConfig) (*SweepResult, error)
 		Risk:        make([]float64, cfg.MaxDistance+1),
 	}
 	sigs, err := sweep(g, cfg, func(d int, sigs []uint64) {
-		counts := make(map[uint64]int, len(sigs))
-		for _, s := range sigs {
-			counts[s]++
-		}
-		res.Cardinality[d] = len(counts)
-		res.Risk[d] = riskFromCounts(sigs, counts)
+		_, res.Cardinality[d], res.Risk[d] = ClassSizes(sigs)
 	})
 	if err != nil {
 		return nil, err
@@ -270,16 +202,48 @@ func SignatureGrid(g hin.GraphBackend, cfg SignatureConfig) ([][]uint64, error) 
 	return grid, nil
 }
 
-// riskFromCounts is DatasetRisk with the class-size map precomputed: the
-// mean over tuples of 1/k(t), summed in entity order so the float result
-// is bit-identical to DatasetRisk(sigs, nil).
-func riskFromCounts(sigs []uint64, counts map[uint64]int) float64 {
-	if len(sigs) == 0 {
-		return 0
+// ClassSizes reads the partition a signature vector induces: sizes[v] is
+// k(v), the size of v's equivalence class (Definition 7's per-tuple risk
+// is 1/k), classes is the network cardinality C, and risk is the dataset
+// risk of Definition 8, the mean of 1/k summed in entity order, so it is
+// bit-identical to DatasetRisk(sigs, nil). NetworkSweep and hinriskd's
+// snapshot build both call it, so the class sizes and risk the daemon
+// serves agree with the library's by construction.
+func ClassSizes(sigs []uint64) (sizes []int32, classes int, risk float64) {
+	// Count the classes in an open-addressing table of more than 4n/3
+	// slots, probed linearly from a Fibonacci hash of the signature. At
+	// that load it is smaller and faster than a map, which matters
+	// because hinriskd builds one per distance at once. A slot is free
+	// while its count is zero.
+	n := len(sigs)
+	bits := 1
+	for 1<<bits < n+n/3+1 {
+		bits++
+	}
+	keys := make([]uint64, 1<<bits)
+	counts := make([]int32, 1<<bits)
+	mask := uint64(len(keys) - 1)
+	sizes = make([]int32, n)
+	for v, s := range sigs {
+		i := s * 0x9e3779b97f4a7c15 >> (64 - bits)
+		for counts[i] != 0 && keys[i] != s {
+			i = (i + 1) & mask
+		}
+		if counts[i] == 0 {
+			keys[i] = s
+			classes++
+		}
+		counts[i]++
+		sizes[v] = int32(uint32(i)) // v's slot, until every count is in
 	}
 	sum := 0.0
-	for _, s := range sigs {
-		sum += 1 / float64(counts[s])
+	for v, i := range sizes {
+		k := counts[uint32(i)]
+		sizes[v] = k
+		sum += 1 / float64(k)
 	}
-	return sum / float64(len(sigs))
+	if n > 0 {
+		risk = sum / float64(n)
+	}
+	return sizes, classes, risk
 }

@@ -3,7 +3,6 @@ package risk
 import (
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -259,32 +258,6 @@ func TestSignaturesSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// sortPairs must agree with the reference comparator for arbitrary rows,
-// through both the insertion-sort and heapsort regimes.
-func TestSortPairsMatchesReference(t *testing.T) {
-	rng := randx.New(33)
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(120)
-		ps := make([]pair, n)
-		for i := range ps {
-			ps[i] = pair{w: int32(rng.Intn(6)), s: uint64(rng.Intn(8))}
-		}
-		want := append([]pair(nil), ps...)
-		sort.Slice(want, func(a, b int) bool {
-			if want[a].w != want[b].w {
-				return want[a].w < want[b].w
-			}
-			return want[a].s < want[b].s
-		})
-		sortPairs(ps)
-		for i := range ps {
-			if ps[i] != want[i] {
-				t.Fatalf("trial %d: position %d = %+v, want %+v", trial, i, ps[i], want[i])
-			}
-		}
-	}
-}
-
 // Instrumentation satellite: the sweep must feed obs counters and emit a
 // valid span tree, without perturbing results.
 func TestSweepInstrumentation(t *testing.T) {
@@ -368,6 +341,36 @@ func BenchmarkNetworkSweepDistance3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := NetworkSweep(g, sc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// ClassSizes must read the partition exactly as the map-based
+// definitions do (Risks, Cardinality, DatasetRisk), bit for bit, through
+// table collisions and wrap-around: short vectors over few distinct
+// values, most of them repeated.
+func TestClassSizesMatchesDefinitions(t *testing.T) {
+	rng := randx.New(41)
+	for trial := 0; trial < 300; trial++ {
+		sigs := make([]uint64, rng.Intn(40))
+		vals := make([]uint64, 1+rng.Intn(12))
+		for i := range vals {
+			vals[i] = rng.Uint64()
+		}
+		for i := range sigs {
+			sigs[i] = vals[rng.Intn(len(vals))]
+		}
+		sizes, classes, r := ClassSizes(sigs)
+		if classes != Cardinality(sigs) {
+			t.Fatalf("trial %d: %d classes, Cardinality %d", trial, classes, Cardinality(sigs))
+		}
+		if want := DatasetRisk(sigs, nil); r != want {
+			t.Fatalf("trial %d: risk %v, DatasetRisk %v", trial, r, want)
+		}
+		for v, k := range Risks(sigs, nil) {
+			if 1/float64(sizes[v]) != k {
+				t.Fatalf("trial %d: entity %d has class size %d, Risks says 1/%v", trial, v, sizes[v], 1/k)
+			}
 		}
 	}
 }

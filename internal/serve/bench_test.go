@@ -93,6 +93,29 @@ func BenchmarkServeRiskInstrumented(b *testing.B) {
 
 var benchSink int64
 
+// BenchmarkSnapshotBuild is one snapshot build, the work a reload does
+// after opening the file: the signature grid, the per-distance class
+// sizes, order and risk, and the attack index, over a generated
+// 30k-user graph on the compact backend, as hinriskd serves it.
+func BenchmarkSnapshotBuild(b *testing.B) {
+	g, err := benchGraph(30000, 17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	csr := hin.FromGraph(g)
+	cfg := testConfig().withDefaults()
+	cfg.Metrics = nil
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn, err := newSnapshot(uint64(i+1), "(bench)", csr, nil, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += int64(sn.class[cfg.MaxDistance][0])
+	}
+}
+
 // TestServeRiskInstrumentedZeroAlloc is the same assertion as the bench
 // gate but local and absolute: the fully instrumented steady-state risk
 // path performs zero allocations per request, captured or not.

@@ -324,7 +324,9 @@ func TestReloadSwapsEpochAndRetiresFile(t *testing.T) {
 // TestFailedReloadKeepsServing pins SERVICE.md's promise for a failed
 // load: the reload call answers 500 with a JSON error, the current
 // snapshot keeps serving byte-identical answers, serve_reload_errors_total
-// ticks once per failure, and serve_reloads_total and the epoch stay put.
+// ticks once per failure, and serve_reloads_total, serve_snapshot_build_ns
+// and the epoch stay put. Each successful Load or LoadBackend observes
+// one build.
 func TestFailedReloadKeepsServing(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.hincsr")
@@ -376,7 +378,11 @@ func TestFailedReloadKeepsServing(t *testing.T) {
 	epoch := s.Epoch()
 	reloads := cfg.Metrics.Counter("serve_reloads_total")
 	reloadErrs := cfg.Metrics.Counter("serve_reload_errors_total")
+	builds := cfg.Metrics.Histogram("serve_snapshot_build_ns")
 	okReloads := reloads.Value()
+	if builds.Count() != okReloads || builds.Sum() <= 0 {
+		t.Fatalf("serve_snapshot_build_ns count %d sum %d after %d loads", builds.Count(), builds.Sum(), okReloads)
+	}
 
 	for _, c := range []struct{ name, path, want string }{
 		{"missing", filepath.Join(dir, "missing.hincsr"), "no such file"},
@@ -395,6 +401,9 @@ func TestFailedReloadKeepsServing(t *testing.T) {
 		if got := reloads.Value(); got != okReloads {
 			t.Fatalf("%s: serve_reloads_total moved %d -> %d", c.name, okReloads, got)
 		}
+		if got := builds.Count(); got != okReloads {
+			t.Fatalf("%s: serve_snapshot_build_ns observed a failed load (count %d)", c.name, got)
+		}
 		if got := s.Epoch(); got != epoch {
 			t.Fatalf("%s: epoch moved %d -> %d", c.name, epoch, got)
 		}
@@ -412,6 +421,12 @@ func TestFailedReloadKeepsServing(t *testing.T) {
 	}
 	if got := reloads.Value(); got != okReloads+1 {
 		t.Fatalf("good reload: serve_reloads_total %d, want %d", got, okReloads+1)
+	}
+	if err := s.LoadBackend(testGraph(t, 300, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if got := builds.Count(); got != okReloads+2 {
+		t.Fatalf("serve_snapshot_build_ns count %d after a reload and a LoadBackend, want %d", got, okReloads+2)
 	}
 }
 

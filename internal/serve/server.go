@@ -122,6 +122,9 @@ type serverMetrics struct {
 	rejected    *obs.Counter
 	snapAge     *obs.Gauge
 	flightCap   *obs.Counter
+	// build times each successful Load or LoadBackend, open through
+	// install.
+	build *obs.Histogram
 }
 
 // Server serves risk and attack queries over the current snapshot.
@@ -173,6 +176,7 @@ func New(cfg Config) *Server {
 			rejected:    m.Counter("serve_attack_rejected_total"),
 			snapAge:     m.Gauge("serve_snapshot_age_s"),
 			flightCap:   m.Counter("serve_flight_captured_total"),
+			build:       m.Histogram("serve_snapshot_build_ns"),
 		}
 	}
 	return s
@@ -248,6 +252,7 @@ func (s *Server) Load(path string) error {
 		return errors.New("serve: server closed")
 	}
 	epoch := s.epoch.Add(1)
+	build := s.met.build.Time()
 	cf, err := hin.OpenCSRFile(path)
 	if err != nil {
 		s.met.reloadErrs.Inc()
@@ -260,6 +265,7 @@ func (s *Server) Load(path string) error {
 		return err
 	}
 	s.install(sn)
+	build.Stop()
 	s.met.reloads.Inc()
 	s.log.Info("serve: snapshot loaded", "epoch", epoch, "source", path,
 		"users", sn.g.NumEntities(), "edges", sn.g.NumEdgesTotal())
@@ -278,12 +284,14 @@ func (s *Server) LoadBackend(g hin.GraphBackend) error {
 		return errors.New("serve: server closed")
 	}
 	epoch := s.epoch.Add(1)
+	build := s.met.build.Time()
 	sn, err := newSnapshot(epoch, "(memory)", g, nil, s.cfg)
 	if err != nil {
 		s.met.reloadErrs.Inc()
 		return err
 	}
 	s.install(sn)
+	build.Stop()
 	s.met.reloads.Inc()
 	return nil
 }

@@ -2,12 +2,12 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"github.com/hinpriv/dehin/internal/dehin"
 	"github.com/hinpriv/dehin/internal/hin"
+	"github.com/hinpriv/dehin/internal/par"
 	"github.com/hinpriv/dehin/internal/risk"
 )
 
@@ -40,8 +40,9 @@ type snapshot struct {
 	// order[d] holds every entity id sorted by (class size asc, id asc):
 	// the top-k most identifiable users at distance d are order[d][:k].
 	order [][]int32
-	// risk[d] is the dataset risk at distance d, bit-identical to
-	// risk.NetworkSweep's Risk column (same summation order).
+	// risk[d] is the dataset risk at distance d. class[d] and risk[d] come
+	// from risk.ClassSizes, as risk.NetworkSweep's columns do, so they
+	// agree with the library bit for bit.
 	risk []float64
 
 	attack *dehin.Attack
@@ -54,7 +55,8 @@ type snapshot struct {
 
 // newSnapshot precomputes the served state for one graph. The signature
 // grid is one sweep (risk.SignatureGrid), so building a snapshot costs the
-// same as a single MaxDistance risk run plus the attack index.
+// same as a single MaxDistance risk run plus the attack index; the
+// per-distance class tables that follow it run one distance per worker.
 func newSnapshot(epoch uint64, source string, g hin.GraphBackend, file *hin.CSRFile, cfg Config) (*snapshot, error) {
 	lts := g.Schema().LinkTypesOrAll(cfg.LinkTypes)
 	grid, err := risk.SignatureGrid(g, risk.SignatureConfig{
@@ -76,34 +78,12 @@ func newSnapshot(epoch uint64, source string, g hin.GraphBackend, file *hin.CSRF
 		order:     make([][]int32, len(grid)),
 		risk:      make([]float64, len(grid)),
 	}
-	n := g.NumEntities()
-	for d, sigs := range grid {
-		counts := make(map[uint64]int32, n)
-		for _, s := range sigs {
-			counts[s]++
-		}
-		class := make([]int32, n)
-		order := make([]int32, n)
-		sum := 0.0
-		for v, s := range sigs {
-			k := counts[s]
-			class[v] = k
-			order[v] = int32(v)
-			sum += 1 / float64(k)
-		}
-		sort.Slice(order, func(i, j int) bool {
-			a, b := order[i], order[j]
-			if class[a] != class[b] {
-				return class[a] < class[b]
-			}
-			return a < b
-		})
-		sn.class[d] = class
-		sn.order[d] = order
-		if n > 0 {
-			sn.risk[d] = sum / float64(n)
-		}
-	}
+	// One distance per task: each writes only its own row of the three
+	// tables.
+	par.Run(0, len(grid), func(_, d int) {
+		sn.class[d], _, sn.risk[d] = risk.ClassSizes(grid[d])
+		sn.order[d] = orderBySize(sn.class[d])
+	})
 	attack, err := dehin.NewAttack(g, dehin.Config{
 		MaxDistance: cfg.AttackDistance,
 		LinkTypes:   lts,
@@ -118,6 +98,32 @@ func newSnapshot(epoch uint64, source string, g hin.GraphBackend, file *hin.CSRF
 	sn.loadedAt = time.Now()
 	sn.refs.Store(1)
 	return sn, nil
+}
+
+// orderBySize lists every entity id by (class size asc, id asc): a
+// counting sort on the size, whose in-order placement keeps ids ascending
+// within a size. The count array is sized by the largest class, not by
+// the entity count.
+func orderBySize(class []int32) []int32 {
+	var largest int32
+	for _, k := range class {
+		largest = max(largest, k)
+	}
+	next := make([]int32, largest+1)
+	for _, k := range class {
+		next[k]++
+	}
+	pos := int32(0)
+	for k, c := range next {
+		next[k] = pos
+		pos += c
+	}
+	order := make([]int32, len(class))
+	for v, k := range class {
+		order[next[k]] = int32(v)
+		next[k]++
+	}
+	return order
 }
 
 // ref takes one reference unless the count has already drained to zero,
