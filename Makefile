@@ -149,6 +149,7 @@ bench-diff:
 # seed corpora under testdata/fuzz also run as plain tests in `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzProfileSpecValidate -fuzztime $(FUZZTIME) -run '^$$' ./internal/dehin
+	$(GO) test -fuzz FuzzDeanonymizeMatchesReference -fuzztime $(FUZZTIME) -run '^$$' ./internal/dehin
 	$(GO) test -fuzz FuzzGenerateSmall -fuzztime $(FUZZTIME) -run '^$$' ./internal/tqq
 	$(GO) test -fuzz FuzzAdjRowCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
 	$(GO) test -fuzz FuzzOpenCSRFile -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin

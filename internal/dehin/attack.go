@@ -35,9 +35,8 @@ type Config struct {
 	// It requires EntityMatch to imply equality on Profile.ExactAttrs and
 	// auxiliary >= target on the first Profile.GrowAttrs entry, which
 	// holds for the built-in matchers. Disable for exotic matchers. The
-	// neighbour stage relies on the same contract: it rejects a neighbour
-	// pair whose exact-attribute keys differ without calling the
-	// matchers.
+	// neighbour stage relies on the same contract: it never offers the
+	// matchers a neighbour pair whose exact-attribute keys differ.
 	UseIndex bool
 	// SharedIndex supplies a prebuilt index (see NewIndex) so many attack
 	// configurations over the same auxiliary graph can share one. It must
@@ -249,12 +248,29 @@ func (a *Attack) DeanonymizeSpan(target hin.GraphBackend, tv hin.EntityID, qs tr
 // neighborhood recursion that different targets share. Entity-matcher
 // verdicts are not memoized: the matcher reads a few attributes, and
 // calling it costs less than probing a table grown to millions of entries.
+//
+// With a profile index the binding also fills s.tclass, the index class
+// of every target entity (-1 when no auxiliary entity shares its
+// exact-attribute tuple), which neighborGraph's class join reads: one
+// exactKey and one map probe per target entity, paid once per (scratch,
+// target graph) - for a hinriskd snippet, once per request.
 func (a *Attack) ensureMemo(s *queryScratch, target hin.GraphBackend) {
 	if s.memoTarget == target {
 		return
 	}
 	s.memo.reset(memoPackable(target, a.aux, a.cfg.MaxDistance))
 	s.memoTarget = target
+	if a.index == nil {
+		return
+	}
+	n := target.NumEntities()
+	if cap(s.tclass) < n {
+		s.tclass = make([]int32, n)
+	}
+	s.tclass = s.tclass[:n]
+	for v := range s.tclass {
+		s.tclass[v] = a.index.entityClass(target, hin.EntityID(v))
+	}
 }
 
 // deanonymize is the per-query entry point: the uninstrumented core plus,
@@ -418,12 +434,18 @@ func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int,
 // 1..n-1, so it never clobbers this build. need is how many left vertices
 // a matching must cover under NeighborTolerance.
 //
-// With a profile index, a pair whose exact-attribute keys differ is
-// rejected before either matcher runs: Config.UseIndex requires the entity
-// matcher to imply equality on Profile.ExactAttrs, so such a pair cannot
-// pass it. A pair with equal keys - a hash collision included - still goes
-// through both matchers and the recursion, so the graph is the one the
-// matchers alone would build.
+// The build joins the two rows on exact-attribute classes (adjFrame.join)
+// instead of testing every pair: row i visits only the auxiliary
+// neighbours of tv's i-th neighbour's class, in ascending order. Without a
+// profile index every entity is in class 0 and row i visits the whole
+// auxiliary row. With one, Config.UseIndex requires the entity matcher to
+// imply equality on Profile.ExactAttrs, so a pair of different classes
+// cannot pass it; classes are equal exactly when keys are, so a pair with
+// equal keys - a hash collision included - still goes through both
+// matchers and the recursion. The matchers and the recursion thus see
+// the pairs, in the order, that a scan of every pair would feed them, and
+// a build costs O(p + q + class-equal pairs) for rows of p and q
+// neighbours rather than O(p*q).
 //
 // With verdict set the build serves a yes/no decision and gives up as soon
 // as the quota is out of reach - against av's degree before its row is
@@ -449,22 +471,22 @@ func (a *Attack) neighborGraph(s *queryScratch, target hin.GraphBackend, n int, 
 		return bipartite.Graph{}, need, false
 	}
 	ans, aws := edges(a.aux, &f.abuf, lt, av, in)
-	f.reset()
-	var keys []uint64
+	var tcls, acls []int32
+	nclass := 1
 	if a.index != nil {
-		keys = a.index.keys
+		tcls, acls, nclass = s.tclass, a.index.class, len(a.index.buckets)
 	}
+	f.join(tns, tcls, ans, acls, nclass)
+	f.reset()
 	empties := 0
 	for i, tb := range tns {
 		row := len(f.dat)
-		var tk uint64
-		if keys != nil {
-			tk = exactKey(target, tb, a.index.spec.ExactAttrs)
+		j := int32(chainEnd)
+		if c := classIn(tcls, tb); c >= 0 {
+			j = f.head[c]
 		}
-		for j, ab := range ans {
-			if keys != nil && keys[ab] != tk {
-				continue
-			}
+		for ; j != chainEnd; j = f.next[j] {
+			ab := ans[j]
 			if !a.lm(tws[i], aws[j]) {
 				continue
 			}
@@ -474,16 +496,18 @@ func (a *Attack) neighborGraph(s *queryScratch, target hin.GraphBackend, n int, 
 			if n > 1 && !a.linkMatch(s, target, n-1, tb, ab) {
 				continue
 			}
-			f.dat = append(f.dat, int32(j))
+			f.dat = append(f.dat, j)
 		}
 		if verdict && len(f.dat) == row {
 			empties++
 			if len(tns)-empties < need {
+				f.unjoin(tns, tcls)
 				return bipartite.Graph{}, need, false
 			}
 		}
 		f.closeRow()
 	}
+	f.unjoin(tns, tcls)
 	//hin:allow hotpath -- pooled growth: graph (inlined) reallocates f.rows only past the frame's high-water mark
 	return f.graph(len(ans)), need, true
 }

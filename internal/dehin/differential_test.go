@@ -3,6 +3,7 @@ package dehin
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/hinpriv/dehin/internal/anonymize"
@@ -114,11 +115,32 @@ func refDirectionMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.Ent
 	return size >= need
 }
 
+// assertMatchesReference builds an attack with cfg on aux, prepares
+// release as that attack does, and checks that for each of the first
+// targets entities the engine's candidate set equals refDeanonymize's.
+func assertMatchesReference(t *testing.T, name string, aux, release hin.GraphBackend, cfg Config, targets int) {
+	t.Helper()
+	a, err := NewAttack(aux, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := a.PrepareTarget(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tv := 0; tv < min(targets, prepared.NumEntities()); tv++ {
+		got := a.Deanonymize(prepared, hin.EntityID(tv))
+		if want := refDeanonymize(a, prepared, hin.EntityID(tv)); !slices.Equal(got, want) {
+			t.Fatalf("%s target %d: engine %v, reference %v", name, tv, got, want)
+		}
+	}
+}
+
 // TestDifferentialEngineMatchesSeed sweeps every engine-relevant flag
 // combination over randomized anonymized communities and asserts the
 // query engine (degree pruning + scratch reuse + candidate index + the
-// neighbour stage's key prefilter) returns candidate sets identical to
-// the seed reference implementation, which calls both matchers on every
+// neighbour stage's class join) returns candidate sets identical to the
+// seed reference implementation, which calls both matchers on every
 // neighbour pair. The custom dimension runs the ablations' time-
 // synchronized matchers (exact entity and link matchers) over the index.
 func TestDifferentialEngineMatchesSeed(t *testing.T) {
@@ -142,26 +164,7 @@ func TestDifferentialEngineMatchesSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		check := func(name string, cfg Config, targets int) {
-			a, err := NewAttack(d.Graph, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prepared, err := a.PrepareTarget(anon.Graph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for tv := 0; tv < targets; tv++ {
-				got := a.Deanonymize(prepared, hin.EntityID(tv))
-				want := refDeanonymize(a, prepared, hin.EntityID(tv))
-				if len(got) != len(want) {
-					t.Fatalf("%s target %d: engine %v, reference %v", name, tv, got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s target %d: engine %v, reference %v", name, tv, got, want)
-					}
-				}
-			}
+			assertMatchesReference(t, name, d.Graph, anon.Graph, cfg, targets)
 		}
 		if seed == 17 {
 			// A distance past memoMaxDepth does not fit a packed memo
@@ -200,6 +203,151 @@ func TestDifferentialEngineMatchesSeed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDifferentialHubRowsMatchSeed checks the engine against the
+// reference on rows the plain releases above never have. The Complete
+// Graph Anonymity releases of Section 6.2 (CGA and VW-CGA) give every
+// target entity 119 neighbours per link type, so each neighbour-graph
+// build joins a hub row; they are attacked plain (on the follow links at
+// a tolerance of 0.9 or 0.95, so that candidates of modest degree reach
+// the join) and re-configured, as Table 4 and Figure 8 attack them. An index whose ProfileSpec has no
+// ExactAttrs puts every entity in one class, so each row joins the whole
+// auxiliary row. And a release in which one target entity's (yob,
+// gender) tuple belongs to no auxiliary entity leaves that neighbour
+// without a class.
+func TestDifferentialHubRowsMatchSeed(t *testing.T) {
+	const seed = 17
+	cfgGen := tqq.DefaultConfig(900, seed)
+	cfgGen.Communities = []tqq.CommunitySpec{{Size: 120, Density: 0.01}}
+	d, err := tqq.Generate(cfgGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := tqq.CommunityTarget(d, 0, randx.New(seed+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon, err := anonymize.RandomizeIDs(tgt.Graph, seed+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewIndex(d.Graph, TQQProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	follow := []hin.LinkTypeID{d.Graph.Schema().MustLinkTypeID(tqq.LinkFollow)}
+	var completions []*hin.Graph
+	for _, vary := range []bool{false, true} {
+		cg, err := anonymize.CompleteGraph(anon.Graph, anonymize.CGAOptions{
+			VaryWeights: vary, StrengthMax: cfgGen.StrengthMax, Seed: seed + 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		completions = append(completions, cg)
+		for _, c := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"plain n=1 tol=0.95 follow", Config{MaxDistance: 1, NeighborTolerance: 0.95, LinkTypes: follow}},
+			{"plain n=2 tol=0.9 follow", Config{MaxDistance: 2, NeighborTolerance: 0.9, LinkTypes: follow}},
+			{"re-configured n=2", Config{MaxDistance: 2, RemoveMajorityStrength: true, FallbackProfileOnly: true}},
+			{"re-configured n=2 tol=0.9 in", Config{MaxDistance: 2, NeighborTolerance: 0.9, UseInEdges: true,
+				RemoveMajorityStrength: true, FallbackProfileOnly: true}},
+		} {
+			c.cfg.Profile, c.cfg.SharedIndex = TQQProfile(), shared
+			assertMatchesReference(t, fmt.Sprintf("vary=%v %s", vary, c.name), d.Graph, cg, c.cfg, cg.NumEntities())
+		}
+	}
+
+	oneClass := ProfileSpec{GrowAttrs: TQQProfile().GrowAttrs}
+	for _, c := range []struct {
+		name    string
+		release *hin.Graph
+		cfg     Config
+	}{
+		{"n=2", anon.Graph, Config{MaxDistance: 2}},
+		{"n=2 tol=0.3 in", anon.Graph, Config{MaxDistance: 2, UseInEdges: true, NeighborTolerance: 0.3}},
+		{"cga n=1 tol=0.95 follow", completions[0], Config{MaxDistance: 1, NeighborTolerance: 0.95, LinkTypes: follow}},
+	} {
+		c.cfg.Profile, c.cfg.UseIndex = oneClass, true
+		a, err := NewAttack(d.Graph, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.index.buckets) != 1 {
+			t.Fatalf("an index without exact attributes has %d classes, want 1", len(a.index.buckets))
+		}
+		assertMatchesReference(t, "one class "+c.name, d.Graph, c.release, c.cfg, 16)
+	}
+
+	// The entity most often linked to gets a year of birth no auxiliary
+	// user has, so it sits in many target rows with class -1.
+	var in []int32
+	indeg := make([]int32, anon.Graph.NumEntities())
+	for lt := 0; lt < anon.Graph.Schema().NumLinkTypes(); lt++ {
+		in = anon.Graph.InDegrees(hin.LinkTypeID(lt), in[:0])
+		for v, k := range in {
+			indeg[v] += k
+		}
+	}
+	hub := hin.EntityID(slices.Index(indeg, slices.Max(indeg)))
+	stray := withAttr(t, anon.Graph, hub, tqq.AttrYob, 1799)
+	for _, cfg := range []Config{
+		{MaxDistance: 2},
+		{MaxDistance: 1, UseInEdges: true, NeighborTolerance: 0.3},
+		{MaxDistance: 2, NeighborTolerance: 0.3, RemoveMajorityStrength: true, FallbackProfileOnly: true},
+	} {
+		cfg.Profile, cfg.SharedIndex = TQQProfile(), shared
+		a, err := NewAttack(d.Graph, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := a.index.entityClass(stray, hub); c != -1 {
+			t.Fatalf("the stray tuple has class %d, want -1", c)
+		}
+		assertMatchesReference(t, fmt.Sprintf("stray tuple n=%d in=%v", cfg.MaxDistance, cfg.UseInEdges),
+			d.Graph, stray, cfg, stray.NumEntities())
+	}
+}
+
+// withAttr returns a copy of g in which entity v's scalar attribute ai is
+// val.
+func withAttr(t *testing.T, g *hin.Graph, v hin.EntityID, ai int, val int64) *hin.Graph {
+	t.Helper()
+	schema := g.Schema()
+	b := hin.NewBuilder(schema)
+	var attrs []int64
+	for i := 0; i < g.NumEntities(); i++ {
+		id := hin.EntityID(i)
+		attrs = g.AppendAttrs(attrs[:0], id)
+		if id == v {
+			attrs[ai] = val
+		}
+		b.AddEntity(g.EntityType(id), g.Label(id), attrs...)
+		for _, sa := range schema.EntityType(g.EntityType(id)).SetAttrs {
+			if set := g.Set(sa, id); len(set) > 0 {
+				b.SetSet(sa, id, set)
+			}
+		}
+	}
+	buf := &hin.EdgeBuf{}
+	for lt := 0; lt < schema.NumLinkTypes(); lt++ {
+		for i := 0; i < g.NumEntities(); i++ {
+			tos, ws := g.OutEdgesBuf(buf, hin.LinkTypeID(lt), hin.EntityID(i))
+			for j, to := range tos {
+				if err := b.AddEdge(hin.LinkTypeID(lt), hin.EntityID(i), to, ws[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	out, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestRunWorkStealingConcurrent stresses the chunked work-stealing Run
@@ -359,7 +507,7 @@ func TestProfileSpecValidation(t *testing.T) {
 		t.Fatalf("custom-matcher attack rejected: %v", err)
 	}
 	// A shared index answers for the spec it was built from: the
-	// candidate lookup and the neighbour stage's key prefilter both read
+	// candidate lookup and the neighbour stage's class join both read
 	// it, so an attack declaring another spec must be refused.
 	shared, err := NewIndex(aux, TQQProfile())
 	if err != nil {

@@ -1,6 +1,7 @@
 package dehin
 
 import (
+	"maps"
 	"runtime"
 	"slices"
 	"testing"
@@ -94,8 +95,8 @@ func TestIndexOverflowingTargetValue(t *testing.T) {
 // the lookup returns both while the attack keeps only the real match:
 // profileCandidates re-checks every bucket entry with the entity matcher.
 // The twin is also the only auxiliary neighbour of one candidate in a
-// distance-1 query, so the neighbour stage's key prefilter passes the
-// pair and only the entity matcher can reject it.
+// distance-1 query; sharing the real match's class, it is joined with
+// the target neighbour, and only the entity matcher can reject the pair.
 func TestIndexKeyCollisionFiltered(t *testing.T) {
 	s := tqq.TargetSchema()
 	follow := s.MustLinkTypeID(tqq.LinkFollow)
@@ -201,9 +202,11 @@ func TestIndexWideExactTuple(t *testing.T) {
 }
 
 // TestIndexBuildWorkerFingerprint pins the parallel build contract: at
-// every worker count the index is identical - same buckets, same entity
-// order within each bucket, same key column. The fixture spans several
-// build shards so the merge really runs.
+// every worker count the index is identical - same classes, same entity
+// order within each bucket, same class column. The fixture spans three
+// build shards so the merge really maps shard-local class ids; two
+// entities must share a class exactly when their exact-attribute keys are
+// equal, and classes are numbered by first occurrence in entity order.
 func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	s := tqq.TargetSchema()
 	rng := randx.New(77)
@@ -216,33 +219,66 @@ func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := buildProfileIndex(aux, TQQProfile(), 1)
+	spec := TQQProfile()
+	ref, err := buildProfileIndex(aux, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.keys) != n {
-		t.Fatalf("key column has %d entries, want %d", len(ref.keys), n)
+	if len(ref.class) != n {
+		t.Fatalf("class column has %d entries, want %d", len(ref.class), n)
 	}
-	for v, k := range ref.keys {
-		if want := exactKey(aux, hin.EntityID(v), TQQProfile().ExactAttrs); k != want {
-			t.Fatalf("key of entity %d = %x, want %x", v, k, want)
+	keyOf := make(map[int32]uint64)
+	fresh := int32(0)
+	for v, c := range ref.class {
+		k := exactKey(aux, hin.EntityID(v), spec.ExactAttrs)
+		if got, ok := ref.classOf[k]; !ok || got != c {
+			t.Fatalf("entity %d: class %d, but its key maps to class %d (present %v)", v, c, got, ok)
+		}
+		if prev, ok := keyOf[c]; ok && prev != k {
+			t.Fatalf("entity %d: class %d holds keys %x and %x", v, c, prev, k)
+		}
+		keyOf[c] = k
+		switch {
+		case c == fresh:
+			fresh++
+		case c > fresh:
+			t.Fatalf("entity %d opens class %d, want %d (first-occurrence order)", v, c, fresh)
 		}
 	}
+	if int(fresh) != len(ref.buckets) || len(ref.classOf) != len(ref.buckets) {
+		t.Fatalf("%d classes in the column, %d buckets, %d keys", fresh, len(ref.buckets), len(ref.classOf))
+	}
+	members := 0
+	for c, bucket := range ref.buckets {
+		for i, v := range bucket {
+			if ref.class[v] != int32(c) {
+				t.Fatalf("bucket %d lists entity %d of class %d", c, v, ref.class[v])
+			}
+			if i > 0 {
+				prev, cur := aux.Attr(bucket[i-1], tqq.AttrTweets), aux.Attr(v, tqq.AttrTweets)
+				if prev < cur || prev == cur && bucket[i-1] >= v {
+					t.Fatalf("bucket %d: entity %d before %d breaks (tweets desc, id asc)", c, bucket[i-1], v)
+				}
+			}
+		}
+		members += len(bucket)
+	}
+	if members != n {
+		t.Fatalf("buckets hold %d entities, want %d", members, n)
+	}
 	for _, workers := range []int{2, 4, runtime.NumCPU(), 0} {
-		got, err := buildProfileIndex(aux, TQQProfile(), workers)
+		got, err := buildProfileIndex(aux, spec, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got.buckets) != len(ref.buckets) {
-			t.Fatalf("workers=%d: %d buckets, want %d", workers, len(got.buckets), len(ref.buckets))
+		if !maps.Equal(got.classOf, ref.classOf) {
+			t.Fatalf("workers=%d: class ids differ", workers)
 		}
-		for k, rb := range ref.buckets {
-			if !slices.Equal(got.buckets[k], rb) {
-				t.Fatalf("workers=%d: bucket %x differs", workers, k)
-			}
+		if !slices.EqualFunc(got.buckets, ref.buckets, slices.Equal) {
+			t.Fatalf("workers=%d: buckets differ", workers)
 		}
-		if !slices.Equal(got.keys, ref.keys) {
-			t.Fatalf("workers=%d: key column differs", workers)
+		if !slices.Equal(got.class, ref.class) {
+			t.Fatalf("workers=%d: class column differs", workers)
 		}
 	}
 }

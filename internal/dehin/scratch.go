@@ -26,6 +26,10 @@ type queryScratch struct {
 	frames     []adjFrame
 	cand       []hin.EntityID // profile candidate buffer
 	needs      []int32        // per-(link type, direction) quota of the current target entity
+	// tclass holds the index class of every entity of memoTarget (-1 when
+	// no auxiliary entity shares its exact-attribute tuple); filled with
+	// the memo binding, and unused without an index.
+	tclass []int32
 	// stats tallies this query's instrumentation events as plain local
 	// integers; Attack.deanonymize flushes them to the shared atomic
 	// counters once per query when metrics are enabled (and never reads
@@ -66,6 +70,80 @@ type adjFrame struct {
 	// build alive while deeper recursion decodes its own.
 	tbuf hin.EdgeBuf
 	abuf hin.EdgeBuf
+	// head and next hold this depth's class join (see join): head,
+	// indexed by class, is all unmarked between builds; next is indexed
+	// by auxiliary row position.
+	head []int32
+	next []int32
+}
+
+// States of an adjFrame.head entry besides a chain's first position: a
+// class the target row lacks, and the end of a chain (an empty one
+// included).
+const (
+	unmarked = -2
+	chainEnd = -1
+)
+
+// classIn returns v's class in the class column col; a nil column (no
+// profile index) puts every entity in class 0.
+//
+//hin:hot
+func classIn(col []int32, v hin.EntityID) int32 {
+	if col == nil {
+		return 0
+	}
+	return col[v]
+}
+
+// join prepares one build's class join of the target row tns (classes in
+// tcls, negative for a class no auxiliary entity has) with the auxiliary
+// row ans (classes in acls): it marks every class the target row has, then
+// walks ans from its end and chains each position whose class is marked,
+// so head[c], next[head[c]], ... lists in ascending order the positions of
+// ans in class c, ending at chainEnd. nclass bounds the class ids. head
+// and next grow only past their high-water marks. Every build that joins
+// must unjoin before it returns.
+//
+//hin:hot
+func (f *adjFrame) join(tns []hin.EntityID, tcls []int32, ans []hin.EntityID, acls []int32, nclass int) {
+	if len(f.head) < nclass {
+		//hin:allow hotpath -- pooled growth: reallocates only past the frame's high-water mark
+		head := make([]int32, nclass)
+		for c := range head {
+			head[c] = unmarked
+		}
+		f.head = head
+	}
+	if len(f.next) < len(ans) {
+		// Doubling keeps a frame's reallocations logarithmic in its
+		// longest auxiliary row.
+		//hin:allow hotpath -- pooled growth: reallocates only past the frame's high-water mark
+		f.next = make([]int32, max(len(ans), 2*len(f.next)))
+	}
+	for _, tb := range tns {
+		if c := classIn(tcls, tb); c >= 0 {
+			f.head[c] = chainEnd
+		}
+	}
+	for j := len(ans) - 1; j >= 0; j-- {
+		c := classIn(acls, ans[j])
+		if h := f.head[c]; h != unmarked {
+			f.next[j] = h
+			f.head[c] = int32(j)
+		}
+	}
+}
+
+// unjoin clears join's marks, restoring head to all unmarked.
+//
+//hin:hot
+func (f *adjFrame) unjoin(tns []hin.EntityID, tcls []int32) {
+	for _, tb := range tns {
+		if c := classIn(tcls, tb); c >= 0 {
+			f.head[c] = unmarked
+		}
+	}
 }
 
 //hin:hot
