@@ -44,8 +44,8 @@ func main() {
 		dens     = flag.String("densities", "", "override densities, comma-separated")
 		par      = flag.Int("parallelism", 0, "attack parallelism (0 = all cores)")
 		parallel = flag.Int("parallel", 0, "pipeline workers: generator shards, release warm-up, concurrent experiments (0 = all cores, 1 = one at a time)")
-		timing   = flag.Bool("timing", false, "print per-experiment wall time and cache hit/miss counts to stderr")
-		outDir   = flag.String("out", "", "also write each table as CSV into this directory")
+		timing   = flag.Bool("timing", false, "print per-experiment wall time and the workbench's build counts to stderr")
+		outDir   = flag.String("out", "", "also write each table as CSV into this directory, one <experiment id>.csv per experiment")
 		metrics  = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090 or 127.0.0.1:0)")
 		metDump  = flag.String("metrics-dump", "", "write a final JSON metrics snapshot to this file")
 		traceOut = flag.String("trace", "", "record a span timeline and write it as Chrome trace-event JSON (Perfetto/about://tracing) to this file")
@@ -129,12 +129,18 @@ func main() {
 
 	start := time.Now()
 	var tables []*experiments.Table
+	// ids[i] is the id of the experiment that rendered tables[i]; it names
+	// the table's -out file.
+	var ids []string
 	var err error
 	streamed := *exp == "all"
 	if streamed {
 		var perExp []experiments.ExperimentTiming
 		var stats experiments.CacheStats
 		tables, perExp, stats, err = experiments.RunAllTimed(os.Stdout, p)
+		for _, t := range perExp {
+			ids = append(ids, t.ID)
+		}
 		if *timing {
 			for _, t := range perExp {
 				//hin:allow logdiscipline -- -timing emits an aligned report, not log lines; stdout carries the result tables
@@ -152,6 +158,7 @@ func main() {
 			// RunAllTimed's per-slot times do.
 			runStart := time.Now()
 			tables, err = experiments.RunOn(w, *exp)
+			ids = []string{*exp}
 			if *timing {
 				//hin:allow logdiscipline -- -timing emits an aligned report, not log lines; stdout carries the result tables
 				fmt.Fprintf(os.Stderr, "timing: %-20s %v\n", *exp, time.Since(runStart).Round(time.Millisecond))
@@ -173,8 +180,8 @@ func main() {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatalf("%v", err)
 		}
-		for _, t := range tables {
-			path := filepath.Join(*outDir, t.Slug()+".csv")
+		for i, t := range tables {
+			path := filepath.Join(*outDir, ids[i]+".csv")
 			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
 				fatalf("%v", err)
 			}

@@ -8,6 +8,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"github.com/hinpriv/dehin/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -56,6 +58,38 @@ func TestRunAllGolden(t *testing.T) {
 		if !bytes.Equal(stdout.Bytes(), want) {
 			t.Fatalf("workers=%d: stdout differs from %s (%d vs %d bytes)\nfirst divergence at byte %d\nregenerate with -update if the change is intended",
 				workers, golden, stdout.Len(), len(want), firstDiff(stdout.Bytes(), want))
+		}
+	}
+}
+
+// TestOutWritesOneCSVPerExperiment runs `experiments -exp all -quick
+// -out dir` and requires one non-empty <id>.csv per experiment id: no two
+// tables may share a file name.
+func TestOutWritesOneCSVPerExperiment(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-exp", "all", "-quick", "-out", dir)
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, stderr.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := experiments.Names()
+	if len(entries) != len(ids) {
+		t.Errorf("wrote %d files, want one per experiment (%d)", len(entries), len(ids))
+	}
+	for _, id := range ids {
+		b, err := os.ReadFile(filepath.Join(dir, id+".csv"))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if len(b) == 0 {
+			t.Errorf("%s.csv is empty", id)
 		}
 	}
 }

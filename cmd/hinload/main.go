@@ -116,6 +116,11 @@ func main() {
 		logger.Info("obs surface ok", "url", base)
 	}
 	if stopServer != nil {
+		// Every client here shares http.DefaultTransport. Close its idle
+		// connections first: one it dialled but never sent a request on
+		// counts as active to the daemon's graceful shutdown for its first
+		// 5 s, which is the daemon's whole drain budget.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		stopServer()
 		stopServer = nil
 	}

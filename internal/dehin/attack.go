@@ -239,15 +239,16 @@ func (a *Attack) DeanonymizeSpan(target hin.GraphBackend, tv hin.EntityID, qs tr
 	return dst
 }
 
-// ensureMemo (re)binds the scratch's memo table to the given prepared
-// target graph. Memoized results - linkMatch verdicts, all at depths >= 1
-// - are pure functions of (target graph, auxiliary graph, config), so they
-// stay valid for the lifetime of the (attack, target graph) pair: the
-// table resets only when the scratch sees a different graph. This is what
-// lets a whole Run (500 queries against one release) amortize the depth-1
-// neighborhood recursion that different targets share. Entity-matcher
-// verdicts are not memoized: the matcher reads a few attributes, and
-// calling it costs less than probing a table grown to millions of entries.
+// ensureMemo (re)binds the scratch's memo tables, one per recursion depth
+// 1..MaxDistance, to the given prepared target graph. Memoized results -
+// linkMatch verdicts - are pure functions of (target graph, auxiliary
+// graph, config), so they stay valid for the lifetime of the (attack,
+// target graph) pair: the tables reset only when the scratch sees a
+// different graph. This is what lets a whole Run (500 queries against one
+// release) amortize the depth-1 neighborhood recursion that different
+// targets share. Entity-matcher verdicts are not memoized: the matcher
+// reads a few attributes, and calling it costs less than probing a table
+// grown to millions of entries.
 //
 // With a profile index the binding also fills s.tclass, the index class
 // of every target entity (-1 when no auxiliary entity shares its
@@ -258,7 +259,12 @@ func (a *Attack) ensureMemo(s *queryScratch, target hin.GraphBackend) {
 	if s.memoTarget == target {
 		return
 	}
-	s.memo.reset(memoPackable(target, a.aux, a.cfg.MaxDistance))
+	for len(s.memo) < a.cfg.MaxDistance {
+		s.memo = append(s.memo, memoTable{})
+	}
+	for i := range s.memo {
+		s.memo[i].reset()
+	}
 	s.memoTarget = target
 	if a.index == nil {
 		return
@@ -386,12 +392,13 @@ func (a *Attack) quota(deg int) int {
 //
 //hin:hot
 func (a *Attack) linkMatch(s *queryScratch, target hin.GraphBackend, n int, tv, av hin.EntityID) bool {
-	if r, ok := s.memo.get(tv, av, n); ok {
+	memo := &s.memo[n-1]
+	if r, ok := memo.get(tv, av); ok {
 		s.stats.memoHits++
 		return r
 	}
 	res := a.linkMatchUncached(s, target, n, tv, av)
-	s.memo.put(tv, av, n, res)
+	memo.put(tv, av, res)
 	s.stats.memoMisses++
 	return res
 }

@@ -29,7 +29,7 @@ func refDeanonymize(a *Attack, target hin.GraphBackend, tv hin.EntityID) []hin.E
 	if a.cfg.MaxDistance == 0 || len(profile) == 0 {
 		return profile
 	}
-	memo := make(map[memoKey]bool)
+	memo := make(map[refMemoKey]bool)
 	out := make([]hin.EntityID, 0, 4)
 	for _, av := range profile {
 		if refLinkMatch(a, target, a.cfg.MaxDistance, tv, av, memo) {
@@ -42,8 +42,14 @@ func refDeanonymize(a *Attack, target hin.GraphBackend, tv hin.EntityID) []hin.E
 	return out
 }
 
-func refLinkMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.EntityID, memo map[memoKey]bool) bool {
-	key := memoKey{tv, av, int32(n)}
+// refMemoKey keys the reference's memo map.
+type refMemoKey struct {
+	tv, av hin.EntityID
+	depth  int32
+}
+
+func refLinkMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.EntityID, memo map[refMemoKey]bool) bool {
+	key := refMemoKey{tv, av, int32(n)}
 	if r, ok := memo[key]; ok {
 		return r
 	}
@@ -62,7 +68,7 @@ func refLinkMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.EntityID
 	return res
 }
 
-func refDirectionMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.EntityID, lt hin.LinkTypeID, inEdges bool, memo map[memoKey]bool) bool {
+func refDirectionMatch(a *Attack, target hin.GraphBackend, n int, tv, av hin.EntityID, lt hin.LinkTypeID, inEdges bool, memo map[refMemoKey]bool) bool {
 	var tns []hin.EntityID
 	var tws []int32
 	var ans []hin.EntityID
@@ -167,9 +173,8 @@ func TestDifferentialEngineMatchesSeed(t *testing.T) {
 			assertMatchesReference(t, name, d.Graph, anon.Graph, cfg, targets)
 		}
 		if seed == 17 {
-			// A distance past memoMaxDepth does not fit a packed memo
-			// key, so every query runs on the memo's map fallback.
-			check("seed=17 distance=256", Config{MaxDistance: memoMaxDepth + 1, Profile: TQQProfile(), UseIndex: true}, 8)
+			// A deep recursion: 256 memo tables, one per depth.
+			check("seed=17 distance=256", Config{MaxDistance: 256, Profile: TQQProfile(), UseIndex: true}, 8)
 		}
 		for _, useIn := range []bool{false, true} {
 			for _, tol := range []float64{0, 0.3} {
@@ -527,26 +532,28 @@ func TestProfileSpecValidation(t *testing.T) {
 	}
 }
 
-// TestMemoTablePackedVsMap drives the open-addressing memo through
-// collisions, growth, and generation resets, cross-checking every answer
-// against a plain map.
+// TestMemoTablePackedVsMap drives one depth's open-addressing memo table
+// through collisions, growth, and generation resets, cross-checking every
+// answer against a plain map.
 func TestMemoTablePackedVsMap(t *testing.T) {
 	var mt memoTable
 	rng := randx.New(7)
 	for gen := 0; gen < 5; gen++ {
-		mt.reset(true)
-		ref := map[memoKey]bool{}
+		mt.reset()
+		ref := map[[2]hin.EntityID]bool{}
 		for i := 0; i < 3000; i++ {
 			tv := hin.EntityID(rng.Intn(200))
+			if rng.Bool(0.5) {
+				tv += 1 << 30 // equal to a small id in every lower bit of the key
+			}
 			av := hin.EntityID(rng.Intn(200))
-			depth := rng.Intn(4) + 1
-			k := memoKey{tv, av, int32(depth)}
+			k := [2]hin.EntityID{tv, av}
 			if rng.Bool(0.5) {
 				v := rng.Bool(0.5)
-				mt.put(tv, av, depth, v)
+				mt.put(tv, av, v)
 				ref[k] = v
 			} else {
-				got, ok := mt.get(tv, av, depth)
+				got, ok := mt.get(tv, av)
 				want, wantOK := ref[k]
 				if got != want || ok != wantOK {
 					t.Fatalf("gen %d op %d: memo (%v,%v) != map (%v,%v)", gen, i, got, ok, want, wantOK)

@@ -7,13 +7,14 @@ import (
 
 // queryScratch holds every piece of per-query working memory the engine
 // needs, so a steady-state Deanonymize performs zero heap allocations: the
-// profile candidate buffer, the memo table for Algorithm 2's recursion, a
+// profile candidate buffer, the memo tables for Algorithm 2's recursion, a
 // flat adjacency frame per recursion depth, one reusable Hopcroft-Karp
 // matcher, and the degree-quota vector for signature pruning. Attacks hand
 // these out through a sync.Pool (one per concurrent query) so the public
 // Deanonymize signature stays allocation-free without exposing the type.
 type queryScratch struct {
-	memo memoTable
+	// memo[n-1] holds the linkMatch verdicts at recursion depth n.
+	memo []memoTable
 	// memoTarget is the prepared target graph the memo's entries are
 	// valid for. Entries are pure in (target graph, auxiliary graph,
 	// config), so they survive across queries until the scratch sees a
@@ -175,62 +176,23 @@ func (f *adjFrame) graph(nRight int) bipartite.Graph {
 	return bipartite.Graph{NLeft: n, NRight: nRight, Adj: f.rows}
 }
 
-// memoKey is the fallback (map) memo key for graphs too large, or
-// recursion too deep, for the packed representation.
-type memoKey struct {
-	tv, av hin.EntityID
-	depth  int32
-}
-
-// Packed memo keys put the target id in bits 36..63, the auxiliary id in
-// bits 8..35 and the depth in bits 0..7, so both graphs must stay under
-// 2^28 entities and the distance under 256 - far beyond the paper's scale
-// (2.3M users) and anything Run sees in practice. memoPackable gates per
-// query and the memoTable falls back to a Go map beyond those limits.
-const (
-	memoMaxEntities = 1 << 28
-	memoMaxDepth    = 255
-)
-
-func memoPackable(target, aux hin.GraphBackend, maxDistance int) bool {
-	return target.NumEntities() < memoMaxEntities &&
-		aux.NumEntities() < memoMaxEntities &&
-		maxDistance <= memoMaxDepth
-}
-
-func packMemoKey(tv, av hin.EntityID, depth int) uint64 {
-	return uint64(uint32(tv))<<36 | uint64(uint32(av))<<8 | uint64(uint8(depth))
-}
-
-// memoTable memoizes linkMatch results per (target, candidate, depth). The
-// fast path is an open-addressing table over packed uint64 keys whose
-// slots are invalidated wholesale by bumping a generation counter - reset
-// between queries costs O(1) and no allocation. Capacity persists across
-// queries (it only ever grows), so a steady-state query stays on the warm
-// arrays.
+// memoTable memoizes one recursion depth's linkMatch results per
+// (target, candidate) pair: an open-addressing table over uint64 keys
+// (memoKey) whose slots are invalidated wholesale by bumping a generation
+// counter - reset between target graphs costs O(1) and no allocation.
+// Capacity persists (it only ever grows), so a steady-state query stays
+// on the warm arrays.
 type memoTable struct {
 	keys []uint64
 	vals []bool
 	gens []uint32
 	gen  uint32
 	used int
-
-	packed bool
-	slow   map[memoKey]bool // fallback beyond packing limits
 }
 
 const memoMinSize = 256 // power of two
 
-func (t *memoTable) reset(packed bool) {
-	t.packed = packed
-	if !packed {
-		if t.slow == nil {
-			t.slow = make(map[memoKey]bool, 64)
-		} else {
-			clear(t.slow)
-		}
-		return
-	}
+func (t *memoTable) reset() {
 	if len(t.keys) == 0 {
 		t.keys = make([]uint64, memoMinSize)
 		t.vals = make([]bool, memoMinSize)
@@ -238,12 +200,17 @@ func (t *memoTable) reset(packed bool) {
 	}
 	t.used = 0
 	t.gen++
-	if t.gen == 0 { // generation wrapped: wipe stale marks once per 2^32 queries
+	if t.gen == 0 { // generation wrapped: wipe stale marks once per 2^32 resets
 		for i := range t.gens {
 			t.gens[i] = 0
 		}
 		t.gen = 1
 	}
+}
+
+// memoKey packs a (target, candidate) pair into one table key.
+func memoKey(tv, av hin.EntityID) uint64 {
+	return uint64(uint32(tv))<<32 | uint64(uint32(av))
 }
 
 func memoHash(k uint64) uint64 {
@@ -252,12 +219,8 @@ func memoHash(k uint64) uint64 {
 }
 
 //hin:hot
-func (t *memoTable) get(tv, av hin.EntityID, depth int) (res, ok bool) {
-	if !t.packed {
-		res, ok = t.slow[memoKey{tv, av, int32(depth)}]
-		return res, ok
-	}
-	k := packMemoKey(tv, av, depth)
+func (t *memoTable) get(tv, av hin.EntityID) (res, ok bool) {
+	k := memoKey(tv, av)
 	mask := uint64(len(t.keys) - 1)
 	for i := memoHash(k) & mask; ; i = (i + 1) & mask {
 		if t.gens[i] != t.gen {
@@ -270,15 +233,11 @@ func (t *memoTable) get(tv, av hin.EntityID, depth int) (res, ok bool) {
 }
 
 //hin:hot
-func (t *memoTable) put(tv, av hin.EntityID, depth int, res bool) {
-	if !t.packed {
-		t.slow[memoKey{tv, av, int32(depth)}] = res
-		return
-	}
+func (t *memoTable) put(tv, av hin.EntityID, res bool) {
 	if t.used*4 >= len(t.keys)*3 {
 		t.grow()
 	}
-	t.insert(packMemoKey(tv, av, depth), res)
+	t.insert(memoKey(tv, av), res)
 }
 
 //hin:hot

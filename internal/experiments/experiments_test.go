@@ -518,7 +518,7 @@ func TestDefaultParamsValid(t *testing.T) {
 	}
 }
 
-func TestTableCSVAndSlug(t *testing.T) {
+func TestTableCSV(t *testing.T) {
 	tbl := &Table{
 		Title:  "Table 2: DeHIN on things, in percent",
 		Header: []string{"Density", "Prec"},
@@ -529,14 +529,5 @@ func TestTableCSVAndSlug(t *testing.T) {
 	want := "Density,Prec\n0.001,12.6\n\"has,comma\",\"has\"\"quote\"\n"
 	if csv != want {
 		t.Fatalf("CSV:\n%q\nwant\n%q", csv, want)
-	}
-	if got := tbl.Slug(); got != "table-2" {
-		t.Fatalf("Slug = %q", got)
-	}
-	if got := (&Table{Title: "Ablation: time-gap growth!"}).Slug(); got != "ablation" {
-		t.Fatalf("Slug = %q", got)
-	}
-	if got := (&Table{Title: "Figure 8 panels"}).Slug(); got != "figure-8-panels" {
-		t.Fatalf("Slug = %q", got)
 	}
 }

@@ -48,17 +48,17 @@ type Params struct {
 	// bounded by it. Results are identical for every value.
 	Workers int
 	// Metrics, when non-nil, attaches the whole pipeline to an obs
-	// registry: generator stage timings, workbench cache traffic, attack
+	// registry: generator stage timings, workbench build counts, attack
 	// pruning counters, and per-experiment wall-time histograms. Nil (the
 	// default) leaves the attack hot path uninstrumented; the workbench
-	// still tracks cache statistics on a private registry so Stats()
-	// always works. Metrics never influence results - no random stream
+	// still counts its builds on a private registry so Stats() always
+	// works. Metrics never influence results - no random stream
 	// ever observes them.
 	Metrics *obs.Registry
 	// Trace, when non-nil, records the pipeline's span timeline
-	// (internal/obs/trace): generator shards, workbench cache fills and
-	// hits, one span per RunAll experiment slot, and sampled attack query
-	// spans. Like Metrics, tracing never influences results.
+	// (internal/obs/trace): generator shards, workbench builds, one span
+	// per RunAll experiment slot, and sampled attack query spans. Like
+	// Metrics, tracing never influences results.
 	Trace *trace.Tracer
 	// Log receives levelled pipeline progress events. Nil disables
 	// logging.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/hinpriv/dehin/internal/par"
@@ -35,10 +36,19 @@ func (s *shared) vwcga() (*Table4Result, error) {
 	return sweep(s, &s.vwcga4, func(w *Workbench) (*Table4Result, error) { return runCGASweep(w, true) })
 }
 
+// slot holds one sweep's result: the first sweep call on it computes the
+// result, and every other one - concurrent ones included - blocks on that
+// computation and shares it.
+type slot[T any] struct {
+	once sync.Once
+	val  T
+	err  error
+}
+
 // sweep returns run(s.w) from sl, computing it at most once per pass.
 func sweep[T any](s *shared, sl *slot[T], run func(*Workbench) (T, error)) (T, error) {
-	v, _, err := sl.get(func() (T, error) { return run(s.w) })
-	return v, err
+	sl.once.Do(func() { sl.val, sl.err = run(s.w) })
+	return sl.val, sl.err
 }
 
 // render turns a result into its rendered table.
@@ -116,7 +126,7 @@ func Run(id string, p Params) ([]*Table, error) {
 }
 
 // RunOn executes one experiment by id on a caller-owned workbench,
-// sharing its artifact cache with whatever ran before.
+// sharing its releases with whatever ran before.
 func RunOn(w *Workbench, id string) ([]*Table, error) {
 	for _, e := range suite {
 		if e.id == id {
@@ -147,16 +157,15 @@ func RunAll(p Params) ([]*Table, error) {
 
 // RunAllTimed is RunAll streaming each rendered table to sink as soon as
 // its turn in the fixed order comes (nil collects silently), and
-// returning per-experiment wall times and the final artifact-cache
-// statistics alongside the tables.
+// returning per-experiment wall times and the workbench's build counts
+// alongside the tables.
 //
 // Independent experiments run concurrently over the shared workbench, at
 // most p.Workers at a time (0 = GOMAXPROCS). Shared sweeps are computed
-// once in whichever slot needs them first; every other artifact comes
-// from the workbench cache. Output is streamed to sink in the fixed suite
-// order as a finished slot reaches the front, so the rendered tables are
-// byte-identical for every Workers value - concurrency moves only the
-// timing lines.
+// once in whichever slot needs them first. Output is streamed to sink in
+// the fixed suite order as a finished slot reaches the front, so the
+// rendered tables are byte-identical for every Workers value -
+// concurrency moves only the timing lines.
 func RunAllTimed(sink io.Writer, p Params) ([]*Table, []ExperimentTiming, CacheStats, error) {
 	w, err := NewWorkbench(p)
 	if err != nil {

@@ -82,30 +82,6 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Slug derives a filesystem-friendly name from the table title, e.g.
-// "table-1" or "ablation-time-gap-growth".
-func (t *Table) Slug() string {
-	title := t.Title
-	if i := strings.IndexByte(title, ':'); i >= 0 {
-		title = title[:i]
-	}
-	var b strings.Builder
-	lastDash := true
-	for _, r := range strings.ToLower(title) {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
-			lastDash = false
-		default:
-			if !lastDash {
-				b.WriteByte('-')
-				lastDash = true
-			}
-		}
-	}
-	return strings.TrimRight(b.String(), "-")
-}
-
 // pct formats a fraction as a percentage with one decimal, like the
 // paper's tables.
 func pct(v float64) string { return fmt.Sprintf("%.1f", v*100) }

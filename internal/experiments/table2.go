@@ -33,12 +33,20 @@ type Table2Result struct {
 }
 
 // RunTable2 attacks every released target of every density at every
-// distance with the growth-tolerant DeHIN.
+// distance with the growth-tolerant DeHIN, one attack per distance.
 func RunTable2(w *Workbench) (*Table2Result, error) {
 	res := &Table2Result{
 		Params:    w.Params,
 		Densities: w.Params.Densities,
 		Distances: w.Params.Distances,
+	}
+	attacks := make([]*dehin.Attack, len(w.Params.Distances))
+	for ni, n := range w.Params.Distances {
+		a, err := w.Attack(dehin.Config{MaxDistance: n})
+		if err != nil {
+			return nil, err
+		}
+		attacks[ni] = a
 	}
 	for di := range w.Params.Densities {
 		targets, err := w.Targets(di)
@@ -46,11 +54,7 @@ func RunTable2(w *Workbench) (*Table2Result, error) {
 			return nil, err
 		}
 		row := make([]Cell, len(w.Params.Distances))
-		for ni, n := range w.Params.Distances {
-			a, err := w.Attack(dehin.Config{MaxDistance: n})
-			if err != nil {
-				return nil, err
-			}
+		for ni, a := range attacks {
 			p, r, err := averageRun(a, targets)
 			if err != nil {
 				return nil, err

@@ -24,14 +24,27 @@ func RunTable4(w *Workbench) (*Table4Result, error) {
 }
 
 // runCGASweep powers Table 4 (varyWeights=false) and the VW-CGA series of
-// Figure 8 (varyWeights=true). It completes one density's targets at a
-// time and drops them once every distance has attacked them. The n > 0
+// Figure 8 (varyWeights=true). It builds one attack per distance, then
+// completes one density's targets at a time and drops them once every
+// distance has attacked them. The n > 0
 // attacks all strip majority strengths, so the first of them prepares
 // each completion once and every n > 0 attack runs on that copy, which
 // dies with its density's loop too.
 func runCGASweep(w *Workbench, varyWeights bool) (*Table4Result, error) {
 	p := w.Params
 	res := &Table4Result{Params: p, Densities: p.Densities, Distances: p.Distances}
+	attacks := make([]*dehin.Attack, len(p.Distances))
+	for ni, n := range p.Distances {
+		a, err := w.Attack(dehin.Config{
+			MaxDistance:            n,
+			RemoveMajorityStrength: n > 0,
+			FallbackProfileOnly:    n > 0,
+		})
+		if err != nil {
+			return nil, err
+		}
+		attacks[ni] = a
+	}
 	for di := range p.Densities {
 		completed, err := w.CompletedTargets(di, varyWeights)
 		if err != nil {
@@ -40,15 +53,7 @@ func runCGASweep(w *Workbench, varyWeights bool) (*Table4Result, error) {
 		var stripped []hin.GraphBackend
 		row := make([]Cell, len(p.Distances))
 		for ni, n := range p.Distances {
-			cfg := dehin.Config{
-				MaxDistance:            n,
-				RemoveMajorityStrength: n > 0,
-				FallbackProfileOnly:    n > 0,
-			}
-			a, err := w.Attack(cfg)
-			if err != nil {
-				return nil, err
-			}
+			a := attacks[ni]
 			var prec, red float64
 			if n == 0 {
 				prec, red, err = averageRun(a, completed)

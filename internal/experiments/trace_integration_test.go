@@ -43,7 +43,7 @@ func TestRunAllTraced(t *testing.T) {
 		t.Fatalf("dropped %d spans with a default-capacity buffer", tr.Dropped())
 	}
 
-	// One span family per instrumented layer: generator, workbench cache,
+	// One span family per instrumented layer: generator, workbench builds,
 	// suite scheduler, attack engine.
 	for _, name := range []string{
 		"tqq.generate", "profiles_shard", "edge_task", "reclog_shard",

@@ -2,7 +2,7 @@
 // timeline companion to the internal/obs metrics registry. Metrics say
 // what happened and how often; spans say when and in what order - which
 // generator shard straggled, which experiment serialized behind a
-// workbench cache fill, where a long attack Run spends its wall time.
+// shared sweep, where a long attack Run spends its wall time.
 //
 // The package follows the same design contract as obs.Registry:
 //
@@ -121,9 +121,8 @@ func (t *Tracer) Start(name string) Span {
 
 // StartOn opens a root span on an explicit track (see NewTrack). Use when
 // a long-lived component records many independent root spans that should
-// share one timeline lane instead of opening a fresh lane each (e.g. the
-// workbench artifact cache). Same-track spans must nest, so the caller
-// must not overlap spans on the track.
+// share one timeline lane instead of opening a fresh lane each. Same-track
+// spans must nest, so the caller must not overlap spans on the track.
 func (t *Tracer) StartOn(tr Track, name string) Span {
 	if t == nil {
 		return Span{}
