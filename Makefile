@@ -157,6 +157,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBuilderLinks -fuzztime $(FUZZTIME) -run '^$$' ./internal/hin
 	$(GO) test -fuzz FuzzSignaturesPartition -fuzztime $(FUZZTIME) -run '^$$' ./internal/risk
 	$(GO) test -fuzz FuzzServeDehin -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve
+	$(GO) test -fuzz FuzzDecodeDehin -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem

@@ -46,6 +46,10 @@ func FuzzServeDehin(f *testing.F) {
 		f.Add(mustMarshal(f, req))
 	}
 	f.Add([]byte("{nope"))
+	lim := cfg.withDefaults()
+	for _, body := range dehinSeeds(f, lim.MaxSnippetEntities, lim.MaxSnippetEdges) {
+		f.Add(body)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		requireIdle(t, s)

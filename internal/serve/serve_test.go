@@ -321,6 +321,49 @@ func TestReloadSwapsEpochAndRetiresFile(t *testing.T) {
 	}
 }
 
+// TestReloadEmptyBody posts an empty body of unknown length (sent
+// chunked) and a whitespace-only body to /v1/reload. Each is an empty
+// request, as a Content-Length: 0 body is: it re-opens the current file
+// and answers the next epoch.
+func TestReloadEmptyBody(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.hincsr")
+	if err := hin.WriteCSRFile(path, testGraph(t, 300, 1)); err != nil {
+		t.Fatal(err)
+	}
+	s := New(testConfig())
+	if err := s.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	defer closeIdle(t, s)
+	ts := newTestServer(s)
+	defer ts.Close()
+
+	for _, c := range []struct {
+		name string
+		body io.Reader
+	}{
+		{"chunked empty", io.NopCloser(strings.NewReader(""))},
+		{"whitespace", strings.NewReader(" \n\t")},
+	} {
+		epoch := s.Epoch()
+		resp, err := http.Post(ts.URL+"/v1/reload", "application/json", c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdle(t, s)
+		var info snapshotResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &info) != nil ||
+			info.Epoch != epoch+1 || info.Source != path {
+			t.Fatalf("%s: reload = %d %s, want 200 at epoch %d from %s", c.name, resp.StatusCode, body, epoch+1, path)
+		}
+	}
+}
+
 // TestFailedReloadKeepsServing pins SERVICE.md's promise for a failed
 // load: the reload call answers 500 with a JSON error, the current
 // snapshot keeps serving byte-identical answers, serve_reload_errors_total
