@@ -65,5 +65,5 @@ func (g *Graph) OutEdgesBuf(buf *EdgeBuf, lt LinkTypeID, v EntityID) ([]EntityID
 //
 //hin:hot
 func (g *Graph) InEdgesBuf(buf *EdgeBuf, lt LinkTypeID, v EntityID) ([]EntityID, []int32) {
-	return g.rev[lt].row(v)
+	return g.inRows(lt).row(v)
 }

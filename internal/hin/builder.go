@@ -81,8 +81,34 @@ func (b *Builder) AddEntity(t EntityTypeID, label string, attrs ...int64) Entity
 // type must declare the set attribute. Values are copied and sorted; a nil
 // or empty slice clears the set.
 func (b *Builder) SetSet(name string, v EntityID, vals []int32) {
+	slot := b.setSlot(name, v)
+	if len(vals) == 0 {
+		*slot = nil
+		return
+	}
+	cp := slices.Clone(vals)
+	slices.Sort(cp)
+	*slot = cp
+}
+
+// AdoptSet assigns the named multi-valued attribute of entity v, as SetSet
+// does, from values the caller has already sorted ascending; values that
+// do not ascend are a programmer error and panic. The set is kept as it
+// is, not copied: the caller hands the slice over and must not modify it
+// afterwards.
+func (b *Builder) AdoptSet(name string, v EntityID, vals []int32) {
+	slot := b.setSlot(name, v)
+	if !slices.IsSorted(vals) {
+		panic(fmt.Sprintf("hin: AdoptSet of set attribute %q on entity %d with values out of order", name, v))
+	}
+	*slot = vals
+}
+
+// setSlot returns where entity v's values of the named set attribute go,
+// panicking unless v exists and its type declares the attribute.
+func (b *Builder) setSlot(name string, v EntityID) *[]int32 {
 	if v < 0 || int(v) >= len(b.etype) {
-		panic(fmt.Sprintf("hin: SetSet on unknown entity %d", v))
+		panic(fmt.Sprintf("hin: set attribute %q on unknown entity %d", name, v))
 	}
 	if b.schema.SetAttrIndex(b.etype[v], name) < 0 {
 		panic(fmt.Sprintf("hin: entity type %q has no set attribute %q",
@@ -93,13 +119,7 @@ func (b *Builder) SetSet(name string, v EntityID, vals []int32) {
 		col = append(col, make([][]int32, len(b.etype)-len(col))...)
 		b.sets[name] = col
 	}
-	if len(vals) == 0 {
-		col[v] = nil
-		return
-	}
-	cp := slices.Clone(vals)
-	slices.Sort(cp)
-	col[v] = cp
+	return &col[v]
 }
 
 // AddEdge appends a directed edge of link type lt from -> to with strength
@@ -151,8 +171,9 @@ func (b *Builder) checkLink(lt LinkTypeID, l Link) error {
 
 // Build freezes the accumulated entities and edges into a Graph. Duplicate
 // edges of the same link type are merged by summing strengths (unweighted
-// duplicates collapse to a single strength-1 edge). The reverse adjacency
-// is the transposition of the merged forward rows, as in WithOutRows.
+// duplicates collapse to a single strength-1 edge). Unlike the other
+// constructors, Build also transposes each link type into in-rows, in the
+// same task: its graphs are the ones persisted, in both directions.
 //
 // Each link type is built on its own, so from parallelBuildLinks edges on
 // they are built on a pool of GOMAXPROCS workers, one link type per task;

@@ -237,6 +237,48 @@ func TestSetSetDense(t *testing.T) {
 	}
 }
 
+// AdoptSet keeps what SetSet would keep of a set that already ascends,
+// clears a set as SetSet does, and panics on values out of order as on an
+// entity or attribute SetSet refuses, leaving the entity's set unset.
+func TestAdoptSet(t *testing.T) {
+	b := NewBuilder(userSchema(t))
+	for i := 0; i < 3; i++ {
+		b.AddEntity(0, "", 1980, 0)
+	}
+	b.AdoptSet("tags", 0, []int32{2, 2, 5, 9})
+	b.AdoptSet("tags", 1, []int32{4})
+	b.AdoptSet("tags", 1, nil)
+	for _, tc := range []struct {
+		name string
+		attr string
+		v    EntityID
+		vals []int32
+	}{
+		{"out of order", "tags", 2, []int32{3, 1}},
+		{"unknown entity", "tags", 3, []int32{1}},
+		{"unknown attribute", "nope", 2, []int32{1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AdoptSet did not panic", tc.name)
+				}
+			}()
+			b.AdoptSet(tc.attr, tc.v, tc.vals)
+		}()
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int32{{2, 2, 5, 9}, nil, nil}
+	for v, w := range want {
+		if got := g.Set("tags", EntityID(v)); !slices.Equal(got, w) {
+			t.Errorf("entity %d: set %v, want %v", v, got, w)
+		}
+	}
+}
+
 // naiveRows merges links per (source, destination) with a map and lists
 // each row ascending: the forward rows Build must produce.
 func naiveRows(n int, links []Link, collapse bool) Rows {

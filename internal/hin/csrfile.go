@@ -221,7 +221,7 @@ func encodeCSR(w io.Writer, g *Graph) (hdr [csrHeaderSize]byte, err error) {
 	rowOff := make([]byte, 0, (n+1)*8)
 	for lt := range g.fwd {
 		weighted := g.schema.LinkType(LinkTypeID(lt)).Weighted
-		for _, c := range [2]*csr{&g.fwd[lt], &g.rev[lt]} {
+		for _, c := range [2]*csr{&g.fwd[lt], g.inRows(LinkTypeID(lt))} {
 			buf, rowOff = buf[:0], appendU64(rowOff[:0], 0)
 			for v := 0; v < n; v++ {
 				tos, ws := c.row(EntityID(v))

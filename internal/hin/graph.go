@@ -3,6 +3,7 @@ package hin
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Edge is one directed link: the destination entity and the link's integer
@@ -35,11 +36,16 @@ type setCol struct {
 
 // Graph is an immutable heterogeneous information network instance: typed
 // entities with scalar and set attributes, and per-link-type weighted
-// adjacency in both directions. Construct one with a Builder from an edge
-// stream; the transforms that keep every entity of an existing graph and
-// rewrite only its edges each have their own constructor: WithOutRows
-// takes arbitrary rows, WithoutStrength drops one strength per link type,
-// and Complete builds complete link types from their strengths.
+// adjacency, read by source (out-rows) and by destination (in-rows).
+// Construct one with a Builder from an edge stream; the transforms that
+// keep every entity of an existing graph and rewrite only its edges each
+// have their own constructor: WithOutRows takes arbitrary rows,
+// WithoutStrength drops one strength per link type, and Complete builds
+// complete link types from their strengths.
+//
+// Builder.Build transposes the out-rows into in-rows as it builds; the
+// other constructors write out-rows only, and the graph transposes them,
+// once and race-free, on its first in-edge read.
 type Graph struct {
 	schema *Schema
 	n      int
@@ -51,8 +57,9 @@ type Graph struct {
 
 	sets map[string]*setCol
 
-	fwd []csr // indexed by LinkTypeID
-	rev []csr
+	fwd     []csr // indexed by LinkTypeID
+	rev     []csr // read through inRows, which fills it unless Build has
+	revOnce sync.Once
 }
 
 // Schema returns the schema the graph was built against.
@@ -125,7 +132,7 @@ func (g *Graph) OutDegree(lt LinkTypeID, v EntityID) int {
 
 // InDegree returns the number of in-edges of v via link type lt.
 func (g *Graph) InDegree(lt LinkTypeID, v EntityID) int {
-	c := &g.rev[lt]
+	c := g.inRows(lt)
 	return int(c.off[v+1] - c.off[v])
 }
 
@@ -140,7 +147,7 @@ func (g *Graph) OutDegrees(lt LinkTypeID, dst []int32) []int32 {
 
 // InDegrees is OutDegrees over the reverse adjacency.
 func (g *Graph) InDegrees(lt LinkTypeID, dst []int32) []int32 {
-	return degreesFromOffsets(g.rev[lt].off, dst)
+	return degreesFromOffsets(g.inRows(lt).off, dst)
 }
 
 func degreesFromOffsets(off []int64, dst []int32) []int32 {
@@ -159,7 +166,28 @@ func (g *Graph) OutEdges(lt LinkTypeID, v EntityID) ([]EntityID, []int32) {
 // InEdges returns zero-copy views of v's in-neighbors via lt (sorted
 // ascending by source) and the parallel strengths.
 func (g *Graph) InEdges(lt LinkTypeID, v EntityID) ([]EntityID, []int32) {
-	return g.rev[lt].row(v)
+	return g.inRows(lt).row(v)
+}
+
+// inRows returns the reverse rows of link type lt, the one way in-rows are
+// read. Unless the constructor built them, the first call transposes every
+// link type's out-rows, and concurrent first calls wait for it.
+func (g *Graph) inRows(lt LinkTypeID) *csr {
+	g.revOnce.Do(g.transposeAll)
+	return &g.rev[lt]
+}
+
+// transposeAll fills rev with the transposition of every link type's
+// out-rows, unless Builder.Build already has.
+func (g *Graph) transposeAll() {
+	if g.rev != nil {
+		return
+	}
+	rev := make([]csr, len(g.fwd))
+	for lt := range g.fwd {
+		rev[lt] = transpose(g.n, &g.fwd[lt])
+	}
+	g.rev = rev
 }
 
 // FindEdge looks up the edge from -> to of link type lt, returning its

@@ -26,7 +26,8 @@ type Rows struct {
 // and 1 on unweighted link types. A violation is returned as an error.
 //
 // The graph takes ownership of the rows' slices, which the caller must not
-// modify afterwards. A *Graph source shares its immutable entity columns
+// modify afterwards, and builds its in-rows from them on the first in-edge
+// read (see Graph). A *Graph source shares its immutable entity columns
 // with the result; any other backend's entity columns are copied once,
 // keeping the set attributes declared by the schema that hold a value.
 func WithOutRows(src GraphBackend, rows []Rows) (*Graph, error) {
@@ -36,14 +37,12 @@ func WithOutRows(src GraphBackend, rows []Rows) (*Graph, error) {
 	}
 	g := withEntities(src)
 	g.fwd = make([]csr, len(rows))
-	g.rev = make([]csr, len(rows))
 	for lt, r := range rows {
 		c := csr{off: r.Off, to: r.To, w: r.W}
 		if err := g.checkRows(LinkTypeID(lt), &c); err != nil {
 			return nil, err
 		}
 		g.fwd[lt] = c
-		g.rev[lt] = transpose(g.n, &c)
 	}
 	return g, nil
 }
@@ -51,13 +50,13 @@ func WithOutRows(src GraphBackend, rows []Rows) (*Graph, error) {
 // WithoutStrength returns src without, per link type lt, the edges of
 // strength drop[lt]; a drop of 0, which no edge carries, keeps the link
 // type whole. dropped[lt] must be the number of lt edges that carry
-// drop[lt]: it sizes the kept rows, so every edge is read once per
-// direction, and a count the rows contradict is an error. The entities
-// come from src as in WithOutRows: a *Graph source shares its columns.
+// drop[lt]: it sizes the kept rows, so every out-edge is read once, and a
+// count the rows contradict is an error. The entities come from src as in
+// WithOutRows: a *Graph source shares its columns.
 //
-// Unlike WithOutRows, the filter neither checks nor transposes: what a
-// filter keeps of a valid row is valid, and of a sorted row sorted, so it
-// filters src's forward rows and its reverse rows as they stand.
+// Like WithOutRows, the result writes out-rows only and builds its in-rows
+// on the first in-edge read. Unlike it, the filter does not check: what a
+// filter keeps of a valid row is valid, and of a sorted row sorted.
 func WithoutStrength(src GraphBackend, drop []int32, dropped []int64) (*Graph, error) {
 	nlt := src.Schema().NumLinkTypes()
 	if len(drop) != nlt || len(dropped) != nlt {
@@ -65,18 +64,16 @@ func WithoutStrength(src GraphBackend, drop []int32, dropped []int64) (*Graph, e
 	}
 	g := withEntities(src)
 	g.fwd = make([]csr, nlt)
-	g.rev = make([]csr, nlt)
 	buf := &EdgeBuf{}
 	for lt, w := range drop {
 		ltid := LinkTypeID(lt)
 		kept := src.NumEdges(ltid) - dropped[lt]
-		fwd := filterRows(src, buf, ltid, false, w, max(kept, 0))
+		fwd := filterRows(src, buf, ltid, w, max(kept, 0))
 		if int64(len(fwd.to)) != kept {
 			return nil, fmt.Errorf("hin: link %q: %d edges of strength %d counted, %d found",
 				src.Schema().LinkType(ltid).Name, dropped[lt], w, src.NumEdges(ltid)-int64(len(fwd.to)))
 		}
 		g.fwd[lt] = fwd
-		g.rev[lt] = filterRows(src, buf, ltid, true, w, kept)
 	}
 	return g, nil
 }
@@ -91,10 +88,9 @@ func WithoutStrength(src GraphBackend, drop []int32, dropped []int64) (*Graph, e
 // caller supplies: a matrix of the right length per link type, strengths
 // that are positive, and 1 on an unweighted type, and entities of the link
 // type's endpoint type (once per entity, not per edge). A violation is an
-// error. A row's sources are its destinations, so a link type's forward and
-// reverse rows share one offset and one destination array, as do link types
-// with the same self-loop setting; the reverse strengths are the matrix
-// transposed by tiles.
+// error. Link types with the same self-loop setting share one offset and
+// one destination array. Like WithOutRows, Complete writes out-rows only,
+// and the graph builds its in-rows on the first in-edge read.
 func Complete(src GraphBackend, strengths [][]int32) (*Graph, error) {
 	schema := src.Schema()
 	if len(strengths) != schema.NumLinkTypes() {
@@ -102,7 +98,6 @@ func Complete(src GraphBackend, strengths [][]int32) (*Graph, error) {
 	}
 	g := withEntities(src)
 	g.fwd = make([]csr, len(strengths))
-	g.rev = make([]csr, len(strengths))
 	var dests [2]csr // offsets and destinations, without and with self-loops
 	for lt, w := range strengths {
 		ltid := LinkTypeID(lt)
@@ -118,7 +113,6 @@ func Complete(src GraphBackend, strengths [][]int32) (*Graph, error) {
 			d.off, d.to = completeRows(g.n, self)
 		}
 		g.fwd[lt] = csr{off: d.off, to: d.to, w: w}
-		g.rev[lt] = csr{off: d.off, to: d.to, w: transposeComplete(g.n, self, w)}
 	}
 	return g, nil
 }
@@ -148,57 +142,13 @@ func completeRows(n int, self bool) ([]int64, []EntityID) {
 	return off, to
 }
 
-// completeTile is the side of the square tiles transposeComplete copies:
-// 16 KiB of strengths on each side of the copy.
-const completeTile = 64
-
-// transposeComplete returns the reverse strengths of a complete link type
-// with forward strengths w: v's in-row lists, for every source u in
-// ascending order, the strength of u -> v. It copies w by square tiles so
-// that the reads along a tile's rows and the writes down its columns both
-// stream through the cache.
-func transposeComplete(n int, self bool, w []int32) []int32 {
-	m := completeWidth(n, self)
-	// Without self-loops a row skips its own column: u's row holds v at
-	// v when v < u and at v−1 when v > u, and likewise v's row holds u. A
-	// self-loop is copied with the v ≥ u half.
-	skip := 1
-	if self {
-		skip = 0
-	}
-	rw := make([]int32, len(w))
-	for u0 := 0; u0 < n; u0 += completeTile {
-		u1 := min(u0+completeTile, n)
-		for v0 := 0; v0 < n; v0 += completeTile {
-			v1 := min(v0+completeTile, n)
-			for u := u0; u < u1; u++ {
-				row := w[u*m : u*m+m]
-				for v := v0; v < min(v1, u); v++ {
-					rw[v*m+u-skip] = row[v]
-				}
-				for v := max(v0, u+skip); v < v1; v++ {
-					rw[v*m+u] = row[v-skip]
-				}
-			}
-		}
-	}
-	return rw
-}
-
-// filterRows copies src's rows of link type lt in one direction (the
-// reverse rows when in is set) without the edges of strength drop, into
-// rows sized for kept edges.
-func filterRows(src GraphBackend, buf *EdgeBuf, lt LinkTypeID, in bool, drop int32, kept int64) csr {
+// filterRows copies src's out-rows of link type lt without the edges of
+// strength drop, into rows sized for kept edges.
+func filterRows(src GraphBackend, buf *EdgeBuf, lt LinkTypeID, drop int32, kept int64) csr {
 	n := src.NumEntities()
 	c := csr{off: make([]int64, n+1), to: make([]EntityID, 0, kept), w: make([]int32, 0, kept)}
 	for v := 0; v < n; v++ {
-		var tos []EntityID
-		var ws []int32
-		if in {
-			tos, ws = src.InEdgesBuf(buf, lt, EntityID(v))
-		} else {
-			tos, ws = src.OutEdgesBuf(buf, lt, EntityID(v))
-		}
+		tos, ws := src.OutEdgesBuf(buf, lt, EntityID(v))
 		for j, w := range ws {
 			if w != drop {
 				c.to = append(c.to, tos[j])

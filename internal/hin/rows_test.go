@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hinpriv/dehin/internal/randx"
@@ -345,8 +346,7 @@ func completeAsRows(s *Schema, n int, strengths [][]int32) []Rows {
 }
 
 // Complete builds what WithOutRows builds from the same complete rows, from
-// either backend, for sizes on both sides of transposeComplete's tile
-// edges; its rows share their offset and destination arrays.
+// either backend; its rows share their offset and destination arrays.
 func TestCompleteMatchesWithOutRows(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 129} {
 		g := completeUsers(t, uint64(n), n)
@@ -370,19 +370,13 @@ func TestCompleteMatchesWithOutRows(t *testing.T) {
 	}
 }
 
-// checkSharedRows fails unless each completeSchema link type's forward
-// and reverse rows share one offset and one destination array, which
-// mention and follow (no self-loops) share too, apart from loop's.
+// checkSharedRows fails unless mention and follow (no self-loops) share
+// one offset and one destination array, apart from loop's.
 func checkSharedRows(t *testing.T, g *Graph) {
 	t.Helper()
 	const loop, mention, follow = 0, 1, 2
 	same := func(a, b *csr) bool {
 		return &a.off[0] == &b.off[0] && &a.to[0] == &b.to[0]
-	}
-	for lt := range g.fwd {
-		if !same(&g.fwd[lt], &g.rev[lt]) {
-			t.Fatalf("link %d: forward and reverse rows have their own destinations", lt)
-		}
 	}
 	if !same(&g.fwd[mention], &g.fwd[follow]) {
 		t.Fatal("mention and follow have their own destinations")
@@ -528,6 +522,123 @@ func TestWithoutStrengthRejects(t *testing.T) {
 	}
 }
 
+// builtFromRows builds src's entities with the given rows through a
+// Builder, which transposes them as it builds.
+func builtFromRows(t testing.TB, src *Graph, rows []Rows) *Graph {
+	t.Helper()
+	b := NewBuilder(src.Schema())
+	for v := range EntityID(src.NumEntities()) {
+		b.AddEntity(src.EntityType(v), src.Label(v), src.Attrs(v)...)
+	}
+	for lt, r := range rows {
+		for u := 0; u+1 < len(r.Off); u++ {
+			for i := r.Off[u]; i < r.Off[u+1]; i++ {
+				if err := b.AddEdge(LinkTypeID(lt), EntityID(u), r.To[i], r.W[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// The three out-row constructors leave a graph's in-rows to its first
+// in-edge read. Four goroutines race to that read on a fresh graph of
+// each, each starting with another of the four in-edge methods, and every
+// answer must equal the Builder's, which transposed the same rows as it
+// built them. Once built, in-rows are read without allocating.
+func TestConcurrentFirstInEdgeRead(t *testing.T) {
+	const readers = 4
+	multi := randomMultigraph(t, 5, 40, 3, 400)
+	drop := []int32{0, 2, 3, 0}
+	kept, dropped := keptRows(multi, drop)
+	const n = 70
+	users := completeUsers(t, 5, n)
+	strengths := randomStrengths(users, 12)
+	for _, tc := range []struct {
+		name  string
+		build func() (*Graph, error)
+		ref   *Graph
+	}{
+		{"WithOutRows", func() (*Graph, error) { return WithOutRows(multi, outRows(multi)) }, multi},
+		{"WithoutStrength", func() (*Graph, error) { return WithoutStrength(multi, drop, dropped) }, builtFromRows(t, multi, kept)},
+		{"Complete", func() (*Graph, error) { return Complete(users, strengths) },
+			builtFromRows(t, users, completeAsRows(users.Schema(), n, strengths))},
+	} {
+		g, err := tc.build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := range 4 {
+					if err := sameInEdges(g, tc.ref, (r+k)%4); err != nil {
+						t.Errorf("%s reader %d: %v", tc.name, r, err)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+
+		buf := &EdgeBuf{}
+		if allocs := testing.AllocsPerRun(20, func() {
+			for lt := range LinkTypeID(len(g.fwd)) {
+				for v := range EntityID(g.NumEntities()) {
+					g.InEdgesBuf(buf, lt, v)
+					g.InDegree(lt, v)
+				}
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: in-edge reads allocated %.1f times per pass after the first read", tc.name, allocs)
+		}
+	}
+}
+
+// sameInEdges compares g's in-rows with ref's through one in-edge method:
+// 0 InEdges, 1 InEdgesBuf, 2 InDegree, 3 InDegrees.
+func sameInEdges(g, ref *Graph, method int) error {
+	buf := &EdgeBuf{}
+	for lt := range LinkTypeID(len(g.fwd)) {
+		if method == 3 {
+			if got, want := g.InDegrees(lt, nil), ref.InDegrees(lt, nil); !slices.Equal(got, want) {
+				return fmt.Errorf("link %d: InDegrees %v, want %v", lt, got, want)
+			}
+			continue
+		}
+		for v := range EntityID(g.NumEntities()) {
+			wantTo, wantW := ref.InEdges(lt, v)
+			var gotTo []EntityID
+			var gotW []int32
+			switch method {
+			case 0:
+				gotTo, gotW = g.InEdges(lt, v)
+			case 1:
+				gotTo, gotW = g.InEdgesBuf(buf, lt, v)
+			case 2:
+				if got := g.InDegree(lt, v); got != len(wantTo) {
+					return fmt.Errorf("link %d entity %d: InDegree %d, want %d", lt, v, got, len(wantTo))
+				}
+				continue
+			}
+			if !slices.Equal(gotTo, wantTo) || !slices.Equal(gotW, wantW) {
+				return fmt.Errorf("link %d entity %d: in-row %v / %v, want %v / %v", lt, v, gotTo, gotW, wantTo, wantW)
+			}
+		}
+	}
+	return nil
+}
+
 // FuzzWithOutRows decodes arbitrary bytes into adjacency rows over a fixed
 // six-entity graph (users 0..4, tag 5). Every input must either be
 // rejected with an error or build a graph whose rows strictly ascend and
@@ -586,13 +697,27 @@ func FuzzWithOutRows(f *testing.F) {
 func sameAdjacency(t *testing.T, a, b *Graph) {
 	t.Helper()
 	for lt := range a.fwd {
-		for _, pair := range [][2]*csr{{&a.fwd[lt], &b.fwd[lt]}, {&a.rev[lt], &b.rev[lt]}} {
+		ain, bin := inCSR(a, LinkTypeID(lt)), inCSR(b, LinkTypeID(lt))
+		for _, pair := range [][2]*csr{{&a.fwd[lt], &b.fwd[lt]}, {&ain, &bin}} {
 			x, y := pair[0], pair[1]
 			if !slices.Equal(x.off, y.off) || !slices.Equal(x.to, y.to) || !slices.Equal(x.w, y.w) {
 				t.Fatalf("link %d: rows %v / %v, want %v / %v", lt, x.to, x.w, y.to, y.w)
 			}
 		}
 	}
+}
+
+// inCSR reads g's in-rows of link type lt through InEdges, which builds
+// them on first use, into one csr.
+func inCSR(g *Graph, lt LinkTypeID) csr {
+	c := csr{off: []int64{0}}
+	for v := range g.NumEntities() {
+		froms, ws := g.InEdges(lt, EntityID(v))
+		c.to = append(c.to, froms...)
+		c.w = append(c.w, ws...)
+		c.off = append(c.off, int64(len(c.to)))
+	}
+	return c
 }
 
 // decodeFuzzRows reads one signed byte at a time (zero once data runs

@@ -366,9 +366,9 @@ type profileShard struct {
 
 // genProfiles adds all user entities with calibrated profile attributes.
 // Each fixed-width user shard draws from its own stream (forked serially
-// from the stage stream) into a private buffer; the Builder is then fed
-// in shard order, so entity ids and attributes never depend on
-// scheduling.
+// from the stage stream) into a private buffer, sorting each user's tags;
+// the Builder is then fed in shard order, adopting the sorted tag sets
+// uncopied, so entity ids and attributes never depend on scheduling.
 func genProfiles(b *hin.Builder, cfg Config, rng *randx.RNG, stage trace.Span) {
 	gender, err := randx.NewAlias(cfg.GenderWeights)
 	if err != nil {
@@ -414,6 +414,7 @@ func genProfiles(b *hin.Builder, cfg Config, rng *randx.RNG, stage trace.Span) {
 						tags = append(tags, t)
 					}
 				}
+				slices.Sort(tags)
 			}
 			sh.label = append(sh.label, fmt.Sprintf("u%07d", i))
 			sh.scalar = append(sh.scalar, [4]int64{yob, gen, tweets, int64(ntags)})
@@ -426,7 +427,7 @@ func genProfiles(b *hin.Builder, cfg Config, rng *randx.RNG, stage trace.Span) {
 			a := sh.scalar[i]
 			id := b.AddEntity(0, sh.label[i], a[0], a[1], a[2], a[3])
 			if len(sh.tags[i]) > 0 {
-				b.SetSet(TagsAttr, id, sh.tags[i])
+				b.AdoptSet(TagsAttr, id, sh.tags[i])
 			}
 		}
 	}
