@@ -2,6 +2,7 @@ package anonymize
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/hinpriv/dehin/internal/hin"
 )
@@ -80,7 +81,7 @@ func AutomorphismLevel(g *hin.Graph) int {
 		buf = buf[:0]
 		id := hin.EntityID(v)
 		for _, a := range g.Attrs(id) {
-			buf = appendInt32(buf, int32(a))
+			buf = strconv.AppendInt(buf, a, 10)
 			buf = append(buf, ',')
 		}
 		for lt := 0; lt < g.Schema().NumLinkTypes(); lt++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/hinpriv/dehin/internal/hin"
+	"github.com/hinpriv/dehin/internal/tqq"
 )
 
 func TestKCopyStructure(t *testing.T) {
@@ -58,6 +59,22 @@ func TestKCopyAutomorphismLevel(t *testing.T) {
 		if level := AutomorphismLevel(res.Graph); level < k {
 			t.Fatalf("k=%d: automorphism fingerprint level %d", k, level)
 		}
+	}
+}
+
+// TestAutomorphismLevelFullWidthAttrs pins that the fingerprint reads
+// every attribute at its full 64 bits: two users whose tweet counts differ
+// only above bit 31 are told apart, so the level is 1, not 2.
+func TestAutomorphismLevelFullWidthAttrs(t *testing.T) {
+	b := hin.NewBuilder(tqq.TargetSchema())
+	b.AddEntity(0, "a", 1980, 1, 5, 2)
+	b.AddEntity(0, "b", 1980, 1, 1<<32+5, 2)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if level := AutomorphismLevel(g); level != 1 {
+		t.Fatalf("tweets 5 and 2^32+5 share a fingerprint: level %d, want 1", level)
 	}
 }
 

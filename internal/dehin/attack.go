@@ -32,11 +32,14 @@ type Config struct {
 	// LinkMatch compares strengths; nil means GrowthLinkMatcher.
 	LinkMatch LinkMatcher
 	// UseIndex enables the (gender, yob, ...)-bucketed candidate index.
-	// It requires EntityMatch to imply equality on Profile.ExactAttrs and
-	// auxiliary >= target on the first Profile.GrowAttrs entry, which
-	// holds for the built-in matchers. Disable for exotic matchers. The
-	// neighbour stage relies on the same contract: it never offers the
-	// matchers a neighbour pair whose exact-attribute keys differ.
+	// It requires EntityMatch to imply equality on Profile.ExactAttrs,
+	// which holds for the built-in matchers; disable it for exotic
+	// matchers. Both stages rely on that contract: the profile stage
+	// offers the matcher only the target's bucket, and the neighbour stage
+	// never offers it a neighbour pair whose exact attributes differ. With
+	// EntityMatch nil the attack then calls no matcher at all: it compares
+	// the index's growable-attribute columns (and Profile.SubsetSets),
+	// which decides exactly what Profile.GrowthMatcher decides.
 	UseIndex bool
 	// SharedIndex supplies a prebuilt index (see NewIndex) so many attack
 	// configurations over the same auxiliary graph can share one. It must
@@ -96,6 +99,7 @@ type Attack struct {
 	em      EntityMatcher
 	lm      LinkMatcher
 	index   *profileIndex
+	cols    bool           // EntityMatch nil with an index: compare the index's columns, never call em
 	deg     *degSignature  // nil when degree pruning is disabled
 	met     *attackMetrics // nil when Config.Metrics is nil
 	scratch sync.Pool      // *queryScratch
@@ -149,6 +153,7 @@ func NewAttack(aux hin.GraphBackend, cfg Config) (*Attack, error) {
 		}
 		a.index = idx
 	}
+	a.cols = a.index != nil && cfg.EntityMatch == nil
 	// Degree-signature pruning is sound whenever the per-type quota
 	// directionMatch enforces is the plain neighbor count (see the
 	// degSignature soundness note); conservatively gate it off for
@@ -253,8 +258,10 @@ func (a *Attack) DeanonymizeSpan(target hin.GraphBackend, tv hin.EntityID, qs tr
 // With a profile index the binding also fills s.tclass, the index class
 // of every target entity (-1 when no auxiliary entity shares its
 // exact-attribute tuple), which neighborGraph's class join reads: one
-// exactKey and one map probe per target entity, paid once per (scratch,
-// target graph) - for a hinriskd snippet, once per request.
+// exactKey, one map probe and one tuple compare per target entity, paid
+// once per (scratch, target graph) - for a hinriskd snippet, once per
+// request. On the column path (a.cols) it also fills s.tgrow, every target
+// entity's growable attributes laid out like the index's grow column.
 func (a *Attack) ensureMemo(s *queryScratch, target hin.GraphBackend) {
 	if s.memoTarget == target {
 		return
@@ -277,6 +284,21 @@ func (a *Attack) ensureMemo(s *queryScratch, target hin.GraphBackend) {
 	for v := range s.tclass {
 		s.tclass[v] = a.index.entityClass(target, hin.EntityID(v))
 	}
+	if a.cols {
+		s.tgrow = s.tgrow[:0]
+		for v := 0; v < n; v++ {
+			s.tgrow = appendAttrs(s.tgrow, target, hin.EntityID(v), a.cfg.Profile.GrowAttrs)
+		}
+	}
+}
+
+// appendAttrs appends g's entity v's values of the scalar attributes
+// attrs to dst.
+func appendAttrs(dst []int64, g hin.GraphBackend, v hin.EntityID, attrs []int) []int64 {
+	for _, ai := range attrs {
+		dst = append(dst, g.Attr(v, ai))
+	}
+	return dst
 }
 
 // deanonymize is the per-query entry point: the uninstrumented core plus,
@@ -343,20 +365,30 @@ func (a *Attack) deanonymizeCore(s *queryScratch, dst []hin.EntityID, target hin
 }
 
 // profileCandidates implements the entity_attribute_match stage of
-// Algorithm 1, via the index when available. The result lives in s.cand
-// and is valid until the scratch's next query.
+// Algorithm 1, via the index when available: it scans the target's whole
+// bucket, which lists its entities in ascending id order, so the result
+// needs no sort. On the column path the target's growable attributes are
+// read once and each entry costs a compare against its grow row. The
+// result lives in s.cand and is valid until the scratch's next query.
 //
 //hin:hot
 func (a *Attack) profileCandidates(s *queryScratch, target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
 	out := s.cand[:0]
-	if a.index != nil {
+	switch {
+	case a.cols:
+		s.want = appendAttrs(s.want[:0], target, tv, a.cfg.Profile.GrowAttrs)
+		for _, av := range a.index.lookup(target, tv) {
+			if a.index.covers(av, s.want) && a.setsMatch(target, tv, av) {
+				out = append(out, av)
+			}
+		}
+	case a.index != nil:
 		for _, av := range a.index.lookup(target, tv) {
 			if a.em(target, a.aux, tv, av) {
 				out = append(out, av)
 			}
 		}
-		slices.Sort(out)
-	} else {
+	default:
 		for av := 0; av < a.aux.NumEntities(); av++ {
 			if a.em(target, a.aux, tv, hin.EntityID(av)) {
 				out = append(out, hin.EntityID(av))
@@ -365,6 +397,28 @@ func (a *Attack) profileCandidates(s *queryScratch, target hin.GraphBackend, tv 
 	}
 	s.cand = out
 	return out
+}
+
+// setsMatch is the SubsetSets clause of the profile-derived matcher, read
+// through the backends (TQQProfile has none). With a grow-column compare
+// it decides what GrowthMatcher decides for two entities of one class,
+// whose exact attributes are equal.
+//
+//hin:hot
+func (a *Attack) setsMatch(target hin.GraphBackend, tv, av hin.EntityID) bool {
+	return len(a.cfg.Profile.SubsetSets) == 0 || a.cfg.Profile.subsetSetsMatch(target, a.aux, tv, av)
+}
+
+// pairMatch is the entity_attribute_match of a class-equal neighbour pair:
+// the column compare on the column path, the entity matcher otherwise.
+//
+//hin:hot
+func (a *Attack) pairMatch(s *queryScratch, target hin.GraphBackend, tb, ab hin.EntityID) bool {
+	if !a.cols {
+		return a.em(target, a.aux, tb, ab)
+	}
+	ng := len(a.cfg.Profile.GrowAttrs)
+	return a.index.covers(ab, s.tgrow[int(tb)*ng:][:ng]) && a.setsMatch(target, tb, ab)
 }
 
 // quota returns how many of deg target neighbors must find distinct
@@ -436,7 +490,7 @@ func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int,
 // bipartite compatibility graph Algorithm 2 matches for one (target entity
 // tv, candidate av, link type lt, direction): left vertex i is tv's i-th
 // neighbor, right vertex j is av's j-th, and an edge means the link
-// strengths are compatible, the entity matcher accepts the pair and, for
+// strengths are compatible, the pair's profiles match (pairMatch) and, for
 // n > 1, their neighborhoods match to depth n-1. The recursion uses frames
 // 1..n-1, so it never clobbers this build. need is how many left vertices
 // a matching must cover under NeighborTolerance.
@@ -447,12 +501,11 @@ func (a *Attack) directionMatch(s *queryScratch, target hin.GraphBackend, n int,
 // profile index every entity is in class 0 and row i visits the whole
 // auxiliary row. With one, Config.UseIndex requires the entity matcher to
 // imply equality on Profile.ExactAttrs, so a pair of different classes
-// cannot pass it; classes are equal exactly when keys are, so a pair with
-// equal keys - a hash collision included - still goes through both
-// matchers and the recursion. The matchers and the recursion thus see
-// the pairs, in the order, that a scan of every pair would feed them, and
-// a build costs O(p + q + class-equal pairs) for rows of p and q
-// neighbours rather than O(p*q).
+// cannot pass it; classes are equal exactly when tuples are, so every
+// pair with equal tuples still goes through the link matcher, the profile
+// check and the recursion. These thus see the pairs, in the order, that a
+// scan of every pair would feed them, and a build costs O(p + q +
+// class-equal pairs) for rows of p and q neighbours rather than O(p*q).
 //
 // With verdict set the build serves a yes/no decision and gives up as soon
 // as the quota is out of reach - against av's degree before its row is
@@ -497,7 +550,7 @@ func (a *Attack) neighborGraph(s *queryScratch, target hin.GraphBackend, n int, 
 			if !a.lm(tws[i], aws[j]) {
 				continue
 			}
-			if !a.em(target, a.aux, tb, ab) {
+			if !a.pairMatch(s, target, tb, ab) {
 				continue
 			}
 			if n > 1 && !a.linkMatch(s, target, n-1, tb, ab) {

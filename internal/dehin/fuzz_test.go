@@ -5,8 +5,8 @@ import (
 	"math"
 	"testing"
 
-	"github.com/hinpriv/dehin/internal/anonymize"
 	"github.com/hinpriv/dehin/internal/hin"
+	"github.com/hinpriv/dehin/internal/randx"
 	"github.com/hinpriv/dehin/internal/tqq"
 )
 
@@ -68,9 +68,9 @@ func FuzzProfileSpecValidate(f *testing.F) {
 
 // fuzzSchema is a one-type schema with two weighted link types, the
 // smallest shape on which the class join, the recursion and both
-// directions all matter.
+// directions all matter, and one set attribute for SubsetSets.
 var fuzzSchema = hin.MustSchema(
-	[]hin.EntityType{{Name: "User", Attrs: []string{"yob", "gender", "tweets"}}},
+	[]hin.EntityType{{Name: "User", Attrs: []string{"yob", "gender", "tweets"}, SetAttrs: []string{"tags"}}},
 	[]hin.LinkType{
 		{Name: "a", From: "User", To: "User", Weighted: true},
 		{Name: "b", From: "User", To: "User", Weighted: true},
@@ -79,22 +79,32 @@ var fuzzSchema = hin.MustSchema(
 
 // FuzzDeanonymizeMatchesReference builds a small auxiliary graph from the
 // input - at most 48 users with yob drawn from 3 values and gender from 2,
-// so that exact-attribute classes are few and shared, and links of two
-// types with strengths 1 to 3 - cuts a target from it (a subset of the
-// users, of their links and of their tweets), shuffles the target's ids,
-// and checks that for every target entity the engine's candidate set
-// equals refDeanonymize's. Input bits choose the distance (1 or 2),
-// NeighborTolerance, UseInEdges, majority-strength removal, the
-// profile-only fallback, the index (with it every row is joined on
-// (yob, gender) classes, without it every entity is in one class) and
-// whether the profile has exact attributes at all (without them an index
-// has one class).
+// so that exact-attribute classes are few and shared, a set of up to 4
+// tags each, and links of two types with strengths 1 to 3 - cuts a target
+// from it (a subset of the users, of their links, of their tweets and of
+// their tags), shuffles the target's ids, and checks that for every target
+// entity the engine's candidate set equals refDeanonymize's, which calls
+// the profile-derived matcher on every pair the engine decides from the
+// index's columns. Bits of the first flags byte choose the distance (1 or
+// 2), NeighborTolerance, UseInEdges, majority-strength removal, the
+// profile-only fallback, the index (with it every row is joined on (yob,
+// gender) classes, without it every entity is in one class) and whether
+// the profile has exact attributes at all (without them an index has one
+// class). Bits of the second add the tags to Profile.SubsetSets and put
+// the auxiliary graph on the compact backend (hin.FromGraph), the pair
+// hinriskd attacks: an in-memory target against a CSR auxiliary graph.
 func FuzzDeanonymizeMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 12, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1, 2, 3, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0x1d, 40, 3, 0x81, 0x42, 0x13, 0x04, 0x95, 0x26, 0x37, 0x48, 0x59, 0x6a, 0x7b, 0x8c,
 		0x9d, 0xae, 0xbf, 0xc0, 0xd1, 0xe2, 0xf3, 0x14, 0x25, 0x36, 0x47, 0x58, 0x69, 0x7a, 0x8b, 0x9c,
 		0xad, 0xbe, 0xcf, 0xd0, 0xe1, 0xf2, 0x03, 0x14, 0x25, 0x36, 0x47, 0x58, 0x69, 0x7a, 0x8b})
 	f.Add([]byte{0x7f, 47, 9, 0xff, 0xfe, 0xfd, 0xfc, 0xfb, 0xfa, 0xf9, 0xf8, 0xf7, 0xf6, 0xf5, 0xf4})
+	f.Add([]byte{0x01, 3, 14, 5, 0x0c, 0x3f, 0x13, 0x1e, 0x24, 0x0b, 0x06, 0x2d, 0x0f, 0x41, 0x30,
+		0x07, 0x15, 0x1c, 0x5e, 0x2b, 0x27, 0x03, 0x12, 0x9b, 0x0d, 0x36, 0x21, 0x18, 0x0a,
+		0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 5, 4, 5, 6, 5, 6, 7, 6, 7, 8, 7, 8, 9, 0, 3, 10, 1, 4, 11})
+	// A class-equal neighbour pair whose grow rows match and whose tags do
+	// not: only the neighbour stage's set clause rejects it.
+	f.Add([]byte("\xc91\x980000000000000000100700000072001Z0"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() byte {
@@ -104,7 +114,7 @@ func FuzzDeanonymizeMatchesReference(f *testing.F) {
 			pos++
 			return data[pos-1]
 		}
-		flags := next()
+		flags, flags2 := next(), next()
 		users := 2 + int(next())%47
 		shuffle := uint64(next())
 
@@ -112,12 +122,25 @@ func FuzzDeanonymizeMatchesReference(f *testing.F) {
 		cut := hin.NewBuilder(fuzzSchema)
 		id := make([]hin.EntityID, users) // aux user -> cut entity, -1 if dropped
 		for u := 0; u < users; u++ {
-			x := next()
+			x, y := next(), next()
 			yob, gender, tweets := 1980+int64(x%3), int64(x/3%2), int64(x/6%4)
-			aux.AddEntity(0, "", yob, gender, tweets+1)
+			av := aux.AddEntity(0, "", yob, gender, tweets+1)
+			// The low nibble of y picks the user's tags, the high one
+			// the tags the cut drops.
+			var tags, kept []int32
+			for k := int32(0); k < 4; k++ {
+				if y>>k&1 != 0 {
+					tags = append(tags, k)
+					if y>>(4+k)&1 == 0 {
+						kept = append(kept, k)
+					}
+				}
+			}
+			aux.SetSet("tags", av, tags)
 			id[u] = -1
 			if x&0x80 == 0 || u == 0 {
 				id[u] = cut.AddEntity(0, "", yob, gender, tweets+1-int64(x>>6&1))
+				cut.SetSet("tags", id[u], kept)
 			}
 		}
 		// Each remaining triple is one auxiliary link; the target keeps it
@@ -145,7 +168,13 @@ func FuzzDeanonymizeMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		target, err := anonymize.RandomizeIDs(cg, shuffle)
+		// The shuffle keeps tag values as they are: anonymize.RandomizeIDs
+		// would remap them, leaving SubsetSets nothing to join.
+		perm := make([]hin.EntityID, cg.NumEntities())
+		for i, p := range randx.New(shuffle).Perm(len(perm)) {
+			perm[i] = hin.EntityID(p)
+		}
+		target, _, err := cg.Induced(perm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,6 +191,14 @@ func FuzzDeanonymizeMatchesReference(f *testing.F) {
 		if flags&128 != 0 {
 			cfg.Profile.ExactAttrs = nil
 		}
-		assertMatchesReference(t, fmt.Sprintf("%+v", cfg), ag, target.Graph, cfg, target.Graph.NumEntities())
+		if flags2&1 != 0 {
+			cfg.Profile.SubsetSets = []string{"tags"}
+		}
+		var auxG hin.GraphBackend = ag
+		if flags2&2 != 0 {
+			auxG = hin.FromGraph(ag)
+		}
+		name := fmt.Sprintf("%+v csr=%v", cfg, flags2&2 != 0)
+		assertMatchesReference(t, name, auxG, target, cfg, target.NumEntities())
 	})
 }

@@ -1,45 +1,84 @@
 package dehin
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/hinpriv/dehin/internal/hin"
 	"github.com/hinpriv/dehin/internal/par"
 )
 
 // profileIndex buckets auxiliary entities by their exact-match attribute
-// tuple and sorts each bucket descending by the primary growable attribute,
-// so a candidate lookup scans only entities that can still satisfy
-// "auxiliary >= target" on that attribute. With the t.qq profile this is a
-// (yob, gender) index ordered by tweet count - it turns Algorithm 1's scan
+// tuple and keeps their growable attributes in a flat column. With the
+// t.qq profile this is a (yob, gender) index - it turns Algorithm 1's scan
 // over millions of auxiliary users into a few hundred comparisons.
 //
-// A tuple is hashed to a 64-bit key (exactKey), and each distinct key is a
-// class: a dense id numbered by first occurrence in entity order. classOf
-// maps a key to its class, buckets lists each class's entities, and class
-// holds every auxiliary entity's class, indexed by entity id (4 B per
-// entity). A lookup is then one integer map probe with no allocation for
-// any number of attributes and any int64 values. Distinct tuples may share
-// a key and so a class; a bucket then holds both, which is safe because
-// profileCandidates re-checks every entry with the entity matcher, and
-// Config.UseIndex requires that matcher to imply equality on the exact
-// attributes.
-//
-// The neighbour stage relies on the same contract: neighborGraph pairs a
-// target neighbour only with the auxiliary neighbours of its own class
-// (the target side's classes are filled per target graph by
-// Attack.ensureMemo), so a pair whose keys differ never reaches either
-// matcher.
+// Each distinct tuple is a class, numbered by first occurrence in entity
+// order (classTable), so two entities share a class exactly when their
+// tuples are equal. buckets lists each class's entities by ascending id;
+// class (4 B per entity) and grow (8 B per GrowAttrs entry per entity,
+// entity-major) are indexed by auxiliary entity. A class fixes the exact
+// attributes, so with the profile-derived matcher the attack compares only
+// grow rows (and SubsetSets) on bucket entries and on the class-equal
+// pairs of neighborGraph's join (the target side's classes and grow rows
+// are filled per target graph by Attack.ensureMemo). A custom EntityMatch
+// is called there instead; Config.UseIndex requires it to imply equality
+// on the exact attributes.
 type profileIndex struct {
-	aux     hin.GraphBackend
-	spec    ProfileSpec
-	primary int // attr index used for ordering, -1 if none
-	classOf map[uint64]int32
+	aux  hin.GraphBackend
+	spec ProfileSpec
+	classTable
 	buckets [][]hin.EntityID // indexed by class
 	class   []int32          // indexed by auxiliary entity
+	grow    []int64          // len(spec.GrowAttrs) values per auxiliary entity
+}
+
+// classTable numbers exact-attribute tuples as dense classes in order of
+// first insertion. A tuple is hashed to a 64-bit key (exactKey); classOf
+// maps a key to the first class with that key, and chain links the
+// classes whose distinct tuples share it, so a lookup is one integer map
+// probe and a tuple compare - a chain longer than one class needs a
+// 64-bit key collision.
+type classTable struct {
+	width   int              // values per tuple
+	classOf map[uint64]int32 // key -> first class with that key
+	keys    []uint64         // by class
+	chain   []int32          // by class: next class with the same key, or -1
+	tuples  []int64          // by class, width values each
+}
+
+func newClassTable(width int) classTable {
+	return classTable{width: width, classOf: make(map[uint64]int32)}
+}
+
+// tuple returns class c's tuple.
+func (t *classTable) tuple(c int32) []int64 {
+	return t.tuples[int(c)*t.width:][:t.width]
+}
+
+// intern returns the class of tuple, whose key is key, numbering a new
+// class if the tuple is new.
+func (t *classTable) intern(key uint64, tuple []int64) int32 {
+	c, seen := t.classOf[key]
+	for seen {
+		if slices.Equal(t.tuple(c), tuple) {
+			return c
+		}
+		if t.chain[c] < 0 {
+			break
+		}
+		c = t.chain[c]
+	}
+	fresh := int32(len(t.keys))
+	if seen {
+		t.chain[c] = fresh
+	} else {
+		t.classOf[key] = fresh
+	}
+	t.keys = append(t.keys, key)
+	t.chain = append(t.chain, -1)
+	t.tuples = append(t.tuples, tuple...)
+	return fresh
 }
 
 // shardRows is how many auxiliary entities one build task of the index
@@ -47,62 +86,62 @@ type profileIndex struct {
 // count, never the worker count.
 const shardRows = 1 << 14
 
-// buildProfileIndex buckets the auxiliary graph on a pool of workers
-// (0 = GOMAXPROCS). The index is identical at any count: each shard
-// buckets a fixed entity range under shard-local class ids, numbered by
-// first occurrence, and records each entity's local class in its range of
-// the class column; the shards then merge in shard order, which maps every
-// local id to its global one without hashing an entity again. Every
-// bucket so lists its entities ascending, as a serial scan appends them,
-// and every class id is the one a serial scan assigns. Each bucket is then
-// sorted by (primary attribute descending, id ascending), a total order.
+// buildProfileIndex indexes the auxiliary graph on a pool of workers
+// (0 = GOMAXPROCS). The index is identical at any count: each shard reads
+// a fixed entity range once, writing its grow rows and numbering its
+// tuples under shard-local class ids by first occurrence, and records each
+// entity's local class in its range of the class column; the shards then
+// merge in shard order, which maps every local id to its global one
+// without reading an entity again. Every bucket so lists its entities
+// ascending, as a serial scan appends them, and every class id and chain
+// is the one a serial scan builds.
 func buildProfileIndex(aux hin.GraphBackend, spec ProfileSpec, workers int) (*profileIndex, error) {
 	if err := validateProfileSpec(aux.Schema(), spec); err != nil {
 		return nil, err
 	}
 	n := aux.NumEntities()
+	ng := len(spec.GrowAttrs)
 	idx := &profileIndex{
-		aux:     aux,
-		spec:    spec,
-		primary: -1,
-		classOf: make(map[uint64]int32),
-		class:   make([]int32, n),
-	}
-	if len(spec.GrowAttrs) > 0 {
-		idx.primary = spec.GrowAttrs[0]
+		aux:        aux,
+		spec:       spec,
+		classTable: newClassTable(len(spec.ExactAttrs)),
+		class:      make([]int32, n),
+		grow:       make([]int64, n*ng),
 	}
 	type shard struct {
-		keys    []uint64         // distinct keys, by local class
+		classTable
 		members [][]hin.EntityID // by local class
 		global  []int32          // local class -> class, filled by the merge
 	}
 	shards := make([]shard, par.Shards(n, shardRows))
 	par.Sweep(workers, n, shardRows, func(_, lo, hi int) {
-		local := make(map[uint64]int32)
-		var keys []uint64
-		var members [][]hin.EntityID
+		sh := shard{classTable: newClassTable(len(spec.ExactAttrs))}
+		tuple := make([]int64, len(spec.ExactAttrs))
 		for v := lo; v < hi; v++ {
-			key := exactKey(aux, hin.EntityID(v), spec.ExactAttrs)
-			c, seen := local[key]
-			if !seen {
-				c = int32(len(keys))
-				local[key] = c
-				keys = append(keys, key)
-				members = append(members, nil)
+			id := hin.EntityID(v)
+			var key uint64
+			for k, ai := range spec.ExactAttrs {
+				tuple[k] = aux.Attr(id, ai)
+				key = mixKey(key, tuple[k])
 			}
-			members[c] = append(members[c], hin.EntityID(v))
+			for k, ai := range spec.GrowAttrs {
+				idx.grow[v*ng+k] = aux.Attr(id, ai)
+			}
+			c := sh.intern(key, tuple)
+			if int(c) == len(sh.members) {
+				sh.members = append(sh.members, nil)
+			}
+			sh.members[c] = append(sh.members[c], id)
 			idx.class[v] = c
 		}
-		shards[lo/shardRows] = shard{keys: keys, members: members}
+		shards[lo/shardRows] = sh
 	})
 	for s := range shards {
 		sh := &shards[s]
 		sh.global = make([]int32, len(sh.keys))
-		for l, key := range sh.keys {
-			c, seen := idx.classOf[key]
-			if !seen {
-				c = int32(len(idx.buckets))
-				idx.classOf[key] = c
+		for l := range sh.global {
+			c := idx.intern(sh.keys[l], sh.tuple(int32(l)))
+			if int(c) == len(idx.buckets) {
 				idx.buckets = append(idx.buckets, nil)
 			}
 			sh.global[l] = c
@@ -115,38 +154,7 @@ func buildProfileIndex(aux hin.GraphBackend, spec ProfileSpec, workers int) (*pr
 			idx.class[v] = global[idx.class[v]]
 		}
 	})
-	if idx.primary >= 0 {
-		idx.sortBuckets(workers)
-	}
 	return idx, nil
-}
-
-// sortBuckets orders every bucket by (primary attribute descending, id
-// ascending). Each member's attribute is read once into a per-worker
-// buffer, so the sort compares integers, not interface calls.
-func (idx *profileIndex) sortBuckets(workers int) {
-	type ranked struct {
-		attr int64
-		v    hin.EntityID
-	}
-	bufs := make([][]ranked, par.Workers(workers, len(idx.buckets)))
-	par.Run(workers, len(idx.buckets), func(w, c int) {
-		b := idx.buckets[c]
-		r := bufs[w][:0]
-		for _, v := range b {
-			r = append(r, ranked{idx.aux.Attr(v, idx.primary), v})
-		}
-		slices.SortFunc(r, func(x, y ranked) int {
-			if x.attr != y.attr {
-				return cmp.Compare(y.attr, x.attr)
-			}
-			return cmp.Compare(x.v, y.v)
-		})
-		for i := range r {
-			b[i] = r[i].v
-		}
-		bufs[w] = r
-	})
 }
 
 // validateProfileSpec checks every scalar attribute index the spec names
@@ -172,48 +180,76 @@ func validateProfileSpec(s *hin.Schema, spec ProfileSpec) error {
 	return check("grow", spec.GrowAttrs)
 }
 
-// exactKey folds the exact-match attribute tuple of v into 64 bits, one
-// SplitMix64 finalizer round per attribute so that both the values and
-// their order reach every key bit. An empty ExactAttrs list maps every
-// entity to one bucket.
+// mixKey folds one exact-attribute value into a running key: one
+// SplitMix64 finalizer round per value, so that both the values and their
+// order reach every key bit.
+func mixKey(key uint64, val int64) uint64 {
+	key ^= uint64(val)
+	key += 0x9e3779b97f4a7c15
+	key = (key ^ key>>30) * 0xbf58476d1ce4e5b9
+	key = (key ^ key>>27) * 0x94d049bb133111eb
+	return key ^ key>>31
+}
+
+// exactKey folds the exact-match attribute tuple of v into 64 bits. An
+// empty ExactAttrs list maps every entity to one key.
 func exactKey(g hin.GraphBackend, v hin.EntityID, exact []int) uint64 {
 	var key uint64
 	for _, ai := range exact {
-		key ^= uint64(g.Attr(v, ai))
-		key += 0x9e3779b97f4a7c15
-		key = (key ^ key>>30) * 0xbf58476d1ce4e5b9
-		key = (key ^ key>>27) * 0x94d049bb133111eb
-		key ^= key >> 31
+		key = mixKey(key, g.Attr(v, ai))
 	}
 	return key
 }
 
 // entityClass returns the class of g's entity v: the class of the
-// auxiliary entities whose exact-attribute tuple shares v's key, or -1
-// when no auxiliary entity has that key.
+// auxiliary entities whose exact-attribute tuple is v's, or -1 when no
+// auxiliary entity has that tuple. It compares g's attributes with the
+// stored tuples in place, so it allocates nothing.
 func (idx *profileIndex) entityClass(g hin.GraphBackend, v hin.EntityID) int32 {
-	if c, ok := idx.classOf[exactKey(g, v, idx.spec.ExactAttrs)]; ok {
-		return c
+	c, ok := idx.classOf[exactKey(g, v, idx.spec.ExactAttrs)]
+	if !ok {
+		return -1
+	}
+	for ; c >= 0; c = idx.chain[c] {
+		if idx.holds(c, g, v) {
+			return c
+		}
 	}
 	return -1
 }
 
-// lookup returns the auxiliary entities whose exact-attribute tuple
-// shares the target's key and whose primary growable attribute is >= the
-// target's. The caller still applies the full entity matcher to each.
+// holds reports whether class c's tuple is g's entity v's.
+func (idx *profileIndex) holds(c int32, g hin.GraphBackend, v hin.EntityID) bool {
+	tuple := idx.tuple(c)
+	for k, ai := range idx.spec.ExactAttrs {
+		if g.Attr(v, ai) != tuple[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// lookup returns the auxiliary entities whose exact-attribute tuple is
+// the target's, in ascending id order; the profile stage still checks
+// each one's growable attributes (and sets).
 func (idx *profileIndex) lookup(target hin.GraphBackend, tv hin.EntityID) []hin.EntityID {
-	c := idx.entityClass(target, tv)
-	if c < 0 {
-		return nil
+	if c := idx.entityClass(target, tv); c >= 0 {
+		return idx.buckets[c]
 	}
-	bucket := idx.buckets[c]
-	if idx.primary < 0 {
-		return bucket
+	return nil
+}
+
+// covers reports whether auxiliary entity av's growable attributes are at
+// least want's, attribute by attribute - the GrowAttrs clause of the
+// profile-derived matcher, read off the grow column.
+//
+//hin:hot
+func (idx *profileIndex) covers(av hin.EntityID, want []int64) bool {
+	row := idx.grow[int(av)*len(want):][:len(want)]
+	for k, w := range want {
+		if row[k] < w {
+			return false
+		}
 	}
-	want := target.Attr(tv, idx.primary)
-	// Bucket is sorted descending; entries [0, i) have attr >= want.
-	i := sort.Search(len(bucket), func(i int) bool {
-		return idx.aux.Attr(bucket[i], idx.primary) < want
-	})
-	return bucket[:i]
+	return true
 }

@@ -90,32 +90,29 @@ func TestIndexOverflowingTargetValue(t *testing.T) {
 	}
 }
 
+// collidingGender returns the gender that gives the tuple (yob, gender)
+// the same exactKey as (1980, 1): the key after the first attribute is
+// one finalizer round of yob, and the second round starts by XORing in
+// gender, so choosing it to cancel the difference between the two yob
+// rounds makes the two-attribute keys collide.
+func collidingGender(yob int64) int64 {
+	return int64(mixKey(0, 1980) ^ mixKey(0, yob) ^ 1)
+}
+
 // TestIndexKeyCollisionFiltered builds two auxiliary entities whose
-// (yob, gender) tuples differ but share one bucket key, and checks that
-// the lookup returns both while the attack keeps only the real match:
-// profileCandidates re-checks every bucket entry with the entity matcher.
-// The twin is also the only auxiliary neighbour of one candidate in a
-// distance-1 query; sharing the real match's class, it is joined with
-// the target neighbour, and only the entity matcher can reject the pair.
+// (yob, gender) tuples differ but share one key, and checks that they are
+// two classes chained from that key: the lookup returns only the entity
+// with the target's tuple, and a third tuple with the same key finds no
+// class. The twin is also the only auxiliary neighbour of one candidate
+// in a distance-1 query; in its own class it is never joined with the
+// target neighbour, and the query still equals the reference, which
+// calls the entity matcher on every pair.
 func TestIndexKeyCollisionFiltered(t *testing.T) {
 	s := tqq.TargetSchema()
 	follow := s.MustLinkTypeID(tqq.LinkFollow)
-	// The key after the first attribute is one finalizer round of yob;
-	// choosing the second gender value to cancel the difference between
-	// two yob rounds makes the two-attribute keys collide.
-	yobs := hin.NewBuilder(s)
-	yobs.AddEntity(0, "", 1980, 0, 0, 0)
-	yobs.AddEntity(0, "", 1990, 0, 0, 0)
-	yg, err := yobs.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	yobOnly := []int{tqq.AttrYob}
-	gender := int64(exactKey(yg, 0, yobOnly) ^ exactKey(yg, 1, yobOnly) ^ 1)
-
 	b := hin.NewBuilder(s)
 	real := b.AddEntity(0, "real", 1980, 1, 100, 2)
-	twin := b.AddEntity(0, "twin", 1990, gender, 100, 2)
+	twin := b.AddEntity(0, "twin", 1990, collidingGender(1990), 100, 2)
 	viaTwin := b.AddEntity(0, "via-twin", 1970, 0, 100, 2)
 	viaReal := b.AddEntity(0, "via-real", 1970, 0, 100, 2)
 	for _, e := range [][2]hin.EntityID{{viaTwin, twin}, {viaReal, real}} {
@@ -128,12 +125,15 @@ func TestIndexKeyCollisionFiltered(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := TQQProfile()
-	if exactKey(aux, real, spec.ExactAttrs) != exactKey(aux, twin, spec.ExactAttrs) {
+	key := exactKey(aux, real, spec.ExactAttrs)
+	if exactKey(aux, twin, spec.ExactAttrs) != key {
 		t.Fatal("fixture tuples do not collide")
 	}
 	tb := hin.NewBuilder(s)
 	tReal := tb.AddEntity(0, "t", 1980, 1, 50, 1)
 	tHub := tb.AddEntity(0, "t-hub", 1970, 0, 50, 1)
+	tTwin := tb.AddEntity(0, "t-twin", 1990, collidingGender(1990), 50, 1)
+	tStray := tb.AddEntity(0, "t-stray", 2000, collidingGender(2000), 50, 1)
 	if err := tb.AddEdge(follow, tHub, tReal, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +141,25 @@ func TestIndexKeyCollisionFiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if exactKey(target, tStray, spec.ExactAttrs) != key {
+		t.Fatal("fixture stray tuple does not collide")
+	}
 	idx, err := buildProfileIndex(aux, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.lookup(target, tReal); len(got) != 2 {
-		t.Fatalf("lookup = %v, want both colliding entities", got)
+	cReal, cTwin := idx.class[real], idx.class[twin]
+	if cReal == cTwin || idx.classOf[key] != cReal || idx.chain[cReal] != cTwin || idx.chain[cTwin] != -1 {
+		t.Fatalf("classes real %d, twin %d, classOf[key] %d, chain %v: want two classes chained from the key",
+			cReal, cTwin, idx.classOf[key], idx.chain)
+	}
+	for _, c := range []struct {
+		tv   hin.EntityID
+		want []hin.EntityID
+	}{{tReal, []hin.EntityID{real}}, {tTwin, []hin.EntityID{twin}}, {tStray, nil}} {
+		if got := idx.lookup(target, c.tv); !slices.Equal(got, c.want) {
+			t.Fatalf("lookup(%s) = %v, want %v", target.Label(c.tv), got, c.want)
+		}
 	}
 	indexed, scanned := profileOnly(t, aux, target, spec)
 	want := []hin.EntityID{real}
@@ -163,7 +176,7 @@ func TestIndexKeyCollisionFiltered(t *testing.T) {
 		t.Fatalf("distance-1 engine %v, reference %v", got, ref)
 	}
 	if want := []hin.EntityID{viaReal}; !slices.Equal(got, want) {
-		t.Fatalf("distance-1 candidates = %v, want %v: a key-equal neighbour pair skipped the entity matcher", got, want)
+		t.Fatalf("distance-1 candidates = %v, want %v", got, want)
 	}
 }
 
@@ -202,18 +215,26 @@ func TestIndexWideExactTuple(t *testing.T) {
 }
 
 // TestIndexBuildWorkerFingerprint pins the parallel build contract: at
-// every worker count the index is identical - same classes, same entity
-// order within each bucket, same class column. The fixture spans three
-// build shards so the merge really maps shard-local class ids; two
-// entities must share a class exactly when their exact-attribute keys are
-// equal, and classes are numbered by first occurrence in entity order.
+// every worker count the index is identical - same classes, keys, chains
+// and tuples, same buckets, same class and grow columns. The fixture spans
+// three build shards so the merge really maps shard-local class ids, and
+// every shard holds tuples whose keys collide with one another's, so the
+// merge also extends chains it did not start. Two entities must share a
+// class exactly when their exact-attribute tuples are equal, classes are
+// numbered by first occurrence in entity order, each key's chain lists its
+// classes in that order, and every bucket ascends by id.
 func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	s := tqq.TargetSchema()
 	rng := randx.New(77)
 	b := hin.NewBuilder(s)
 	n := 2*shardRows + 123
 	for i := 0; i < n; i++ {
-		b.AddEntity(0, "", int64(1900+rng.Intn(80)), int64(rng.Intn(2)), int64(rng.Intn(5000)), int64(rng.Intn(4)))
+		yob, gender := int64(1900+rng.Intn(80)), int64(rng.Intn(2))
+		if i%997 == 0 {
+			yob = int64(1980 + rng.Intn(6))
+			gender = collidingGender(yob)
+		}
+		b.AddEntity(0, "", yob, gender, int64(rng.Intn(5000)), int64(rng.Intn(4)))
 	}
 	aux, err := b.Build()
 	if err != nil {
@@ -224,29 +245,55 @@ func TestIndexBuildWorkerFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.class) != n {
-		t.Fatalf("class column has %d entries, want %d", len(ref.class), n)
+	if len(ref.class) != n || len(ref.grow) != n*len(spec.GrowAttrs) {
+		t.Fatalf("class column has %d entries, grow column %d, want %d and %d",
+			len(ref.class), len(ref.grow), n, n*len(spec.GrowAttrs))
 	}
-	keyOf := make(map[int32]uint64)
+	classOfTuple := make(map[[2]int64]int32)
 	fresh := int32(0)
 	for v, c := range ref.class {
-		k := exactKey(aux, hin.EntityID(v), spec.ExactAttrs)
-		if got, ok := ref.classOf[k]; !ok || got != c {
-			t.Fatalf("entity %d: class %d, but its key maps to class %d (present %v)", v, c, got, ok)
+		id := hin.EntityID(v)
+		tuple := [2]int64{aux.Attr(id, tqq.AttrYob), aux.Attr(id, tqq.AttrGender)}
+		if prev, ok := classOfTuple[tuple]; ok && prev != c {
+			t.Fatalf("entity %d: tuple %v in class %d and %d", v, tuple, prev, c)
 		}
-		if prev, ok := keyOf[c]; ok && prev != k {
-			t.Fatalf("entity %d: class %d holds keys %x and %x", v, c, prev, k)
-		}
-		keyOf[c] = k
+		classOfTuple[tuple] = c
 		switch {
 		case c == fresh:
 			fresh++
 		case c > fresh:
 			t.Fatalf("entity %d opens class %d, want %d (first-occurrence order)", v, c, fresh)
 		}
+		if !slices.Equal(ref.tuple(c), tuple[:]) {
+			t.Fatalf("entity %d: class %d stores tuple %v, want %v", v, c, ref.tuple(c), tuple)
+		}
+		if k := exactKey(aux, id, spec.ExactAttrs); ref.keys[c] != k {
+			t.Fatalf("entity %d: class %d has key %x, want %x", v, c, ref.keys[c], k)
+		}
+		for k, ai := range spec.GrowAttrs {
+			if got := ref.grow[v*len(spec.GrowAttrs)+k]; got != aux.Attr(id, ai) {
+				t.Fatalf("entity %d: grow column holds %d for attr %d, want %d", v, got, ai, aux.Attr(id, ai))
+			}
+		}
 	}
-	if int(fresh) != len(ref.buckets) || len(ref.classOf) != len(ref.buckets) {
-		t.Fatalf("%d classes in the column, %d buckets, %d keys", fresh, len(ref.buckets), len(ref.classOf))
+	if int(fresh) != len(classOfTuple) || int(fresh) != len(ref.buckets) || int(fresh) != len(ref.chain) {
+		t.Fatalf("%d classes in the column, %d tuples, %d buckets, %d chain links",
+			fresh, len(classOfTuple), len(ref.buckets), len(ref.chain))
+	}
+	chained, longest := 0, 0
+	for key, first := range ref.classOf {
+		length := 0
+		for c, prev := first, int32(-1); c >= 0; prev, c = c, ref.chain[c] {
+			if ref.keys[c] != key || c <= prev {
+				t.Fatalf("key %x: chain reaches class %d (key %x) after %d", key, c, ref.keys[c], prev)
+			}
+			length++
+		}
+		chained += length
+		longest = max(longest, length)
+	}
+	if chained != len(ref.chain) || longest < 2 {
+		t.Fatalf("chains hold %d of %d classes, longest %d: want all, and a collision", chained, len(ref.chain), longest)
 	}
 	members := 0
 	for c, bucket := range ref.buckets {
@@ -254,11 +301,8 @@ func TestIndexBuildWorkerFingerprint(t *testing.T) {
 			if ref.class[v] != int32(c) {
 				t.Fatalf("bucket %d lists entity %d of class %d", c, v, ref.class[v])
 			}
-			if i > 0 {
-				prev, cur := aux.Attr(bucket[i-1], tqq.AttrTweets), aux.Attr(v, tqq.AttrTweets)
-				if prev < cur || prev == cur && bucket[i-1] >= v {
-					t.Fatalf("bucket %d: entity %d before %d breaks (tweets desc, id asc)", c, bucket[i-1], v)
-				}
+			if i > 0 && bucket[i-1] >= v {
+				t.Fatalf("bucket %d: entity %d before %d breaks ascending id order", c, bucket[i-1], v)
 			}
 		}
 		members += len(bucket)
@@ -271,14 +315,15 @@ func TestIndexBuildWorkerFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !maps.Equal(got.classOf, ref.classOf) {
-			t.Fatalf("workers=%d: class ids differ", workers)
+		if !maps.Equal(got.classOf, ref.classOf) || !slices.Equal(got.keys, ref.keys) ||
+			!slices.Equal(got.chain, ref.chain) || !slices.Equal(got.tuples, ref.tuples) {
+			t.Fatalf("workers=%d: class table differs", workers)
 		}
 		if !slices.EqualFunc(got.buckets, ref.buckets, slices.Equal) {
 			t.Fatalf("workers=%d: buckets differ", workers)
 		}
-		if !slices.Equal(got.class, ref.class) {
-			t.Fatalf("workers=%d: class column differs", workers)
+		if !slices.Equal(got.class, ref.class) || !slices.Equal(got.grow, ref.grow) {
+			t.Fatalf("workers=%d: class or grow column differs", workers)
 		}
 	}
 }

@@ -74,25 +74,15 @@ func TQQProfile() ProfileSpec {
 // evaluation uses: exact attributes equal, growable attributes
 // auxiliary >= target, set attributes superset.
 //
-// The closure dispatches once per call to an in-memory specialization
-// when both graphs are *hin.Graph: the profile stage runs the matcher on
-// every index-bucket entry, and the concrete attribute reads inline
-// where the interface calls cannot (worth ~12% of a warm query on that
-// backend; with an index, the neighbour stage calls the matcher only on
-// pairs whose exact-attribute keys agree). Go's gcshape generics would
-// not recover this - all pointer instantiations share one
-// dictionary-dispatched body - so the specialization is spelled out.
-// Only the in-memory pair gets one: the experiment suite attacks
-// in-memory releases against an in-memory auxiliary graph, while the
-// pipeline and the daemon attack in-memory targets against a mapped
-// *hin.CSRGraph, a mixed pair that takes the interface body below.
+// It is the attack's EntityMatch when Config.EntityMatch is nil. With an
+// index the attack never calls it: both stages compare the index's
+// columns, which decide what this matcher decides on every pair of one
+// exact-attribute class (the differential tests and
+// FuzzDeanonymizeMatchesReference hold the two to the reference, which
+// calls this matcher on every pair). Without an index every profile
+// candidate and neighbour pair goes through it.
 func (ps ProfileSpec) GrowthMatcher() EntityMatcher {
 	return func(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool {
-		if tgc, ok := tg.(*hin.Graph); ok {
-			if agc, ok := ag.(*hin.Graph); ok {
-				return ps.growthMatchMem(tgc, agc, tv, av)
-			}
-		}
 		for _, i := range ps.ExactAttrs {
 			if tg.Attr(tv, i) != ag.Attr(av, i) {
 				return false
@@ -107,27 +97,8 @@ func (ps ProfileSpec) GrowthMatcher() EntityMatcher {
 	}
 }
 
-// growthMatchMem is GrowthMatcher's body with both graphs on the
-// in-memory backend; the devirtualized Attr calls inline to two loads.
-// Any edit here must be mirrored in the interface body above
-// (TestMatcherSpecializationsAgree pins the equivalence).
-func (ps ProfileSpec) growthMatchMem(tg, ag *hin.Graph, tv, av hin.EntityID) bool {
-	for _, i := range ps.ExactAttrs {
-		if tg.Attr(tv, i) != ag.Attr(av, i) {
-			return false
-		}
-	}
-	for _, i := range ps.GrowAttrs {
-		if ag.Attr(av, i) < tg.Attr(tv, i) {
-			return false
-		}
-	}
-	return ps.subsetSetsMatch(tg, ag, tv, av)
-}
-
 // subsetSetsMatch checks the SubsetSets clause (target set a subset of the
-// auxiliary's). Set lookups are per-name map probes on either backend, so
-// this shared tail costs the specialization nothing.
+// auxiliary's), for GrowthMatcher and the attack's column path alike.
 func (ps ProfileSpec) subsetSetsMatch(tg, ag hin.GraphBackend, tv, av hin.EntityID) bool {
 	for _, name := range ps.SubsetSets {
 		if !sortedSubset(tg.Set(name, tv), ag.Set(name, av)) {

@@ -31,6 +31,13 @@ type queryScratch struct {
 	// no auxiliary entity shares its exact-attribute tuple); filled with
 	// the memo binding, and unused without an index.
 	tclass []int32
+	// tgrow holds the growable attributes of every entity of memoTarget,
+	// len(Profile.GrowAttrs) values per entity like the index's grow
+	// column; filled with the memo binding on the column path only.
+	tgrow []int64
+	// want holds the growable attributes of the current query's target
+	// entity, read by the profile stage on the column path.
+	want []int64
 	// stats tallies this query's instrumentation events as plain local
 	// integers; Attack.deanonymize flushes them to the shared atomic
 	// counters once per query when metrics are enabled (and never reads

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -76,7 +77,7 @@ func assertBackendsEqual(t *testing.T, want *Graph, got *CSRGraph) {
 		gn = append(gn, name)
 	}
 	sort.Strings(gn)
-	if fmt.Sprint(gn) != fmt.Sprint(names) {
+	if !slices.Equal(gn, names) {
 		t.Fatalf("set columns = %v, want %v", gn, names)
 	}
 	var wAttrs, gAttrs []int64
@@ -92,7 +93,7 @@ func assertBackendsEqual(t *testing.T, want *Graph, got *CSRGraph) {
 			t.Fatalf("NumAttrs(%d) = %d, want %d", v, got.NumAttrs(id), want.NumAttrs(id))
 		}
 		wAttrs, gAttrs = want.AppendAttrs(wAttrs[:0], id), got.AppendAttrs(gAttrs[:0], id)
-		if fmt.Sprint(wAttrs) != fmt.Sprint(gAttrs) {
+		if !slices.Equal(wAttrs, gAttrs) {
 			t.Fatalf("attrs(%d) = %v, want %v", v, gAttrs, wAttrs)
 		}
 		for i := 0; i < want.NumAttrs(id); i++ {
@@ -101,7 +102,7 @@ func assertBackendsEqual(t *testing.T, want *Graph, got *CSRGraph) {
 			}
 		}
 		for _, name := range names {
-			if fmt.Sprint(want.Set(name, id)) != fmt.Sprint(got.Set(name, id)) {
+			if !slices.Equal(want.Set(name, id), got.Set(name, id)) {
 				t.Fatalf("Set(%q,%d) = %v, want %v", name, v, got.Set(name, id), want.Set(name, id))
 			}
 		}
@@ -112,10 +113,10 @@ func assertBackendsEqual(t *testing.T, want *Graph, got *CSRGraph) {
 		if w, g := want.NumEdges(ltid), got.NumEdges(ltid); w != g {
 			t.Fatalf("NumEdges(%d) = %d, want %d", lt, g, w)
 		}
-		if w, g := want.OutDegrees(ltid, nil), got.OutDegrees(ltid, nil); fmt.Sprint(w) != fmt.Sprint(g) {
+		if w, g := want.OutDegrees(ltid, nil), got.OutDegrees(ltid, nil); !slices.Equal(w, g) {
 			t.Fatalf("OutDegrees(%d) mismatch", lt)
 		}
-		if w, g := want.InDegrees(ltid, nil), got.InDegrees(ltid, nil); fmt.Sprint(w) != fmt.Sprint(g) {
+		if w, g := want.InDegrees(ltid, nil), got.InDegrees(ltid, nil); !slices.Equal(w, g) {
 			t.Fatalf("InDegrees(%d) mismatch", lt)
 		}
 		for v := 0; v < n; v++ {
@@ -128,12 +129,12 @@ func assertBackendsEqual(t *testing.T, want *Graph, got *CSRGraph) {
 			}
 			wt, ww := want.OutEdgesBuf(wbuf, ltid, id)
 			gt, gw := got.OutEdgesBuf(gbuf, ltid, id)
-			if fmt.Sprint(wt) != fmt.Sprint(gt) || fmt.Sprint(ww) != fmt.Sprint(gw) {
+			if !slices.Equal(wt, gt) || !slices.Equal(ww, gw) {
 				t.Fatalf("OutEdgesBuf(%d,%d): (%v,%v) want (%v,%v)", lt, v, gt, gw, wt, ww)
 			}
 			wt, ww = want.InEdgesBuf(wbuf, ltid, id)
 			gt, gw = got.InEdgesBuf(gbuf, ltid, id)
-			if fmt.Sprint(wt) != fmt.Sprint(gt) || fmt.Sprint(ww) != fmt.Sprint(gw) {
+			if !slices.Equal(wt, gt) || !slices.Equal(ww, gw) {
 				t.Fatalf("InEdgesBuf(%d,%d): (%v,%v) want (%v,%v)", lt, v, gt, gw, wt, ww)
 			}
 		}
