@@ -148,6 +148,7 @@ bench-diff:
 # fuzz runs each fuzz target for FUZZTIME (default 30s each). The committed
 # seed corpora under testdata/fuzz also run as plain tests in `make test`.
 fuzz:
+	$(GO) test -fuzz FuzzGeometricTable -fuzztime $(FUZZTIME) -run '^$$' ./internal/randx
 	$(GO) test -fuzz FuzzProfileSpecValidate -fuzztime $(FUZZTIME) -run '^$$' ./internal/dehin
 	$(GO) test -fuzz FuzzDeanonymizeMatchesReference -fuzztime $(FUZZTIME) -run '^$$' ./internal/dehin
 	$(GO) test -fuzz FuzzGenerateSmall -fuzztime $(FUZZTIME) -run '^$$' ./internal/tqq

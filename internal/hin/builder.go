@@ -116,7 +116,10 @@ func (b *Builder) setSlot(name string, v EntityID) *[]int32 {
 	}
 	col := b.sets[name]
 	if len(col) <= int(v) {
-		col = append(col, make([][]int32, len(b.etype)-len(col))...)
+		// Grow to capacity, so that adding entities and sets in turn
+		// stores the column once per doubling, not once per entity.
+		col = slices.Grow(col, len(b.etype)-len(col))
+		col = col[:cap(col)]
 		b.sets[name] = col
 	}
 	return &col[v]

@@ -279,6 +279,32 @@ func TestAdoptSet(t *testing.T) {
 	}
 }
 
+// TestInterleavedSetsAllocs adds entities and their sets in turn, as the
+// generator's drain and hinriskd's snippet build do. The set column grows
+// by doubling, as the other columns do, so a build of 16 times as many
+// entities makes a few more allocations per column, not 16 times as many.
+func TestInterleavedSetsAllocs(t *testing.T) {
+	s := userSchema(t)
+	set := []int32{1, 2}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			b := NewBuilder(s)
+			for range n {
+				v := b.AddEntity(0, "", 1980, 0)
+				b.AdoptSet("tags", v, set)
+			}
+			if _, err := b.Build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1<<10), allocs(1<<14)
+	t.Logf("allocations: %.0f at 2^10 entities, %.0f at 2^14", small, large)
+	if large-small > 64 {
+		t.Errorf("a build of 2^14 entities makes %.0f allocations, one of 2^10 %.0f: not logarithmic in n", large, small)
+	}
+}
+
 // naiveRows merges links per (source, destination) with a map and lists
 // each row ascending: the forward rows Build must produce.
 func naiveRows(n int, links []Link, collapse bool) Rows {

@@ -67,36 +67,87 @@ func (p *PowerLaw) Mean() float64 {
 }
 
 // Geometric samples the number of trials until the first success of
-// probability p (support 1, 2, ...) by inverting the CDF. It computes
-// log1p(-p) once, so a sampler shared across many draws takes one
-// logarithm per draw instead of two; RNG.Geometric draws through it.
+// probability p (support 1, 2, ...) by inverting the CDF. NewGeometric
+// also tabulates where the inverse CDF steps: cut[j] is the last 53-bit
+// draw x, found by bisection, whose closed form k = ceil(log1p(-u) /
+// log1p(-p)) at u = x/2^53 is at most j+1. Sample draws that integer, the
+// one Float64 would divide by 2^53, and returns the bracket it falls in,
+// so a draw takes no logarithm. A draw within geoWindow of a cut, or past the last one, takes
+// the closed form, so the table returns exactly what the closed form does
+// without having to agree with log1p on a rounding tie. RNG.Geometric
+// draws once for a given p and builds no table.
 type Geometric struct {
 	p    float64
-	logq float64 // log1p(-p)
+	logq float64  // log1p(-p)
+	cut  []uint64 // ascending; nil for RNG.Geometric
 }
 
+const (
+	// geoMaxCuts bounds the table: at p = 0.35 a draw lies past the 64th
+	// cut with probability about 1e-12.
+	geoMaxCuts = 64
+	// geoWindow is how close to a cut a draw must lie to take the closed
+	// form. log1p errs by under one ulp, which blurs a step of the closed
+	// form over a few draws at most.
+	geoWindow = 1 << 12
+)
+
 // NewGeometric builds a geometric sampler with success probability p. It
-// returns an error unless 0 < p <= 1.
+// returns an error unless 0 < p <= 1. The table takes up to geoMaxCuts
+// bisections of 53 closed-form steps each, under 0.1 ms, so a caller
+// builds one sampler and draws from it many times.
 func NewGeometric(p float64) (*Geometric, error) {
 	if !(p > 0 && p <= 1) {
 		return nil, fmt.Errorf("randx: geometric p must be in (0, 1], got %g", p)
 	}
-	return &Geometric{p: p, logq: math.Log1p(-p)}, nil
+	d := &Geometric{p: p, logq: math.Log1p(-p)}
+	if p == 1 {
+		return d, nil
+	}
+	// Bisect each step of the closed form over [cut[j-1], 2^53). The
+	// predicate compares the ceiling as a float, so a draw whose quotient
+	// overflows an int cannot make it non-monotone.
+	lo := uint64(0)
+	for j := 0; j < geoMaxCuts && lo < 1<<53-1; j++ {
+		k := float64(j + 1)
+		hi := uint64(1 << 53) // first draw known to exceed k
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if d.ceil(mid) <= k {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		d.cut = append(d.cut, lo)
+	}
+	return d, nil
 }
 
-// Sample draws one value using g. With p == 1 it is always 1 and consumes
-// no randomness.
+// ceil is the closed form before it is clamped to the support: for
+// u = x/2^53, the smallest k with 1-(1-p)^k >= u.
+func (d *Geometric) ceil(x uint64) float64 {
+	return math.Ceil(math.Log1p(-float64(x)/(1<<53)) / d.logq)
+}
+
+// Sample draws one value using g, consuming the stream exactly as one
+// Float64 does. With p == 1 it is always 1 and consumes no randomness.
 func (d *Geometric) Sample(g *RNG) int {
 	if d.p == 1 {
 		return 1
 	}
-	u := g.r.Float64()
-	// Inverse CDF: smallest k with 1-(1-p)^k >= u.
-	k := int(math.Ceil(math.Log1p(-u) / d.logq))
-	if k < 1 {
-		k = 1
+	x := g.r.Uint64() << 11 >> 11
+	lo := uint64(0)
+	for j, c := range d.cut {
+		if x <= c {
+			if x >= lo && c-x >= geoWindow {
+				return j + 1
+			}
+			break
+		}
+		lo = c + geoWindow
 	}
-	return k
+	return max(1, int(d.ceil(x)))
 }
 
 // Alias is a Walker alias-method sampler over a finite distribution: O(n)

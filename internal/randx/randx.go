@@ -97,8 +97,9 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Geometric samples from a geometric distribution with success probability
 // p, returning the number of trials until the first success (support 1, 2,
-// ...). It panics unless 0 < p <= 1. A caller drawing many values with
-// one p should build a Geometric sampler once instead.
+// ...). It panics unless 0 < p <= 1. It takes two logarithms and builds no
+// table, so a caller drawing many values with one p should build a
+// Geometric sampler once instead; both return the same draws.
 func (g *RNG) Geometric(p float64) int {
 	if p <= 0 || p > 1 {
 		panic("randx: Geometric requires 0 < p <= 1")

@@ -2,6 +2,8 @@ package randx
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -129,6 +131,94 @@ func TestGeometricSamplerMatchesRNG(t *testing.T) {
 			t.Fatalf("p=%g: streams diverged after the draws", p)
 		}
 	}
+}
+
+// closedGeometric is the inverse CDF Geometric.Sample stood for before
+// it had a table: the smallest k >= 1 with 1-(1-p)^k >= u at u = x/2^53.
+func closedGeometric(p float64, x uint64) int {
+	return max(1, int(math.Ceil(math.Log1p(-float64(x)/(1<<53))/math.Log1p(-p))))
+}
+
+// drawOf returns an RNG whose every Uint64 is x, so that a sampler's next
+// 53-bit draw is x for x < 2^53.
+func drawOf(x uint64) *RNG { return &RNG{r: rand.New(fixedSource(x))} }
+
+type fixedSource uint64
+
+func (s fixedSource) Uint64() uint64 { return uint64(s) }
+
+// TestGeometricTableMatchesClosedForm checks the table against the closed
+// form on every draw within 2^14 of each cut, where the table hands over
+// to the closed form or would disagree first if a cut were off, and on
+// random draws; at p = 0.05 about 4% of draws lie past the last cut. A
+// table-backed sampler must also leave its stream where the closed form
+// leaves it.
+func TestGeometricTableMatchesClosedForm(t *testing.T) {
+	draws := 10_000_000
+	if testing.Short() {
+		draws = 1_000_000
+	}
+	for _, p := range []float64{0.35, 0.5, 0.05, 0.9, 0.999} {
+		d, err := NewGeometric(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.cut) == 0 || len(d.cut) > geoMaxCuts {
+			t.Fatalf("p=%g: %d cuts", p, len(d.cut))
+		}
+		for j, c := range d.cut {
+			if j > 0 && c < d.cut[j-1] {
+				t.Fatalf("p=%g: cut %d = %d below cut %d = %d", p, j, c, j-1, d.cut[j-1])
+			}
+			lo := c - min(c, 1<<14)
+			hi := min(c+1<<14, 1<<53-1)
+			for x := lo; x <= hi; x++ {
+				if got, want := d.Sample(drawOf(x)), closedGeometric(p, x); got != want {
+					t.Fatalf("p=%g x=%d (cut %d at %d): table %d, closed form %d", p, x, j, c, got, want)
+				}
+			}
+		}
+		a, c := New(23), New(23)
+		for i := 0; i < draws; i++ {
+			want := closedGeometric(p, c.Uint64()<<11>>11)
+			if got := d.Sample(a); got != want {
+				t.Fatalf("p=%g draw %d: table %d, closed form %d", p, i, got, want)
+			}
+		}
+		if a.Uint64() != c.Uint64() {
+			t.Fatalf("p=%g: streams diverged after the draws", p)
+		}
+	}
+}
+
+// FuzzGeometricTable requires the table to return the closed form's value
+// for any p in (0, 1] and any 53-bit draw, and for the draws at, just past
+// and a window below the cut at or above it.
+func FuzzGeometricTable(f *testing.F) {
+	f.Add(0.35, uint64(0))
+	f.Add(0.05, uint64(1<<53-1))
+	f.Add(0.999, uint64(1<<52))
+	f.Add(1e-300, uint64(12345))
+	f.Add(1-1e-16, uint64(1<<53-2))
+	f.Fuzz(func(t *testing.T, p float64, x uint64) {
+		d, err := NewGeometric(p)
+		if err != nil {
+			return
+		}
+		x &= 1<<53 - 1
+		near := []uint64{x}
+		if j, _ := slices.BinarySearch(d.cut, x); j < len(d.cut) {
+			near = append(near, d.cut[j], d.cut[j]+1, d.cut[j]-min(d.cut[j], geoWindow))
+		}
+		for _, y := range near {
+			if y >= 1<<53 {
+				continue
+			}
+			if got, want := d.Sample(drawOf(y)), closedGeometric(p, y); got != want {
+				t.Fatalf("p=%g x=%d: table %d, closed form %d", p, y, got, want)
+			}
+		}
+	})
 }
 
 func TestNewGeometricErrors(t *testing.T) {
@@ -381,6 +471,29 @@ func BenchmarkPowerLawSample(b *testing.B) {
 		pl.Sample(g)
 	}
 }
+
+// BenchmarkGeometricSample is one link-strength draw at the generator's
+// StrengthP, through the table and through the closed form alone (the
+// sampler RNG.Geometric uses), PCG step included.
+func BenchmarkGeometricSample(b *testing.B) {
+	table, _ := NewGeometric(0.35)
+	closed := &Geometric{p: table.p, logq: table.logq}
+	for _, bc := range []struct {
+		name string
+		d    *Geometric
+	}{{"table", table}, {"closed", closed}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := New(1)
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += bc.d.Sample(g)
+			}
+			benchSink = sum
+		})
+	}
+}
+
+var benchSink int
 
 func BenchmarkAliasSample(b *testing.B) {
 	a, _ := NewAlias(ZipfWeights(1000, 1.1))

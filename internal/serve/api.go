@@ -526,11 +526,8 @@ func buildSnippet(schema *hin.Schema, req *dehinRequest) (*hin.Graph, error) {
 			return nil, fmt.Errorf("entity %d: type %q takes %d attrs, got %d",
 				i, e.Type, len(decl.Attrs), len(e.Attrs))
 		}
-		label := e.Label
-		if label == "" {
-			label = fmt.Sprintf("t%d", i)
-		}
-		id := b.AddEntity(t, label, e.Attrs...)
+		// Nothing reads a snippet's labels: matches carry auxiliary ones.
+		id := b.AddEntity(t, e.Label, e.Attrs...)
 		// Sorted, so that the error names the smallest unknown set.
 		names := make([]string, 0, len(e.Sets))
 		for name := range e.Sets {

@@ -2,7 +2,9 @@ package tqq
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 
 	"github.com/hinpriv/dehin/internal/hin"
 	"github.com/hinpriv/dehin/internal/obs"
@@ -315,6 +317,8 @@ func stageTaskHist(cfg Config, stage string) *obs.Histogram {
 	return cfg.Metrics.Histogram("tqq_generate_task_ns", "stage", stage)
 }
 
+// validate rejects every configuration Generate could not build. Each
+// float range is written so that NaN fails it.
 func validate(cfg *Config) error {
 	if cfg.Users < 1 {
 		return fmt.Errorf("tqq: Users must be positive, got %d", cfg.Users)
@@ -322,30 +326,52 @@ func validate(cfg *Config) error {
 	if cfg.YearMax < cfg.YearMin {
 		return fmt.Errorf("tqq: YearMax %d < YearMin %d", cfg.YearMax, cfg.YearMin)
 	}
-	if len(cfg.GenderWeights) == 0 {
-		return fmt.Errorf("tqq: GenderWeights empty")
+	sum := 0.0
+	for i, w := range cfg.GenderWeights {
+		if !finite(w, 0) {
+			return fmt.Errorf("tqq: GenderWeights[%d] must be a finite number >= 0, got %g", i, w)
+		}
+		sum += w
 	}
-	if cfg.TweetCountMax < 0 || cfg.MaxTags < 0 || cfg.TagUniverse < cfg.MaxTags {
+	if !(sum > 0) {
+		return fmt.Errorf("tqq: GenderWeights must have a positive sum")
+	}
+	if cfg.TweetCountMax < 0 || cfg.MaxTags < 0 || cfg.TagUniverse < max(cfg.MaxTags, 1) {
 		return fmt.Errorf("tqq: invalid profile ranges")
 	}
-	if cfg.StrengthP <= 0 || cfg.StrengthP > 1 {
+	if !finite(cfg.TagZipf, 0) {
+		return fmt.Errorf("tqq: TagZipf must be a finite number >= 0, got %g", cfg.TagZipf)
+	}
+	if !finite(cfg.BackgroundAvgOutDeg, 0) {
+		return fmt.Errorf("tqq: BackgroundAvgOutDeg must be a finite number >= 0, got %g", cfg.BackgroundAvgOutDeg)
+	}
+	if !(cfg.DegreeAlpha > 0 && cfg.DegreeAlpha <= math.MaxFloat64) {
+		return fmt.Errorf("tqq: DegreeAlpha must be a finite number > 0, got %g", cfg.DegreeAlpha)
+	}
+	if cfg.DegreeMax < 1 {
+		return fmt.Errorf("tqq: DegreeMax must be >= 1, got %d", cfg.DegreeMax)
+	}
+	if !(cfg.StrengthP > 0 && cfg.StrengthP <= 1) {
 		return fmt.Errorf("tqq: StrengthP must be in (0,1], got %g", cfg.StrengthP)
 	}
 	if cfg.StrengthMax < 1 {
 		return fmt.Errorf("tqq: StrengthMax must be >= 1")
 	}
-	if cfg.ZeroOutFrac < 0 || cfg.ZeroOutFrac >= 1 {
+	if !(cfg.ZeroOutFrac >= 0 && cfg.ZeroOutFrac < 1) {
 		return fmt.Errorf("tqq: ZeroOutFrac must be in [0,1), got %g", cfg.ZeroOutFrac)
 	}
-	if cfg.DegreeTailAlpha <= 1 {
+	if !(cfg.DegreeTailAlpha > 1) {
 		return fmt.Errorf("tqq: DegreeTailAlpha must be > 1, got %g", cfg.DegreeTailAlpha)
+	}
+	if cfg.Items < 0 || cfg.RecPerUser < 0 {
+		return fmt.Errorf("tqq: Items and RecPerUser must be >= 0, got %d and %d", cfg.Items, cfg.RecPerUser)
 	}
 	total := 0
 	for i, c := range cfg.Communities {
 		if c.Size < 2 {
 			return fmt.Errorf("tqq: community %d size %d too small", i, c.Size)
 		}
-		if c.Density < 0 || c.Density > 1 {
+		if !(c.Density >= 0 && c.Density <= 1) {
 			return fmt.Errorf("tqq: community %d density %g out of [0,1]", i, c.Density)
 		}
 		total += c.Size
@@ -356,10 +382,16 @@ func validate(cfg *Config) error {
 	return nil
 }
 
+// finite reports whether x is a finite number >= lo; NaN is not.
+func finite(x, lo float64) bool {
+	return x >= lo && x <= math.MaxFloat64
+}
+
 // profileShard buffers one user shard's drawn profile, filled by a worker
 // and drained serially into the Builder in shard order.
 type profileShard struct {
-	label  []string
+	labels string     // the shard's labels back to back
+	ends   []int32    // ends[i]: where the i-th user's label ends in labels
 	scalar [][4]int64 // yob, gender, tweets, ntags
 	tags   [][]int32  // nil when the user has no tags
 }
@@ -395,9 +427,11 @@ func genProfiles(b *hin.Builder, cfg Config, rng *randx.RNG, stage trace.Span) {
 		hi := min(lo+genShardUsers, cfg.Users)
 		r := rngs[s]
 		sh := &shards[s]
-		sh.label = make([]string, 0, hi-lo)
+		labels := make([]byte, 0, 9*(hi-lo))
+		sh.ends = make([]int32, 0, hi-lo)
 		sh.scalar = make([][4]int64, 0, hi-lo)
 		sh.tags = make([][]int32, 0, hi-lo)
+		seen := make([]uint64, (cfg.TagUniverse+63)/64) // the user's tags so far
 		for i := lo; i < hi; i++ {
 			yob := int64(r.IntRange(cfg.YearMin, cfg.YearMax))
 			gen := int64(gender.Sample(r))
@@ -406,31 +440,46 @@ func genProfiles(b *hin.Builder, cfg Config, rng *randx.RNG, stage trace.Span) {
 			var tags []int32
 			if ntags > 0 {
 				tags = make([]int32, 0, ntags)
-				seen := make(map[int32]bool, ntags)
 				for len(tags) < ntags {
-					t := int32(tagPop.Sample(r))
-					if !seen[t] {
-						seen[t] = true
-						tags = append(tags, t)
+					t := tagPop.Sample(r)
+					if bit := uint64(1) << (t & 63); seen[t>>6]&bit == 0 {
+						seen[t>>6] |= bit
+						tags = append(tags, int32(t))
 					}
+				}
+				for _, t := range tags {
+					seen[t>>6] = 0 // only this user's bits are set
 				}
 				slices.Sort(tags)
 			}
-			sh.label = append(sh.label, fmt.Sprintf("u%07d", i))
+			labels = appendUserLabel(labels, i)
+			sh.ends = append(sh.ends, int32(len(labels)))
 			sh.scalar = append(sh.scalar, [4]int64{yob, gen, tweets, int64(ntags)})
 			sh.tags = append(sh.tags, tags)
 		}
+		sh.labels = string(labels)
 	})
 	for s := range shards {
 		sh := &shards[s]
-		for i := range sh.label {
+		start := int32(0)
+		for i, end := range sh.ends {
 			a := sh.scalar[i]
-			id := b.AddEntity(0, sh.label[i], a[0], a[1], a[2], a[3])
+			id := b.AddEntity(0, sh.labels[start:end], a[0], a[1], a[2], a[3])
+			start = end
 			if len(sh.tags[i]) > 0 {
 				b.AdoptSet(TagsAttr, id, sh.tags[i])
 			}
 		}
 	}
+}
+
+// appendUserLabel appends user i's label, fmt.Sprintf("u%07d", i), to buf.
+func appendUserLabel(buf []byte, i int) []byte {
+	buf = append(buf, 'u')
+	for p := 1_000_000; p > 1 && i < p; p /= 10 {
+		buf = append(buf, '0')
+	}
+	return strconv.AppendInt(buf, int64(i), 10)
 }
 
 // placeCommunities picks disjoint random user sets for the requested

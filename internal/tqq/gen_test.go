@@ -1,6 +1,7 @@
 package tqq
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -214,24 +215,75 @@ func TestCommunityMembersHaveOutsideEdges(t *testing.T) {
 	}
 }
 
-func TestGenerateErrors(t *testing.T) {
-	base := DefaultConfig(100, 1)
-	cases := []func(*Config){
-		func(c *Config) { c.Users = 0 },
-		func(c *Config) { c.YearMax = c.YearMin - 1 },
-		func(c *Config) { c.GenderWeights = nil },
-		func(c *Config) { c.StrengthP = 0 },
-		func(c *Config) { c.StrengthMax = 0 },
-		func(c *Config) { c.Communities = []CommunitySpec{{Size: 1, Density: 0.1}} },
-		func(c *Config) { c.Communities = []CommunitySpec{{Size: 10, Density: 1.5}} },
-		func(c *Config) { c.Communities = []CommunitySpec{{Size: 200, Density: 0.1}} },
-		func(c *Config) { c.TagUniverse = 2; c.MaxTags = 5 },
-	}
-	for i, mod := range cases {
-		cfg := base
-		mod(&cfg)
+// configCase is a change to a valid configuration that Generate must
+// refuse with an error before any stage runs.
+type configCase struct {
+	name string
+	mod  func(*Config)
+}
+
+func expectRejected(t *testing.T, cases []configCase) {
+	t.Helper()
+	for _, tc := range cases {
+		cfg := DefaultConfig(100, 1)
+		tc.mod(&cfg)
 		if _, err := Generate(cfg); err == nil {
-			t.Errorf("case %d: expected error", i)
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestGenerateErrors holds configurations Generate must refuse, among
+// them ones it once hung on (a NaN density), crashed on from a worker (a
+// NaN mean degree), panicked on, or accepted with a NaN in them.
+func TestGenerateErrors(t *testing.T) {
+	nan := math.NaN()
+	expectRejected(t, []configCase{
+		{"no users", func(c *Config) { c.Users = 0 }},
+		{"YearMax below YearMin", func(c *Config) { c.YearMax = c.YearMin - 1 }},
+		{"GenderWeights nil", func(c *Config) { c.GenderWeights = nil }},
+		{"GenderWeights all zero", func(c *Config) { c.GenderWeights = []float64{0, 0, 0} }},
+		{"GenderWeights negative", func(c *Config) { c.GenderWeights = []float64{0.6, -0.1, 0.5} }},
+		{"GenderWeights NaN", func(c *Config) { c.GenderWeights = []float64{0.5, nan} }},
+		{"MaxTags above TagUniverse", func(c *Config) { c.TagUniverse = 2; c.MaxTags = 5 }},
+		{"TagUniverse and MaxTags 0", func(c *Config) { c.TagUniverse, c.MaxTags = 0, 0 }},
+		{"TagZipf NaN", func(c *Config) { c.TagZipf = nan }},
+		{"BackgroundAvgOutDeg NaN", func(c *Config) { c.BackgroundAvgOutDeg = nan }},
+		{"BackgroundAvgOutDeg +Inf", func(c *Config) { c.BackgroundAvgOutDeg = math.Inf(1) }},
+		{"BackgroundAvgOutDeg negative", func(c *Config) { c.BackgroundAvgOutDeg = -1 }},
+		{"StrengthP 0", func(c *Config) { c.StrengthP = 0 }},
+		{"StrengthP NaN", func(c *Config) { c.StrengthP = nan }},
+		{"StrengthMax 0", func(c *Config) { c.StrengthMax = 0 }},
+		{"Items negative", func(c *Config) { c.Items = -1 }},
+		{"RecPerUser negative", func(c *Config) { c.RecPerUser = -1 }},
+		{"community of one", func(c *Config) { c.Communities = []CommunitySpec{{Size: 1, Density: 0.1}} }},
+		{"community density above 1", func(c *Config) { c.Communities = []CommunitySpec{{Size: 10, Density: 1.5}} }},
+		{"community density NaN", func(c *Config) { c.Communities = []CommunitySpec{{Size: 50, Density: nan}} }},
+		{"community larger than the network", func(c *Config) { c.Communities = []CommunitySpec{{Size: 200, Density: 0.1}} }},
+	})
+}
+
+// TestGenerateRejectsBadDegreeModel holds the out-degree model's
+// parameters that leave no valid distribution to draw from.
+func TestGenerateRejectsBadDegreeModel(t *testing.T) {
+	nan := math.NaN()
+	expectRejected(t, []configCase{
+		{"DegreeAlpha NaN", func(c *Config) { c.DegreeAlpha = nan }},
+		{"DegreeMax 0", func(c *Config) { c.DegreeMax = 0 }},
+		{"ZeroOutFrac 1", func(c *Config) { c.ZeroOutFrac = 1 }},
+		{"ZeroOutFrac NaN", func(c *Config) { c.ZeroOutFrac = nan }},
+		{"DegreeTailAlpha 1", func(c *Config) { c.DegreeTailAlpha = 1 }},
+		{"DegreeTailAlpha NaN", func(c *Config) { c.DegreeTailAlpha = nan }},
+	})
+}
+
+// TestAppendUserLabel checks the generator's labels against the format
+// they stand for, on both sides of the seventh digit and at the paper's
+// network size.
+func TestAppendUserLabel(t *testing.T) {
+	for _, i := range []int{0, 7, 10, 999_999, 1_000_000, 2_320_894, 9_999_999, 10_000_000, 123_456_789} {
+		if got, want := string(appendUserLabel([]byte("x"), i)), "x"+fmt.Sprintf("u%07d", i); got != want {
+			t.Errorf("user %d: label %q, want %q", i, got, want)
 		}
 	}
 }
@@ -380,18 +432,5 @@ func TestCommunityDegreeShape(t *testing.T) {
 		if d1 := degreeOneFrac(1, lt); d1 < 0.05 {
 			t.Errorf("lt %d: dense community degree-1 fraction %.2f, want a heavy low-degree mass", lt, d1)
 		}
-	}
-}
-
-func TestGenerateRejectsBadDegreeModel(t *testing.T) {
-	cfg := DefaultConfig(100, 1)
-	cfg.ZeroOutFrac = 1
-	if _, err := Generate(cfg); err == nil {
-		t.Fatal("ZeroOutFrac=1 accepted")
-	}
-	cfg = DefaultConfig(100, 1)
-	cfg.DegreeTailAlpha = 1
-	if _, err := Generate(cfg); err == nil {
-		t.Fatal("DegreeTailAlpha=1 accepted")
 	}
 }

@@ -56,6 +56,14 @@ func Grow(d *Dataset, cfg Config, gcfg GrowthConfig) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tqq: %w", err)
 	}
+	tweetGrowth, err := randx.NewGeometric(0.05) // mean 20 new tweets
+	if err != nil {
+		return nil, err
+	}
+	strengthGrowth, err := randx.NewGeometric(0.5)
+	if err != nil {
+		return nil, err
+	}
 	rng := randx.New(gcfg.Seed)
 	g := d.Graph
 	schema := g.Schema()
@@ -79,7 +87,7 @@ func Grow(d *Dataset, cfg Config, gcfg GrowthConfig) (*Dataset, error) {
 		gen := g.Attr(id, AttrGender)
 		tweets := g.Attr(id, AttrTweets)
 		if prng.Bool(gcfg.TweetGrowProb) {
-			tweets += int64(prng.Geometric(0.05)) // mean 20 new tweets
+			tweets += int64(tweetGrowth.Sample(prng))
 		}
 		tags := append([]int32(nil), g.Set(TagsAttr, id)...)
 		if prng.Bool(gcfg.TagAddProb) && len(tags) < cfg.TagUniverse {
@@ -126,7 +134,7 @@ func Grow(d *Dataset, cfg Config, gcfg GrowthConfig) (*Dataset, error) {
 			for i, to := range tos {
 				w := ws[i]
 				if weighted && erng.Bool(gcfg.StrengthGrowProb) {
-					w += int32(erng.Geometric(0.5))
+					w += int32(strengthGrowth.Sample(erng))
 				}
 				if err := b.AddEdge(ltid, hin.EntityID(v), to, w); err != nil {
 					return nil, err
